@@ -39,8 +39,7 @@ std::vector<LpConstraint> Polyhedron::lp_constraints() const {
 }
 
 bool Polyhedron::is_rational_empty() const {
-  LpResult r = lp_minimize(dim_, lp_constraints(), RatVec(dim_, Rat(0)));
-  return r.status == LpStatus::kInfeasible;
+  return minimize(AffineExpr(dim_)).status == LpStatus::kInfeasible;
 }
 
 bool Polyhedron::is_integer_empty(u64 enumeration_cap) const {
@@ -53,8 +52,76 @@ bool Polyhedron::is_integer_empty(u64 enumeration_cap) const {
   return *n == 0;
 }
 
+namespace {
+
+/// Rational bounds of one variable of a box.
+struct Interval {
+  Rat lo, hi;
+  bool has_lo = false, has_hi = false;
+};
+
+/// Closed-form minimum over a box — a system in which every constraint
+/// mentions at most one variable. Each row bounds its variable (an
+/// equality pins it), so the optimum picks, per variable, the bound the
+/// objective coefficient's sign points at. Returns exactly what the
+/// simplex returns on the same system (status, and the value when
+/// optimal); nullopt when some row couples two variables.
+std::optional<BoundResult> box_minimize(std::size_t dim,
+                                        const std::vector<Constraint>& rows,
+                                        const AffineExpr& objective) {
+  std::vector<Interval> iv(dim);
+  bool infeasible = false;
+  for (const auto& c : rows) {
+    std::size_t var = dim;
+    for (std::size_t i = 0; i < dim; ++i) {
+      if (c.expr.coeff(i) == 0) continue;
+      if (var != dim) return std::nullopt;  // couples two variables
+      var = i;
+    }
+    const i64 b = c.expr.const_term();
+    if (var == dim) {  // constant row: b >= 0 (or b == 0) holds or not
+      if (c.equality ? b != 0 : b < 0) infeasible = true;
+      continue;
+    }
+    // a·x + b >= 0 (or == 0) bounds x at -b/a, from below when a > 0.
+    const i64 a = c.expr.coeff(var);
+    const Rat bound(-static_cast<i128>(b), static_cast<i128>(a));
+    Interval& v = iv[var];
+    if ((c.equality || a > 0) && (!v.has_lo || bound > v.lo)) {
+      v.lo = bound;
+      v.has_lo = true;
+    }
+    if ((c.equality || a < 0) && (!v.has_hi || bound < v.hi)) {
+      v.hi = bound;
+      v.has_hi = true;
+    }
+  }
+  BoundResult out;
+  for (const Interval& v : iv)
+    if (v.has_lo && v.has_hi && v.lo > v.hi) infeasible = true;
+  if (infeasible) return out;  // kInfeasible, as the simplex reports first
+  Rat value(objective.const_term());
+  for (std::size_t i = 0; i < dim; ++i) {
+    const i64 ci = objective.coeff(i);
+    if (ci == 0) continue;
+    const Interval& v = iv[i];
+    if (ci > 0 ? !v.has_lo : !v.has_hi) {
+      out.status = LpStatus::kUnbounded;
+      return out;
+    }
+    value += Rat(ci) * (ci > 0 ? v.lo : v.hi);
+  }
+  out.status = LpStatus::kOptimal;
+  out.value = value;
+  return out;
+}
+
+}  // namespace
+
 BoundResult Polyhedron::minimize(const AffineExpr& objective) const {
   PP_CHECK(objective.dim() == dim_, "objective dimension mismatch");
+  if (std::optional<BoundResult> b = box_minimize(dim_, constraints_, objective))
+    return *b;
   LpResult r = lp_minimize(dim_, lp_constraints(), objective.as_rat_vec());
   BoundResult b;
   b.status = r.status;

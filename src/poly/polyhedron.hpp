@@ -5,7 +5,11 @@
 //
 // Integer questions (membership, point counting/enumeration) are exact for
 // bounded polyhedra via LP-guided recursive enumeration; rational
-// questions (emptiness, min/max of an affine form) use the exact simplex.
+// questions (emptiness, min/max of an affine form) are answered in closed
+// form for boxes (every constraint mentions at most one variable — most
+// of what folding emits) and by the exact simplex for every other shape.
+// Both give the same answer; tests/poly/polyhedron_test.cpp checks them
+// against each other.
 #pragma once
 
 #include <cstdint>
@@ -57,7 +61,8 @@ class Polyhedron {
   /// enumeration when a rational point exists but may not be integral.
   bool is_integer_empty(u64 enumeration_cap = 1u << 20) const;
 
-  /// Minimize / maximize an affine form over the rational relaxation.
+  /// Minimize / maximize an affine form over the rational relaxation:
+  /// closed form on boxes, lp_minimize otherwise (same status and value).
   BoundResult minimize(const AffineExpr& objective) const;
   BoundResult maximize(const AffineExpr& objective) const;
 

@@ -187,9 +187,10 @@ GroupSchedule schedule_group(const Problem& problem, std::vector<int> stmts,
   // A verdict depends only on (row, dep) — not on the level. The level
   // loop re-visits the same candidate rows, the band-legality pass
   // re-checks deps the scoring pass already solved, and the chosen row is
-  // checked a third time when carried deps are retired. Each check is
-  // several exact rational simplex solves (the dominant cost of
-  // scheduling), so cache verdicts for the whole group search.
+  // checked a third time when carried deps are retired. Each check is a
+  // min (and maybe a max) per dependence piece — closed form on boxes, a
+  // simplex solve otherwise — so cache verdicts for the whole group
+  // search.
   std::vector<std::optional<DepVerdict>> vcache(candidates.size() *
                                                 deps.size());
   auto checked = [&](std::size_t ci, std::size_t di) -> const DepVerdict& {

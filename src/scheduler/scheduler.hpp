@@ -7,10 +7,11 @@
 //
 // Differences from PluTo proper, by design (see DESIGN.md):
 //  * legality of a candidate row is decided by *minimizing* the schedule
-//    latency difference over each (bounded) dependence piece with the
-//    exact rational simplex — min >= 0 is weak legality, min > 0 carries
-//    the dependence (sound for integer points since rational min <= integer
-//    min);
+//    latency difference over each (bounded) dependence piece with
+//    Polyhedron::minimize — closed form on box pieces, the exact rational
+//    simplex on every other shape — min >= 0 is weak legality, min > 0
+//    carries the dependence (sound for integer points since rational min
+//    <= integer min);
 //  * candidate rows are drawn from the Pluto cone with small coefficients:
 //    unit vectors first (permutations), then ±1/±2 skews — the paper's
 //    "we tend to avoid skewing unless it really provides improvements";

@@ -2,6 +2,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <sstream>
 
@@ -419,47 +420,95 @@ struct ClaimChecker {
     return true;
   }
 
-  /// LP fallback: walk the levels keeping the polyhedron of
-  /// still-unsatisfied instances (distance pinned to zero at every earlier
-  /// level) and bound each level's distance over it. Rational bounds are
-  /// conservative: a claim is only accepted when the relaxation proves the
-  /// distance identically zero.
-  void check_lp(const poly::Piece& piece, const scheduler::GroupSchedule& g,
-                int grp, std::size_t shared, int dep_idx,
-                const fold::FoldedDep& d) {
+  /// The rational level walk, shared by the proof that lets an enumerable
+  /// piece skip enumeration and by the LP fallback for capped pieces. It
+  /// keeps the polyhedron of still-unsatisfied instances (distance pinned
+  /// to zero at every earlier level) and its copy at the band start, and
+  /// bounds each level's distance over both. Rational bounds are
+  /// conservative: a level is only cleared when the relaxation proves
+  /// min ≥ 0 (and, for a parallel claim, max ≤ 0). `flag(kind, level,
+  /// detail)` is called on every violation the bounds cannot rule out, and
+  /// the walk stops as soon as it returns false. Returns true when nothing
+  /// was flagged — a theorem that no instance of the piece is a witness.
+  template <typename Flag>
+  static bool rational_walk(const poly::Piece& piece,
+                            const scheduler::GroupSchedule& g,
+                            std::size_t shared, const Flag& flag) {
+    auto below_zero = [](const poly::BoundResult& b) {
+      return b.status == LpStatus::kUnbounded ||
+             (b.status == LpStatus::kOptimal && b.value.sign() < 0);
+    };
     Polyhedron region = piece.domain;       // unsatisfied instances
     Polyhedron band_region = piece.domain;  // unsatisfied at band start
+    bool region_empty = false;
+    bool clean = true;
     for (std::size_t li = 0; li < g.levels.size(); ++li) {
       const scheduler::Level& lv = g.levels[li];
-      AffineExpr dist = distance_expr(piece, lv, shared);
-      if (li == 0 || lv.new_band) band_region = region;
-      auto mn = region.minimize(dist);
-      if (mn.status == LpStatus::kInfeasible) break;  // all satisfied
-      bool can_neg = mn.status == LpStatus::kUnbounded ||
-                     (mn.status == LpStatus::kOptimal && mn.value.sign() < 0);
-      if (can_neg) {
-        witness(ClaimWitness::Kind::kIllegalLevel, grp, static_cast<int>(li),
-                dep_idx, d, "rational minimum below zero");
-      } else {
-        auto bmn = band_region.minimize(dist);
-        if (bmn.status == LpStatus::kUnbounded ||
-            (bmn.status == LpStatus::kOptimal && bmn.value.sign() < 0))
-          witness(ClaimWitness::Kind::kBandViolation, grp,
-                  static_cast<int>(li), dep_idx, d,
-                  "rational in-band minimum below zero");
+      const bool band_start = li == 0 || lv.new_band;
+      if (band_start) {
+        if (region_empty) break;  // nothing left unsatisfied, in any band
+        band_region = region;
       }
-      if (lv.parallel) {
+      AffineExpr dist = distance_expr(piece, lv, shared);
+      auto report = [&](ClaimWitness::Kind kind, const char* detail) {
+        clean = false;
+        return flag(kind, static_cast<int>(li), detail);
+      };
+      bool can_neg = false;
+      if (!region_empty) {
+        auto mn = region.minimize(dist);
+        region_empty = mn.status == LpStatus::kInfeasible;
+        can_neg = below_zero(mn);
+      }
+      if (can_neg) {
+        if (!report(ClaimWitness::Kind::kIllegalLevel,
+                    "rational minimum below zero"))
+          return false;
+      } else if (!band_start && below_zero(band_region.minimize(dist))) {
+        // At a band start the band region IS the unsatisfied region, just
+        // bounded. Later in the band it is checked even once the
+        // unsatisfied region is empty: instances satisfied earlier in
+        // this band still constrain it.
+        if (!report(ClaimWitness::Kind::kBandViolation,
+                    "rational in-band minimum below zero"))
+          return false;
+      }
+      if (lv.parallel && !region_empty) {
         auto mx = region.maximize(dist);
         bool nonzero =
             can_neg || mx.status == LpStatus::kUnbounded ||
             (mx.status == LpStatus::kOptimal && mx.value.sign() > 0);
-        if (nonzero)
-          witness(ClaimWitness::Kind::kParallelContradicted, grp,
-                  static_cast<int>(li), dep_idx, d,
-                  "distance not provably zero over the piece");
+        if (nonzero && !report(ClaimWitness::Kind::kParallelContradicted,
+                               "distance not provably zero over the piece"))
+          return false;
       }
-      region.add_eq0(dist);
+      if (!region_empty) region.add_eq0(dist);
     }
+    return clean;
+  }
+
+  /// Proof-first check of an enumerable piece: when the rational walk
+  /// rules out every witness, the piece's instances count as checked
+  /// without visiting them one by one.
+  static bool proves_clean(const poly::Piece& piece,
+                           const scheduler::GroupSchedule& g,
+                           std::size_t shared) {
+    return rational_walk(piece, g, shared,
+                         [](ClaimWitness::Kind, int, const char*) {
+                           return false;
+                         });
+  }
+
+  /// LP fallback for capped pieces: every possible violation the rational
+  /// walk finds becomes a witness.
+  void check_lp(const poly::Piece& piece, const scheduler::GroupSchedule& g,
+                int grp, std::size_t shared, int dep_idx,
+                const fold::FoldedDep& d) {
+    rational_walk(piece, g, shared,
+                  [&](ClaimWitness::Kind kind, int li, const char* detail) {
+                    witness(kind, grp, li, dep_idx, d, detail);
+                    return true;
+                  });
   }
 
   /// A piece over the enumeration cap: decide it exactly when the Omega
@@ -510,13 +559,21 @@ ClaimReport check_parallel_claims(const fold::FoldedProgram& prog,
         if (piece.domain.dim() < shared ||
             piece.label_fn.out_dim() < shared)
           continue;  // malformed piece: nothing checkable
-        auto pts = piece.domain.enumerate(kEnumCap);
-        if (pts)
-          checker.check_enumerated(*pts, piece, g, static_cast<int>(gi),
-                                   shared, static_cast<int>(di), d);
-        else
+        std::optional<u64> n = piece.domain.count_points(kEnumCap);
+        if (!n) {
           checker.check_capped(piece, g, static_cast<int>(gi), shared,
                                static_cast<int>(di), d);
+        } else if (ClaimChecker::proves_clean(piece, g, shared)) {
+          part.instances_checked += *n;
+          ++part.pieces_proved;
+        } else {
+          // A possible witness: walk the instances so the witness text and
+          // order are exactly those of the per-instance check.
+          ++part.pieces_enumerated;
+          checker.check_enumerated(*piece.domain.enumerate(kEnumCap), piece,
+                                   g, static_cast<int>(gi), shared,
+                                   static_cast<int>(di), d);
+        }
       }
     }
   };
@@ -531,6 +588,8 @@ ClaimReport check_parallel_claims(const fold::FoldedProgram& prog,
     rep.parallel_levels += part.parallel_levels;
     rep.instances_checked += part.instances_checked;
     rep.capped_pieces += part.capped_pieces;
+    rep.pieces_proved += part.pieces_proved;
+    rep.pieces_enumerated += part.pieces_enumerated;
     for (ClaimWitness& w : part.witnesses)
       rep.witnesses.push_back(std::move(w));
   }
@@ -623,13 +682,20 @@ OracleReport run_oracle(const ir::Module& m, const fold::FoldedProgram& prog,
   }
   if (obs != nullptr && obs->enabled()) {
     obs->add("oracle.regions_checked", static_cast<i64>(picked.size()));
-    i64 claims = 0, capped = 0;
+    i64 claims = 0, capped = 0, proved = 0, enumerated = 0;
     for (const auto& c : r.claims) {
       claims += static_cast<i64>(c.parallel_levels);
       capped += static_cast<i64>(c.capped_pieces);
+      proved += static_cast<i64>(c.pieces_proved);
+      enumerated += static_cast<i64>(c.pieces_enumerated);
     }
     obs->add("oracle.parallel_levels_checked", claims);
     obs->add("verify.cap_hits", capped);
+    // Which path decided each enumerable piece is a cost split, not a
+    // result: kTiming keeps it out of stable self-profile reports.
+    obs->add("oracle.pieces_proved", proved, obs::Stability::kTiming);
+    obs->add("oracle.pieces_enumerated", enumerated,
+             obs::Stability::kTiming);
   }
   return r;
 }

@@ -9,11 +9,13 @@
 //       dependence the static tester proved impossible means one of the two
 //       analyses is wrong — the profiler's strongest self-check.
 //   (b) claims vs. evidence: every parallel / permutable level the
-//       scheduler announced is re-validated instance-by-instance against
-//       the folded dependences (the must-pieces — provably-occurred
-//       instances). A dependence carried by a level claimed parallel
-//       contradicts the claim; contradicted levels are downgraded and the
-//       region metrics refreshed.
+//       scheduler announced is re-validated against the folded
+//       dependences (the must-pieces — provably-occurred instances): a
+//       rational level walk first tries to prove a piece witness-free;
+//       pieces it cannot clear are walked instance by instance, so every
+//       witness names a real instance. A dependence carried by a level
+//       claimed parallel contradicts the claim; contradicted levels are
+//       downgraded and the region metrics refreshed.
 //   (c) precision tier: the two static analyses must nest too —
 //       dynamic ⊆ exact ⊆ may-dep. Over every modeled store-involved site
 //       pair, a pair the may-tester proves address-disjoint can never be
@@ -109,11 +111,18 @@ struct ClaimWitness {
 /// Part (b): parallel/permutable claims re-validated against the DDG.
 struct ClaimReport {
   u64 parallel_levels = 0;    ///< parallel claims examined
-  u64 instances_checked = 0;  ///< enumerated dependence instances walked
+  /// Dependence instances covered: walked one by one, or counted when the
+  /// rational level walk proved their piece free of witnesses.
+  u64 instances_checked = 0;
   /// Pieces over the enumeration cap: decided by the exact integer test
   /// (Omega) per level, with the rational LP bounds as the fallback when a
   /// query hits the effort cap.
   u64 capped_pieces = 0;
+  /// Enumerable pieces the rational level walk proved witness-free (their
+  /// points are counted, not visited).
+  u64 pieces_proved = 0;
+  /// Enumerable pieces the proof could not clear: walked per instance.
+  u64 pieces_enumerated = 0;
   int downgraded_levels = 0;  ///< parallel flags cleared by the oracle
   std::vector<ClaimWitness> witnesses;
 
@@ -148,8 +157,10 @@ struct OracleReport {
 /// checks (each region's metrics are touched by exactly one task) and the
 /// per-group sweeps within each region. Reports collect into pre-indexed
 /// slots and merge in region order — byte-identical at any lane count.
-/// `obs` (optional) wraps the run in a span and counts regions/claims and
-/// enumeration-cap hits (`verify.cap_hits`).
+/// `obs` (optional) wraps the run in a span and counts regions/claims,
+/// enumeration-cap hits (`verify.cap_hits`) and, as kTiming counters, the
+/// enumerable pieces proved witness-free vs walked per instance
+/// (`oracle.pieces_proved` / `oracle.pieces_enumerated`).
 /// `cancel` (optional): a token fired before the run skips the coverage
 /// sweep entirely; one fired mid-run leaves the remaining regions'
 /// ClaimReports empty (zero claims, no witnesses) — an un-examined claim

@@ -273,6 +273,118 @@ TEST(Oracle, CappedForcedClaimYieldsIntegerWitness) {
   EXPECT_TRUE(integer_witness) << rep.str();
 }
 
+/// for (i = 1..n) for (j = 0..n-1) a[i][j] = a[i-1][j+1] + 1: one flow
+/// dependence with distance (1, -1). Level 0 (i) carries it; level 1 (j)
+/// sees distance -1, so it may only follow level 0 in a NEW band.
+Module anti_diagonal_module(i64 n) {
+  Module m;
+  const i64 row = 8 * (n + 1);
+  i64 g = m.add_global("a", (n + 1) * row);
+  Function& f = m.add_function("main", 0);
+  Builder b(m, f);
+  b.set_block(b.make_block());
+  Reg base = b.const_(g);
+  Reg rows = b.const_(n + 1);
+  Reg cols = b.const_(n);
+  b.counted_loop(1, rows, 1, [&](Reg i) {
+    Reg ri = b.add(base, b.muli(i, row));
+    b.counted_loop(0, cols, 1, [&](Reg j) {
+      Reg p = b.add(ri, b.muli(j, 8));
+      Reg v = b.load(p, 8 - row);  // a[i-1][j+1]
+      b.store(p, b.addi(v, 1));
+    });
+  });
+  b.ret();
+  return m;
+}
+
+/// Replace every two-level schedule by the original (i, j) order in ONE
+/// band, i.e. claim each nest permutable (no level claims parallelism, so
+/// the band is the only claim a witness can contradict). Returns how many
+/// groups were corrupted.
+int force_shared_band(feedback::RegionMetrics& mx) {
+  int forced = 0;
+  for (auto& grp : mx.sched.groups) {
+    if (!grp.schedulable || grp.levels.size() != 2) continue;
+    grp.levels[0] = {.row = {1, 0}, .carries = true, .new_band = true};
+    grp.levels[1] = {.row = {0, 1}};
+    ++forced;
+  }
+  return forced;
+}
+
+bool has_band_violation(const ClaimReport& rep) {
+  for (const auto& w : rep.witnesses)
+    if (w.kind == ClaimWitness::Kind::kBandViolation && w.level == 1)
+      return true;
+  return false;
+}
+
+TEST(Oracle, BandViolationAfterSatisfyingLevelIsReported) {
+  // Level 0 satisfies every instance (distance 1), so the unsatisfied
+  // region is empty from level 1 on — but the instances are still in the
+  // band, and distance -1 there breaks permutability. The rational walk
+  // must not stop at the empty region: had it stopped, the proof would
+  // clear the piece and enumeration (which does report the violation)
+  // would never run.
+  Module m = anti_diagonal_module(8);
+  core::Pipeline pipe(m);
+  core::ProfileResult r = pipe.run();
+  ASSERT_FALSE(r.truncated);
+  feedback::RegionMetrics mx = r.analyze(r.whole_program());
+  ASSERT_TRUE(mx.analyzable);
+  {
+    ClaimReport rep = check_parallel_claims(r.program, mx, /*downgrade=*/false);
+    EXPECT_TRUE(rep.ok()) << rep.str();
+    EXPECT_GT(rep.pieces_proved, 0u);
+  }
+  ASSERT_GT(force_shared_band(mx), 0) << "no 2-level group to corrupt";
+  ClaimReport rep = check_parallel_claims(r.program, mx, /*downgrade=*/false);
+  EXPECT_TRUE(has_band_violation(rep)) << rep.str();
+  EXPECT_GT(rep.pieces_enumerated, 0u) << "the proof cleared the piece";
+}
+
+TEST(Oracle, CappedBandViolationAfterSatisfyingLevelIsReported) {
+  // The same claim over a piece past the enumeration cap (70x70 > 4096
+  // instances): decided by the per-level integer walk instead.
+  Module m = anti_diagonal_module(70);
+  core::Pipeline pipe(m);
+  core::ProfileResult r = pipe.run();
+  ASSERT_FALSE(r.truncated);
+  feedback::RegionMetrics mx = r.analyze(r.whole_program());
+  ASSERT_TRUE(mx.analyzable);
+  ASSERT_GT(force_shared_band(mx), 0) << "no 2-level group to corrupt";
+  ClaimReport rep = check_parallel_claims(r.program, mx, /*downgrade=*/false);
+  EXPECT_GE(rep.capped_pieces, 1u);
+  EXPECT_TRUE(has_band_violation(rep)) << rep.str();
+}
+
+TEST(Oracle, ProofFirstCountersAreTimingOnly) {
+  // The proof/enumeration split is reported as kTiming counters: visible
+  // in the session, absent from stable self-profile reports.
+  workloads::Workload w = workloads::make_rodinia("hotspot");
+  core::PipelineOptions opts;
+  opts.threads = 1;
+  opts.observe = true;
+  core::Pipeline pipe(w.module);
+  core::ProfileResult r = pipe.run(opts);
+  ASSERT_NE(r.obs, nullptr);
+  const std::string stable_report = core::full_report(r);  // runs the oracle
+  const auto counters = r.obs->counters();
+  auto it = counters.find("oracle.pieces_proved");
+  ASSERT_NE(it, counters.end());
+  EXPECT_GT(it->second.value, 0);
+  EXPECT_EQ(it->second.stability, obs::Stability::kTiming);
+  it = counters.find("oracle.pieces_enumerated");
+  ASSERT_NE(it, counters.end());
+  EXPECT_EQ(it->second.stability, obs::Stability::kTiming);
+  EXPECT_EQ(stable_report.find("oracle.pieces_"), std::string::npos);
+  core::ReportOptions timed;
+  timed.stable_self_profile = false;
+  EXPECT_NE(core::full_report(r, timed).find("oracle.pieces_proved"),
+            std::string::npos);
+}
+
 // The acceptance bar: on every mini-Rodinia workload, every dynamic
 // dependence is covered by the static may-dependence set, every
 // parallelism claim of the scheduler survives re-validation against the

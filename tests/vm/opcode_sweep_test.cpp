@@ -58,6 +58,10 @@ struct IntCase {
   bool div_like;
 };
 
+// gtest would otherwise print the raw bytes of the struct (padding and a
+// relocated pointer), which makes the discovered ctest names differ per build.
+void PrintTo(const IntCase& c, std::ostream* os) { *os << c.name; }
+
 class IntOpSweep : public ::testing::TestWithParam<IntCase> {};
 
 TEST_P(IntOpSweep, MatchesHostSemantics) {

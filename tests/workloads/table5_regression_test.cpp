@@ -22,6 +22,10 @@ struct Expectation {
   bool interproc;            // any hot region spans functions
 };
 
+// gtest would otherwise print the raw bytes of the struct (a relocated
+// pointer), which makes the discovered ctest names differ per build.
+void PrintTo(const Expectation& e, std::ostream* os) { *os << e.name; }
+
 // Bands are deliberately loose (the exact values depend on workload
 // constants) but tight enough to pin the paper-relevant shape:
 // affine benchmarks stay high, lud/nn/particlefilter stay low,
