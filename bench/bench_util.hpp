@@ -6,7 +6,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -69,25 +68,6 @@ inline std::string json_str(const std::string& s) {
   }
   out += '"';
   return out;
-}
-
-/// Strict numeric flag parsing: atoi silently maps garbage to 0 and a
-/// cast to unsigned turns "--threads -1" into 4294967295. Reject anything
-/// that is not a whole non-negative decimal number in range, with a
-/// usage-style message on stderr.
-inline bool parse_unsigned_flag(const char* flag, const char* text,
-                                long max_value, unsigned* out) {
-  char* end = nullptr;
-  errno = 0;
-  long v = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0' || errno == ERANGE || v < 0 ||
-      v > max_value) {
-    std::fprintf(stderr, "%s expects an integer in [0, %ld], got '%s'\n",
-                 flag, max_value, text);
-    return false;
-  }
-  *out = static_cast<unsigned>(v);
-  return true;
 }
 
 /// Fixed-width row printer.

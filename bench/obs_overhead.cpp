@@ -25,10 +25,9 @@ namespace {
 constexpr double kThresholdPct = 3.0;
 constexpr int kReps = 7;
 
-double one_wall_ms(const ir::Module& m, bool observe, unsigned threads) {
+double one_wall_ms(const ir::Module& m, bool observe) {
   core::Pipeline pipe(m);
   core::PipelineOptions opts;
-  opts.threads = threads;
   opts.observe = observe;
   const u64 t0 = obs::now_ns();
   core::ProfileResult r = pipe.run(opts);
@@ -54,22 +53,20 @@ int main(int argc, char** argv) {
   }
 
   workloads::Workload wl = workloads::make_rodinia("backprop");
-  // Serial pipeline: the most overhead-sensitive configuration (no ring /
-  // fan-out latency to hide the instrumentation behind). Off/on reps
-  // interleave so frequency/cache drift hits both sides equally; one
-  // untimed warm-up run absorbs first-touch effects.
-  one_wall_ms(wl.module, /*observe=*/false, 1);
+  // Off/on reps interleave so frequency/cache drift hits both sides
+  // equally; one untimed warm-up run absorbs first-touch effects.
+  one_wall_ms(wl.module, /*observe=*/false);
   double off_ms = 1e300;
   double on_ms = 1e300;
   for (int i = 0; i < kReps; ++i) {
-    off_ms = std::min(off_ms, one_wall_ms(wl.module, /*observe=*/false, 1));
-    on_ms = std::min(on_ms, one_wall_ms(wl.module, /*observe=*/true, 1));
+    off_ms = std::min(off_ms, one_wall_ms(wl.module, /*observe=*/false));
+    on_ms = std::min(on_ms, one_wall_ms(wl.module, /*observe=*/true));
   }
   const double overhead_pct = (on_ms - off_ms) / off_ms * 100.0;
   const bool pass = overhead_pct <= kThresholdPct;
 
   if (json) {
-    std::printf("{\"workload\": \"backprop\", \"threads\": 1, "
+    std::printf("{\"workload\": \"backprop\", "
                 "\"reps\": %d, \"off_ms\": %.3f, \"on_ms\": %.3f, "
                 "\"overhead_pct\": %.2f, \"threshold_pct\": %.1f, "
                 "\"pass\": %s}\n",

@@ -5,7 +5,6 @@
 // profiling and folding) — plus events/second throughput of the folding
 // kernel itself.
 #include <chrono>
-#include <thread>
 
 #include "bench_util.hpp"
 #include "fold/folder.hpp"
@@ -47,9 +46,8 @@ void print_overheads() {
 }
 
 // Machine-readable mode (--json): the same stage-overhead accounting as
-// the table, plus the full pipeline timed serial (threads=1) and threaded
-// (threads=4) with report byte-identity — the §8 cost numbers consumed by
-// BENCH_parallel_pipeline.json.
+// the table, plus the full pipeline (profile + full_report) timed — the §8
+// cost numbers.
 int print_json() {
   auto clock_ms = [](auto fn) {
     auto t0 = std::chrono::steady_clock::now();
@@ -58,8 +56,6 @@ int print_json() {
     return std::chrono::duration<double, std::milli>(t1 - t0).count();
   };
   std::printf("{\n  \"bench\": \"overhead_profiling\",\n");
-  std::printf("  \"hardware_threads\": %u,\n",
-              std::thread::hardware_concurrency());
   std::printf("  \"benchmarks\": [\n");
   const std::vector<std::string> names = {"backprop", "hotspot", "kmeans",
                                           "nw", "srad_v2"};
@@ -75,28 +71,15 @@ int print_json() {
       vm.set_observer(&dyn);
       vm.run("main");
     });
-    std::string serial_report, threaded_report;
-    auto full_run = [&](unsigned threads, std::string* report) {
-      return clock_ms([&] {
-        core::Pipeline pipe(w.module);
-        core::PipelineOptions opts;
-        opts.threads = threads;
-        core::ProfileResult r = pipe.run(opts);
-        *report = core::full_report(r);
-      });
-    };
-    double serial_ms = full_run(1, &serial_report);
-    double threaded_ms = full_run(4, &threaded_report);
+    double full_ms = clock_ms([&] {
+      core::ProfileResult r = core::Pipeline(w.module).run();
+      benchmark::DoNotOptimize(core::full_report(r));
+    });
     std::printf(
         "    {\"name\": %s, \"native_ms\": %.2f, \"stage1_ms\": %.2f, "
-        "\"full_serial_ms\": %.2f, \"full_threads4_ms\": %.2f, "
-        "\"slowdown_serial\": %.1f, \"speedup_threads4\": %.2f, "
-        "\"report_identical\": %s}%s\n",
-        bench::json_str(names[i]).c_str(), native, stage1, serial_ms,
-        threaded_ms, native > 0 ? serial_ms / native : 0.0,
-        threaded_ms > 0 ? serial_ms / threaded_ms : 0.0,
-        serial_report == threaded_report ? "true" : "false",
-        i + 1 < names.size() ? "," : "");
+        "\"full_serial_ms\": %.2f, \"slowdown_serial\": %.1f}%s\n",
+        bench::json_str(names[i]).c_str(), native, stage1, full_ms,
+        native > 0 ? full_ms / native : 0.0, i + 1 < names.size() ? "," : "");
   }
   std::printf("  ]\n}\n");
   return 0;

@@ -110,7 +110,6 @@ struct Run {
 Run one_run(const ir::Module& m, bool selective) {
   core::Pipeline pipe(m);
   core::PipelineOptions opts;
-  opts.threads = 1;
   opts.selective_instrumentation = selective;
   const u64 t0 = obs::now_ns();
   core::ProfileResult r = pipe.run(opts);
@@ -169,7 +168,6 @@ Comparison compare(const std::string& name, const ir::Module& m,
 std::string report_of(const ir::Module& m, bool selective) {
   core::Pipeline pipe(m);
   core::PipelineOptions opts;
-  opts.threads = 1;
   opts.selective_instrumentation = selective;
   core::ProfileResult r = pipe.run(opts);
   return core::full_report(r);

@@ -6,7 +6,7 @@
 //
 //   * zero hangs: the whole soak finishes under a hard alarm;
 //   * every job that completed clean delivers a report byte-identical to
-//     the serial one-shot reference for its workload;
+//     a one-shot direct run of its workload;
 //   * chaos-cancelled jobs deliver diagnosed PARTIAL reports;
 //   * cache-hit resubmissions (one per workload) are served without
 //     re-profiling.
@@ -94,11 +94,10 @@ int main(int argc, char** argv) {
   wls.reserve(names.size());
   for (const std::string& n : names) wls.push_back(workloads::make_rodinia(n));
 
-  // Serial one-shot references: what every clean service job must match.
+  // One-shot direct-run references: what every clean service job must match.
   std::map<std::string, std::string> reference;
   for (const workloads::Workload& wl : wls) {
     core::PipelineOptions opts;
-    opts.threads = 1;
     core::ProfileResult r = core::Pipeline(wl.module).run(opts);
     reference[wl.name] = core::full_report(r);
   }
@@ -170,7 +169,7 @@ int main(int argc, char** argv) {
           fail("expected clean completion");
         else if (!out.from_cache && out.report != reference[wname]) {
           ++mismatches;
-          fail("report differs from serial reference");
+          fail("report differs from the direct-run reference");
         }
         break;
       case Mode::kChaosCancel:

@@ -162,37 +162,21 @@ void print_table5() {
               std::max(2u, std::thread::hardware_concurrency()));
 }
 
-// Machine-readable mode (--json): per-workload profile summary from an
-// observed serial run (wall time plus the pp::obs per-stage breakdown),
-// then a thread sweep {1, 2, 4} of the full pipeline on the largest
-// workload (by dynamic ops) with wall time, a FNV-1a fingerprint of
-// full_report, and byte-identity of every threaded report against the
-// serial reference (reports carry the stable self-profile section, which
-// must not break the identity). This is the artifact behind
-// BENCH_parallel_pipeline.json. --trace-out/--manifest-out additionally
-// export the threads=4 sweep run as a Chrome trace / run manifest.
-int print_json(const char* trace_out, const char* manifest_out,
-               unsigned max_threads) {
+// Machine-readable mode (--json): one row per workload from an observed
+// run — wall time (profile + full_report), the pp::obs per-stage
+// breakdown, and a FNV-1a fingerprint of full_report (which carries the
+// stable self-profile section). --trace-out/--manifest-out additionally
+// export the largest workload's (by dynamic ops) run as a Chrome trace /
+// run manifest.
+int print_json(const char* trace_out, const char* manifest_out) {
   struct Row {
     std::string name;
     u64 ops = 0;
     double aff = 0;
     std::size_t stmts = 0, deps = 0;
     double wall_ms = 0;
+    u64 report_fnv1a = 0;
     std::vector<obs::SpanRec> stages;
-  };
-  auto profile_once = [](const ir::Module& m, unsigned threads,
-                         std::string* report) {
-    core::Pipeline pipe(m);
-    core::PipelineOptions opts;
-    opts.threads = threads;
-    opts.observe = true;
-    auto t0 = std::chrono::steady_clock::now();
-    core::ProfileResult r = pipe.run(opts);
-    if (report != nullptr) *report = core::full_report(r);
-    auto t1 = std::chrono::steady_clock::now();
-    return std::make_pair(
-        r, std::chrono::duration<double, std::milli>(t1 - t0).count());
   };
   auto stages_json = [](const std::vector<obs::SpanRec>& stages) {
     std::string out = "{";
@@ -208,106 +192,65 @@ int print_json(const char* trace_out, const char* manifest_out,
 
   std::vector<Row> rows;
   std::size_t largest = 0;
+  std::shared_ptr<obs::Session> largest_obs;
+  obs::Session::ManifestExtra largest_extra;
   for (const auto& name : workloads::rodinia_names()) {
     workloads::Workload w = workloads::make_rodinia(name);
-    // Render the report here too: the feedback stage only runs (and its
-    // stage span only exists) inside full_report, and every row must
-    // carry the same uniform stage set as the thread-sweep runs below.
-    std::string rep;
-    auto [r, ms] = profile_once(w.module, 1, &rep);
+    core::PipelineOptions opts;
+    opts.observe = true;
+    // The report is rendered inside the timed section: the feedback stage
+    // only runs (and its stage span only exists) inside full_report.
+    auto t0 = std::chrono::steady_clock::now();
+    core::ProfileResult r = core::Pipeline(w.module).run(opts);
+    const std::string report = core::full_report(r);
+    auto t1 = std::chrono::steady_clock::now();
     Row row;
     row.name = name;
     row.ops = r.program.total_dynamic_ops;
     row.aff = r.percent_affine();
     row.stmts = r.program.statements.size();
     row.deps = r.program.deps.size();
-    row.wall_ms = ms;
+    row.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
+    row.report_fnv1a = bench::fnv1a(report);
     row.stages = r.obs->stage_spans();
-    if (rows.empty() || row.ops > rows[largest].ops) largest = rows.size();
+    if (rows.empty() || row.ops > rows[largest].ops) {
+      largest = rows.size();
+      largest_obs = r.obs;
+      largest_extra.workload = name;
+      largest_extra.truncated = r.truncated;
+      largest_extra.degraded_statements = r.program.degraded_statements;
+      largest_extra.diagnostics = r.diagnostics.size();
+      largest_extra.report_fingerprint = bench::hex64(row.report_fnv1a);
+    }
     rows.push_back(row);
   }
 
-  workloads::Workload big = workloads::make_rodinia(rows[largest].name);
-  struct Run {
-    unsigned threads;
-    double wall_ms;
-    u64 report_fnv1a;
-    bool identical;
-    std::vector<obs::SpanRec> stages;
-  };
-  std::vector<Run> runs;
-  std::string serial_report;
-  std::shared_ptr<obs::Session> export_session;
-  core::ProfileResult export_result;
-  std::vector<unsigned> sweep;
-  for (unsigned t : {1u, 2u, 4u})
-    if (t <= max_threads) sweep.push_back(t);
-  if (sweep.empty()) sweep.push_back(1u);
-  for (unsigned t : sweep) {
-    std::string report;
-    auto [r, ms] = profile_once(big.module, t, &report);
-    if (t == 1) serial_report = report;
-    runs.push_back({t, ms, bench::fnv1a(report), report == serial_report,
-                    r.obs->stage_spans()});
-    if (t == sweep.back()) {
-      export_session = r.obs;
-      export_result = std::move(r);
-    }
-  }
-  double serial_ms = runs[0].wall_ms;
-
   if (trace_out != nullptr) {
     std::ofstream(trace_out, std::ios::binary)
-        << export_session->chrome_trace_json(rows[largest].name);
+        << largest_obs->chrome_trace_json(rows[largest].name);
   }
   if (manifest_out != nullptr) {
-    obs::Session::ManifestExtra extra;
-    extra.workload = rows[largest].name;
-    extra.threads = sweep.back();
-    extra.truncated = export_result.truncated;
-    extra.degraded_statements = export_result.program.degraded_statements;
-    extra.diagnostics = export_result.diagnostics.size();
-    extra.report_fingerprint = bench::hex64(runs.back().report_fnv1a);
     std::ofstream(manifest_out, std::ios::binary)
-        << export_session->manifest_json(extra);
+        << largest_obs->manifest_json(largest_extra);
   }
 
   std::printf("{\n  \"bench\": \"table5_rodinia\",\n");
-  std::printf("  \"hardware_threads\": %u,\n",
-              std::thread::hardware_concurrency());
   std::printf("  \"workloads\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& row = rows[i];
     std::printf("    {\"name\": %s, \"ops\": %llu, \"pct_affine\": %.1f, "
                 "\"statements\": %zu, \"deps\": %zu, "
-                "\"serial_wall_ms\": %.2f, \"stage_wall_ms\": %s}%s\n",
+                "\"serial_wall_ms\": %.2f, \"report_fnv1a\": %s, "
+                "\"stage_wall_ms\": %s}%s\n",
                 bench::json_str(row.name).c_str(),
                 static_cast<unsigned long long>(row.ops), row.aff, row.stmts,
-                row.deps, row.wall_ms, stages_json(row.stages).c_str(),
+                row.deps, row.wall_ms,
+                bench::json_str(bench::hex64(row.report_fnv1a)).c_str(),
+                stages_json(row.stages).c_str(),
                 i + 1 < rows.size() ? "," : "");
   }
-  std::printf("  ],\n");
-  std::printf("  \"thread_sweep\": {\n    \"workload\": %s,\n"
-              "    \"runs\": [\n",
-              bench::json_str(rows[largest].name).c_str());
-  bool all_identical = true;
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const Run& run = runs[i];
-    all_identical &= run.identical;
-    std::printf("      {\"threads\": %u, \"wall_ms\": %.2f, "
-                "\"report_fnv1a\": %s, \"speedup_vs_serial\": %.2f, "
-                "\"report_identical_to_serial\": %s, "
-                "\"stage_wall_ms\": %s}%s\n",
-                run.threads, run.wall_ms,
-                bench::json_str(bench::hex64(run.report_fnv1a)).c_str(),
-                run.wall_ms > 0 ? serial_ms / run.wall_ms : 0.0,
-                run.identical ? "true" : "false",
-                stages_json(run.stages).c_str(),
-                i + 1 < runs.size() ? "," : "");
-  }
-  std::printf("    ],\n    \"all_reports_identical\": %s\n  }\n}\n",
-              all_identical ? "true" : "false");
-  return all_identical ? 0 : 1;
+  std::printf("  ]\n}\n");
+  return 0;
 }
 
 // google-benchmark timing: full-pipeline profiling cost per benchmark
@@ -329,7 +272,6 @@ int main(int argc, char** argv) {
   bool json = false;
   const char* trace_out = nullptr;
   const char* manifest_out = nullptr;
-  unsigned max_threads = 4;  // upper bound for the determinism thread sweep
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) == "--json") {
       json = true;
@@ -337,15 +279,10 @@ int main(int argc, char** argv) {
       trace_out = argv[++i];
     } else if (std::string(argv[i]) == "--manifest-out" && i + 1 < argc) {
       manifest_out = argv[++i];
-    } else if (std::string(argv[i]) == "--threads" && i + 1 < argc) {
-      if (!pp::bench::parse_unsigned_flag("--threads", argv[++i], 4096,
-                                          &max_threads))
-        return 2;
-      if (max_threads == 0) max_threads = 4;
     }
   }
   if (json || trace_out != nullptr || manifest_out != nullptr)
-    return pp::print_json(trace_out, manifest_out, max_threads);
+    return pp::print_json(trace_out, manifest_out);
   pp::print_table5();
   for (const char* name : {"backprop", "hotspot", "nw"}) {
     benchmark::RegisterBenchmark(

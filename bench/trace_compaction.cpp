@@ -87,7 +87,6 @@ struct Run {
 Run one_run(const ir::Module& m, bool compaction) {
   core::Pipeline pipe(m);
   core::PipelineOptions opts;
-  opts.threads = 1;
   opts.observe = true;
   opts.path_compaction = compaction;
   // The selective-instrumentation plan (exact LP analysis) runs inside
@@ -125,7 +124,6 @@ Run one_run(const ir::Module& m, bool compaction) {
 std::string report_of(const ir::Module& m, bool compaction) {
   core::Pipeline pipe(m);
   core::PipelineOptions opts;
-  opts.threads = 1;
   opts.path_compaction = compaction;
   core::ProfileResult r = pipe.run(opts);
   return core::full_report(r);

@@ -2,8 +2,8 @@
 // through the full POLY-PROF pipeline, and read the structured-
 // transformation feedback.
 //
-//   $ ./quickstart [--threads N] [--trace-out F] [--manifest-out F]
-//                  [--stable] [--selective] [--no-path-compaction]
+//   $ ./quickstart [--trace-out F] [--manifest-out F] [--stable]
+//                  [--selective] [--no-path-compaction]
 //                  [--apply-transforms] [workload]
 //
 // --apply-transforms closes the loop: after profiling, the transformation
@@ -11,10 +11,6 @@
 // copy of the module, re-runs it under the VM cost model, and prints the
 // measured speedup next to the scheduler's prediction — with a byte-
 // identity check on the program output.
-//
-// --threads selects the profiling pipeline's worker count (0 = one lane
-// per hardware thread, 1 = serial reference). The report is byte-identical
-// for every choice — only the wall time changes.
 //
 // --selective turns on selective instrumentation: the exact static
 // dependence analysis (verify::exact) proves access sites dependence-free
@@ -38,9 +34,7 @@
 // a matrix-vector product with the loops in the "wrong" order
 // (column-major walk of a row-major matrix) — the classic situation the
 // profiler's interchange feedback exists for.
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -121,26 +115,7 @@ static bool write_file(const char* path, const std::string& content) {
   return static_cast<bool>(out);
 }
 
-// Strict numeric flag parsing: atoi silently maps garbage to 0 and a cast
-// to unsigned turns "--threads -1" into 4294967295 worker lanes. Reject
-// anything that is not a whole non-negative decimal number in range.
-static bool parse_unsigned_flag(const char* flag, const char* text,
-                                long max_value, unsigned* out) {
-  char* end = nullptr;
-  errno = 0;
-  long v = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0' || errno == ERANGE || v < 0 ||
-      v > max_value) {
-    std::fprintf(stderr, "%s expects an integer in [0, %ld], got '%s'\n",
-                 flag, max_value, text);
-    return false;
-  }
-  *out = static_cast<unsigned>(v);
-  return true;
-}
-
 int main(int argc, char** argv) {
-  unsigned threads = 1;
   const char* trace_out = nullptr;
   const char* manifest_out = nullptr;
   bool stable = false;
@@ -149,10 +124,7 @@ int main(int argc, char** argv) {
   bool apply_transforms = false;
   std::string workload;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      if (!parse_unsigned_flag("--threads", argv[++i], 4096, &threads))
-        return 2;
-    } else if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
+    if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
       trace_out = argv[++i];
     } else if (std::strcmp(argv[i], "--manifest-out") == 0 && i + 1 < argc) {
       manifest_out = argv[++i];
@@ -168,9 +140,9 @@ int main(int argc, char** argv) {
       workload = argv[i];
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--threads N] [--trace-out F] "
-                   "[--manifest-out F] [--stable] [--selective] "
-                   "[--no-path-compaction] [--apply-transforms] [workload]\n",
+                   "usage: %s [--trace-out F] [--manifest-out F] [--stable] "
+                   "[--selective] [--no-path-compaction] "
+                   "[--apply-transforms] [workload]\n",
                    argv[0]);
       return 2;
     }
@@ -187,7 +159,6 @@ int main(int argc, char** argv) {
 
   // The whole pipeline is two lines.
   core::PipelineOptions opts;
-  opts.threads = threads;
   opts.observe = trace_out != nullptr || manifest_out != nullptr;
   opts.selective_instrumentation = selective;
   opts.path_compaction = path_compaction;
@@ -247,7 +218,6 @@ int main(int argc, char** argv) {
     if (manifest_out != nullptr) {
       obs::Session::ManifestExtra extra;
       extra.workload = workload.empty() ? "matvec" : workload;
-      extra.threads = threads;
       extra.truncated = r.truncated;
       extra.degraded_statements = r.program.degraded_statements;
       extra.diagnostics = r.diagnostics.size();

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Repo-wide check gate: format check, clang-tidy over src/verify/, and the
-# test suite in ALL build flavors (default, POLYPROF_SANITIZE, and — when
-# the toolchain supports -fsanitize=thread — POLYPROF_TSAN, which races
-# the parallel pipeline under ThreadSanitizer).
+# Repo-wide check gate: format check, the serial-run guard, clang-tidy over
+# the static-analysis subsystems, and the test suite in ALL build flavors
+# (default, POLYPROF_SANITIZE, and — when the toolchain supports
+# -fsanitize=thread — POLYPROF_TSAN, which races the service executors,
+# the deadline watchdog and the shared obs::Session under
+# ThreadSanitizer).
 #
 # clang-format / clang-tidy are optional: when a tool is missing the step
 # is reported as SKIPPED instead of failing, so the script stays usable in
@@ -32,6 +34,21 @@ if command -v clang-format >/dev/null 2>&1; then
   fi
 else
   note "clang-format: SKIPPED (not installed)"
+fi
+
+# ---- 1b. serial-run guard ------------------------------------------------
+# A profiling run is serial; concurrency lives only at the job grain, in
+# pp::service's executors (DESIGN.md "Concurrency: jobs, not stages").
+# Thread creation and blocking hand-off primitives anywhere else under
+# src/ would bring intra-run parallelism back.
+note "serial-run guard: no threads under src/ outside src/service/"
+if THREAD_HITS="$(grep -rnE 'std::thread|std::async|<future>|<condition_variable>' \
+      src --include='*.cpp' --include='*.hpp' | grep -v '^src/service/')"; then
+  printf '%s\n' "$THREAD_HITS"
+  note "serial-run guard: FAILED"
+  FAIL=1
+else
+  note "serial-run guard: OK"
 fi
 
 # ---- 2. clang-tidy on the static-analysis subsystems --------------------

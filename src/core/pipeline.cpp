@@ -10,7 +10,6 @@
 #include "verify/exact.hpp"
 #include "verify/oracle.hpp"
 #include "verify/verifier.hpp"
-#include "vm/event_ring.hpp"
 #include "vm/event_validator.hpp"
 
 namespace pp::core {
@@ -51,8 +50,8 @@ ProfileResult Pipeline::run(const PipelineOptions& opts) {
   // Chaos service faults fire the job's CancelToken at a structural point
   // (a stage boundary; the mid-fold one is armed on the sink below), so
   // cancellation paths are exercised deterministically — the partial
-  // report is byte-identical at any thread count, unlike a wall-clock
-  // cancel. No-ops without a token.
+  // report is reproducible, unlike a wall-clock cancel. No-ops without a
+  // token.
   auto chaos_cancel_at = [&](vm::ServiceFault f) {
     if (opts.chaos.service == f && opts.cancel != nullptr)
       opts.cancel->cancel();
@@ -117,18 +116,6 @@ ProfileResult Pipeline::run(const PipelineOptions& opts) {
   u64 max_steps = opts.max_steps;
   if (budget.vm_steps != 0) max_steps = std::min(max_steps, budget.vm_steps);
 
-  // One pool for every parallel stage of the run; shared with the result
-  // so the feedback stage fans out on the same lanes. A caller-provided
-  // pool (pp::service: one pool for all jobs) is used as-is.
-  std::shared_ptr<support::ThreadPool> pool =
-      opts.pool != nullptr ? opts.pool
-                           : std::make_shared<support::ThreadPool>(opts.threads);
-  res.pool = pool;
-  // With 2+ lanes the VM runs on a producer thread and streams events
-  // through a bounded ring; the downstream observer chain executes on this
-  // thread and sees the exact serial event order.
-  const bool overlap_replay = !pool->serial();
-
   // Stage-1 boundary: a pre-cancelled job (or the chaos cancel-at-control
   // fault) profiles nothing — the result is just the diagnosis.
   chaos_cancel_at(vm::ServiceFault::kCancelAtControl);
@@ -145,15 +132,9 @@ ProfileResult Pipeline::run(const PipelineOptions& opts) {
     vm::EventValidator validator(module_, &tee, &res.diagnostics,
                                  support::Stage::kControl);
     try {
-      vm::RunResult rr;
-      if (overlap_replay) {
-        rr = vm::replay_threaded(machine, opts.entry, opts.args, max_steps,
-                                 validator, {}, 8, 4096, ob, opts.cancel);
-      } else {
-        machine.set_observer(&validator);
-        machine.set_cancel(opts.cancel);
-        rr = machine.run(opts.entry, opts.args, max_steps);
-      }
+      machine.set_observer(&validator);
+      machine.set_cancel(opts.cancel);
+      vm::RunResult rr = machine.run(opts.entry, opts.args, max_steps);
       if (rr.truncated) {
         res.truncated = true;
         res.diagnostics.warn(support::Stage::kControl,
@@ -193,13 +174,11 @@ ProfileResult Pipeline::run(const PipelineOptions& opts) {
   obs::Span ddg_span(ob, "stage:ddg");
   fold::FoldingSink sink(opts.fold);
   sink.set_diagnostics(&res.diagnostics);
-  sink.set_pool(pool.get());
   sink.set_budget(&budget);
   sink.set_obs(ob);
   sink.set_cancel(opts.cancel);
-  // Deadline-mid-fold chaos: expire the token at a seed-derived merge
-  // position — structural, so the degraded suffix is identical at any
-  // thread count.
+  // Deadline-mid-fold chaos: expire the token at a seed-derived fold
+  // position — structural, so the degraded suffix is reproducible.
   if (opts.chaos.service == vm::ServiceFault::kDeadlineMidFold)
     sink.set_chaos_deadline_at(1 + opts.chaos.seed % 4);
   ddg::DdgOptions ddg_opts = opts.ddg;
@@ -228,36 +207,21 @@ ProfileResult Pipeline::run(const PipelineOptions& opts) {
     vm::Machine machine(module_);
     vm::EventValidator validator(module_, &builder, &res.diagnostics,
                                  support::Stage::kDdg);
-    // The chaos harness always sits directly behind the Machine. In the
-    // overlapped replay it runs on the producer thread in front of the
-    // ring writer; its injection point is event-count-seeded, so faults
-    // land on the same event ordinal as in the serial chain. With no
-    // event fault configured (every production run) the wrapper is pure
-    // pass-through, so it is skipped — one fewer virtual hop per event.
+    // The chaos harness always sits directly behind the Machine; its
+    // injection point is event-count-seeded. With no event fault
+    // configured (every production run) the wrapper is pure pass-through,
+    // so it is skipped — one fewer virtual hop per event.
     std::optional<vm::ChaosObserver> chaos;
-    const bool chaos_live = opts.chaos.kind != vm::FaultKind::kNone;
     bool trapped = false;
     try {
-      vm::RunResult rr;
-      if (overlap_replay) {
-        rr = vm::replay_threaded(machine, opts.entry, opts.args, max_steps,
-                                 validator,
-                                 [&](vm::Observer& writer) -> vm::Observer* {
-                                   if (!chaos_live) return &writer;
-                                   chaos.emplace(&writer, opts.chaos);
-                                   return &*chaos;
-                                 },
-                                 8, 4096, ob, opts.cancel);
+      if (opts.chaos.kind != vm::FaultKind::kNone) {
+        chaos.emplace(&validator, opts.chaos);
+        machine.set_observer(&*chaos);
       } else {
-        if (chaos_live) {
-          chaos.emplace(&validator, opts.chaos);
-          machine.set_observer(&*chaos);
-        } else {
-          machine.set_observer(&validator);
-        }
-        machine.set_cancel(opts.cancel);
-        rr = machine.run(opts.entry, opts.args, max_steps);
+        machine.set_observer(&validator);
       }
+      machine.set_cancel(opts.cancel);
+      vm::RunResult rr = machine.run(opts.entry, opts.args, max_steps);
       res.stats = rr.stats;
       res.exit_value = rr.exit_value;
       if (rr.truncated) {
@@ -302,7 +266,7 @@ ProfileResult Pipeline::run(const PipelineOptions& opts) {
   res.coord_pool_words = builder.coord_pool().size_words();
   if (ob != nullptr && ob->enabled()) {
     // Stage-2 finals. All of these are functions of the (deterministic)
-    // event stream alone, so they are stable across thread counts.
+    // event stream alone, so they are stable across runs.
     ob->set("vm.instructions", static_cast<i64>(res.stats.instructions));
     ob->set("ddg.instr_events",
             static_cast<i64>(builder.instr_events_seen()));
@@ -320,9 +284,9 @@ ProfileResult Pipeline::run(const PipelineOptions& opts) {
   obs::Span fold_span(ob, "stage:fold");
   sink.mark_degraded(builder.degraded_statements());
   // Fold boundary: no early return here — finalize() itself observes the
-  // token at every merge position and degrades the unfolded suffix, so
-  // firing the chaos fault (or arriving with a fired token) still yields
-  // a complete, well-formed FoldedProgram.
+  // token before every statement and edge and degrades the unfolded
+  // suffix, so firing the chaos fault (or arriving with a fired token)
+  // still yields a complete, well-formed FoldedProgram.
   chaos_cancel_at(vm::ServiceFault::kCancelAtFold);
   try {
     res.program = sink.finalize(res.statements);
@@ -355,7 +319,6 @@ ProfileResult Pipeline::run(const PipelineOptions& opts) {
       try {
         transform::Options topts = opts.transform;
         topts.cancel = opts.cancel;
-        topts.pool = pool.get();
         res.transform = transform::run(module_, res.program, res.control,
                                        opts.entry, opts.args, topts);
       } catch (const Error& e) {
@@ -509,15 +472,14 @@ feedback::Region ProfileResult::whole_program() const {
 feedback::RegionMetrics ProfileResult::analyze(
     const feedback::Region& region,
     const feedback::AnalyzeOptions& opts) const {
-  // Hand the profile's pool to the scheduler (fused groups fan out) unless
-  // the caller pinned one explicitly.
+  // Hand the profile's obs session and token to the scheduler unless the
+  // caller pinned its own.
   feedback::AnalyzeOptions o = opts;
-  if (o.sched.pool == nullptr && pool != nullptr) o.sched.pool = pool.get();
   if (o.sched.obs == nullptr && obs != nullptr) o.sched.obs = obs.get();
   if (o.sched.cancel == nullptr && cancel != nullptr) o.sched.cancel = cancel;
   // Per-region isolation: one region's feedback fault must not take down
   // the report for every other region. Cancelled jobs degrade every
-  // region the same way — deterministically, whatever the thread count.
+  // region the same way, deterministically.
   auto degraded = [&](const std::string& reason) {
     feedback::RegionMetrics m;
     m.region = region;
@@ -577,40 +539,24 @@ std::string full_report(const ProfileResult& r, const ReportOptions& ropts) {
   // The Exp. II contrast: what a purely static (Polly-style) analysis can
   // model of each function, next to what the dynamic profile recovered.
   os << "-- static baseline --\n";
-  support::ThreadPool* pool = r.pool != nullptr ? r.pool.get() : nullptr;
   if (r.module == nullptr) {
     os << "unavailable (module not retained)\n";
   } else {
-    // Per-function modeling is independent; render each line into its own
-    // slot and print in function order — identical for any lane count.
-    std::vector<const ir::Function*> baseline_fns;
-    for (const auto& f : r.module->functions)
-      if (!f.blocks.empty()) baseline_fns.push_back(&f);
-    std::vector<std::string> baseline_lines(baseline_fns.size());
-    auto render_baseline = [&](std::size_t i) {
-      const ir::Function& f = *baseline_fns[i];
+    for (const auto& f : r.module->functions) {
+      if (f.blocks.empty()) continue;
       statican::FunctionModel fm = statican::model_function(*r.module, f);
       std::size_t modeled = 0;
       for (const auto& a : fm.accesses)
         if (a.modeled) ++modeled;
-      std::ostringstream line;
-      line << f.name << ": "
-           << (fm.verdict.affine_modeled
-                   ? "affine"
-                   : statican::reasons_str(fm.verdict.reasons))
-           << "  loops " << fm.verdict.num_modeled_loops << "/"
-           << fm.verdict.num_loops << "  nest-depth "
-           << fm.verdict.max_modeled_nest_depth << "  accesses " << modeled
-           << "/" << fm.accesses.size() << "\n";
-      baseline_lines[i] = line.str();
-    };
-    if (pool != nullptr) {
-      pool->parallel_for(baseline_fns.size(), render_baseline);
-    } else {
-      for (std::size_t i = 0; i < baseline_fns.size(); ++i)
-        render_baseline(i);
+      os << f.name << ": "
+         << (fm.verdict.affine_modeled
+                 ? "affine"
+                 : statican::reasons_str(fm.verdict.reasons))
+         << "  loops " << fm.verdict.num_modeled_loops << "/"
+         << fm.verdict.num_loops << "  nest-depth "
+         << fm.verdict.max_modeled_nest_depth << "  accesses " << modeled
+         << "/" << fm.accesses.size() << "\n";
     }
-    for (const auto& line : baseline_lines) os << line;
   }
   os << "\n";
 
@@ -623,22 +569,15 @@ std::string full_report(const ProfileResult& r, const ReportOptions& ropts) {
   if (r.module == nullptr) {
     os << "unavailable (module not retained)\n";
   } else {
-    os << verify::exact::precision_section(*r.module, pool);
+    os << verify::exact::precision_section(*r.module);
   }
   os << "\n";
   os << "-- decorated schedule tree (ops share, source refs) --\n";
   os << feedback::render_decorated_tree(r.schedule_tree, r.program, r.module);
   os << "\n-- regions of interest --\n";
-  // Region analyses are independent (each builds its own scheduling
-  // problem); fan out into pre-indexed slots, render in region order.
-  std::vector<feedback::Region> hot = r.hot_regions(min_fraction);
-  std::vector<feedback::RegionMetrics> metrics(hot.size());
-  auto analyze_one = [&](std::size_t i) { metrics[i] = r.analyze(hot[i]); };
-  if (pool != nullptr) {
-    pool->parallel_for(hot.size(), analyze_one);
-  } else {
-    for (std::size_t i = 0; i < hot.size(); ++i) analyze_one(i);
-  }
+  std::vector<feedback::RegionMetrics> metrics;
+  for (const feedback::Region& region : r.hot_regions(min_fraction))
+    metrics.push_back(r.analyze(region));
 
   // Differential soundness oracle: run BEFORE rendering so a downgraded
   // parallel claim is reflected in the summaries it contradicts. Skipped
@@ -656,8 +595,8 @@ std::string full_report(const ProfileResult& r, const ReportOptions& ropts) {
     ptrs.reserve(metrics.size());
     for (auto& m : metrics) ptrs.push_back(&m);
     verify::OracleReport oracle =
-        verify::run_oracle(*r.module, r.program, ptrs, /*downgrade=*/true,
-                           pool, ob, r.cancel);
+        verify::run_oracle(*r.module, r.program, ptrs, /*downgrade=*/true, ob,
+                           r.cancel);
     oracle_line = oracle.verdict_line();
   }
 
@@ -732,27 +671,8 @@ std::string full_report(const ProfileResult& r, const ReportOptions& ropts) {
   // Self profile — rendered last so every stage (including this one) has
   // closed its span. Timing-dependent values are elided or filtered when
   // stable_self_profile is set, keeping the section byte-identical across
-  // thread counts (see DESIGN.md "Observability").
+  // runs (see DESIGN.md "Observability").
   if (ob != nullptr && ob->enabled()) {
-    if (r.pool != nullptr) {
-      support::ThreadPool::LaneStats tot = r.pool->total_stats();
-      ob->set("pool.tasks", static_cast<i64>(tot.tasks),
-              obs::Stability::kTiming);
-      ob->set("pool.steals", static_cast<i64>(tot.steals),
-              obs::Stability::kTiming);
-      ob->set("pool.idle_waits", static_cast<i64>(tot.idle_waits),
-              obs::Stability::kTiming);
-      for (std::size_t lane = 0; lane < r.pool->workers(); ++lane) {
-        support::ThreadPool::LaneStats ls = r.pool->lane_stats(lane);
-        std::string prefix = "pool.lane" + std::to_string(lane);
-        ob->set((prefix + ".tasks").c_str(), static_cast<i64>(ls.tasks),
-                obs::Stability::kTiming);
-        ob->set((prefix + ".steals").c_str(), static_cast<i64>(ls.steals),
-                obs::Stability::kTiming);
-        ob->set((prefix + ".idle_waits").c_str(),
-                static_cast<i64>(ls.idle_waits), obs::Stability::kTiming);
-      }
-    }
     feedback_span.end();
     os << "\n-- self profile --\n"
        << ob->self_profile_section(ropts.stable_self_profile);

@@ -22,7 +22,6 @@
 #include "obs/obs.hpp"
 #include "support/budget.hpp"
 #include "support/cancel.hpp"
-#include "support/thread_pool.hpp"
 #include "transform/engine.hpp"
 #include "vm/chaos.hpp"
 
@@ -66,13 +65,10 @@ struct PipelineOptions {
   /// of trapping mid-execution. Opt out for deliberately malformed inputs
   /// (e.g. profiling how far a broken module gets).
   bool verify_module = true;
-  /// Worker lanes for the parallel pipeline: VM/instrumentation overlap
-  /// through the bounded event ring, per-statement/per-edge fold fan-out,
-  /// per-SCC-group scheduling and oracle re-validation. 0 resolves to
-  /// hardware_concurrency; 1 runs every stage inline (the reference
-  /// serial behavior). Output is byte-identical for every value — see
-  /// DESIGN.md "Concurrency architecture".
-  unsigned threads = 0;
+  /// Ignored: every run is serial (DESIGN.md "Concurrency: jobs, not
+  /// stages"). Kept only so existing callers that pin `threads = 1` still
+  /// compile; it changes nothing and is not part of any cache key.
+  unsigned threads = 1;
   /// Self-observability (pp::obs): stage spans, pipeline counters and the
   /// Chrome-trace / run-manifest exporters. Off by default — when off,
   /// every instrumentation point is a branch on a constant bool (the
@@ -82,7 +78,7 @@ struct PipelineOptions {
   /// Cooperative cancellation (may be null; must outlive the run AND the
   /// ProfileResult — full_report consults it too). A fired token stops
   /// the run at the next checkpoint — stage boundary, VM step cadence,
-  /// fold merge position — and yields a diagnosed partial ProfileResult
+  /// fold position — and yields a diagnosed partial ProfileResult
   /// with `truncated` and `cancelled` set, exactly like budget
   /// exhaustion. pp::service plumbs one per job; library callers can pass
   /// their own for ad-hoc timeouts (CancelToken::set_deadline_in_ms).
@@ -97,14 +93,8 @@ struct PipelineOptions {
   /// section.
   bool apply_transforms = false;
   /// Engine knobs (tile size, measurement cost model, oracle gate) used
-  /// when `apply_transforms` is set; cancel/pool are plumbed from the run.
+  /// when `apply_transforms` is set; `cancel` is plumbed from the run.
   transform::Options transform;
-  /// Share an existing worker pool instead of creating one per run (then
-  /// `threads` is ignored). pp::service points every job at one server
-  /// pool: concurrent runs inter-schedule their fan-outs on the same
-  /// work-stealing lanes (external callers are safe — they submit and
-  /// help from lane 0). Null: run() creates a pool from `threads`.
-  std::shared_ptr<support::ThreadPool> pool;
 };
 
 /// Everything the profiler learned about one execution.
@@ -137,11 +127,6 @@ struct ProfileResult {
   support::CancelToken* cancel = nullptr;
   /// Structured record of every degradation, in pipeline order.
   support::DiagnosticLog diagnostics;
-
-  /// The worker pool run() used, shared so the feedback stage (analyze /
-  /// full_report) fans out on the same lanes. Null on default-constructed
-  /// results — every consumer falls back to serial.
-  std::shared_ptr<support::ThreadPool> pool;
 
   /// Self-observability session (PipelineOptions::observe). Null when
   /// observation is off. full_report appends a "-- self profile --"
@@ -188,8 +173,8 @@ struct ReportOptions {
   double min_fraction = 0.05;
   /// With the profile observed (r.obs != null), elide wall/CPU times and
   /// timing-dependent counters from the self-profile section so the report
-  /// stays byte-identical across thread counts and runs (the --stable
-  /// golden contract). Set false for human consumption of real times.
+  /// stays byte-identical across runs (the --stable golden contract). Set
+  /// false for human consumption of real times.
   bool stable_self_profile = true;
   /// Run the differential soundness oracle (the default). pp::service
   /// disables it for jobs downgraded under overload — the report then

@@ -133,28 +133,6 @@ void taint_pieces(poly::PolySet& set) {
 void FoldingSink::on_instruction(const ddg::Statement& s,
                                  std::span<const i64> coords, bool has_value,
                                  i64 value, bool has_address, i64 address) {
-  if (buffered()) {
-    // Parallel mode: defer the (expensive) Folder::add calls to the
-    // phase-A fan-out; streaming just appends to flat buffers. Each
-    // stream's relative event order is preserved, so the replayed folds
-    // are bit-identical to the inline ones.
-    auto& b = stmt_buf_[s.id];
-    if (!b.dim_set) {
-      b.dim = coords.size();
-      b.dim_set = true;
-    }
-    ++b.domain_points;
-    b.domain.insert(b.domain.end(), coords.begin(), coords.end());
-    if (has_value && scev_candidate(s.op)) {
-      b.value.insert(b.value.end(), coords.begin(), coords.end());
-      b.value.push_back(value);
-    }
-    if (has_address) {
-      b.address.insert(b.address.end(), coords.begin(), coords.end());
-      b.address.push_back(address);
-    }
-    return;
-  }
   auto& streams = stmts_[s.id];
   std::size_t d = coords.size();
   if (!streams.domain)
@@ -178,17 +156,6 @@ void FoldingSink::on_dependence(ddg::DepKind kind, int src_stmt,
                                 std::span<const i64> src_coords, int dst_stmt,
                                 std::span<const i64> dst_coords, int slot) {
   DepKey key{src_stmt, dst_stmt, kind, slot};
-  if (buffered()) {
-    auto& b = dep_buf_[key];
-    if (b.points == 0) {
-      b.dst_dim = dst_coords.size();
-      b.src_dim = src_coords.size();
-    }
-    ++b.points;
-    b.rows.insert(b.rows.end(), dst_coords.begin(), dst_coords.end());
-    b.rows.insert(b.rows.end(), src_coords.begin(), src_coords.end());
-    return;
-  }
   auto& f = deps_[key];
   if (!f)
     f = std::make_unique<Folder>(dst_coords.size(), src_coords.size(), opts_);
@@ -211,34 +178,6 @@ void FoldingSink::on_instruction_run(const InstrRun& r) {
   if (r.n == 0) return;
   const ddg::Statement& s = *r.stmt;
   const bool fold_value = r.has_value && scev_candidate(s.op);
-  if (buffered()) {
-    auto& b = stmt_buf_[s.id];
-    if (!b.dim_set) {
-      b.dim = r.coords.size();
-      b.dim_set = true;
-    }
-    b.domain_points += r.n;
-    std::vector<i64> coords(r.coords.begin(), r.coords.end());
-    i64 value = r.value;
-    i64 address = r.address;
-    for (u64 t = 0; t < r.n; ++t) {
-      if (fold_value && !r.value_affine) value = r.values[t];
-      if (r.has_address && !r.address_affine) address = r.addresses[t];
-      b.domain.insert(b.domain.end(), coords.begin(), coords.end());
-      if (fold_value) {
-        b.value.insert(b.value.end(), coords.begin(), coords.end());
-        b.value.push_back(value);
-      }
-      if (r.has_address) {
-        b.address.insert(b.address.end(), coords.begin(), coords.end());
-        b.address.push_back(address);
-      }
-      advance(coords, r.coord_stride);
-      value = wadd(value, r.value_stride);
-      address = wadd(address, r.address_stride);
-    }
-    return;
-  }
   auto& streams = stmts_[s.id];
   const std::size_t d = r.coords.size();
   if (!streams.domain)
@@ -281,88 +220,11 @@ void FoldingSink::on_instruction_run(const InstrRun& r) {
 void FoldingSink::on_dependence_run(const DepRun& r) {
   if (r.n == 0) return;
   DepKey key{r.src_stmt, r.dst_stmt, r.kind, r.slot};
-  if (buffered()) {
-    auto& b = dep_buf_[key];
-    if (b.points == 0) {
-      b.dst_dim = r.dst_coords.size();
-      b.src_dim = r.src_coords.size();
-    }
-    b.points += r.n;
-    std::vector<i64> dst(r.dst_coords.begin(), r.dst_coords.end());
-    std::vector<i64> src(r.src_coords.begin(), r.src_coords.end());
-    for (u64 t = 0; t < r.n; ++t) {
-      b.rows.insert(b.rows.end(), dst.begin(), dst.end());
-      b.rows.insert(b.rows.end(), src.begin(), src.end());
-      advance(dst, r.dst_stride);
-      advance(src, r.src_stride);
-    }
-    return;
-  }
   auto& f = deps_[key];
   if (!f)
     f = std::make_unique<Folder>(r.dst_coords.size(), r.src_coords.size(),
                                  opts_);
   f->add_run(r.dst_coords, r.src_coords, r.dst_stride, r.src_stride, r.n);
-}
-
-FoldingSink::StmtOutcome FoldingSink::fold_stmt_buffer(
-    const StmtBuffer& b) const {
-  StmtOutcome out;
-  // Cancelled job: skip the work. The empty outcome is irrelevant — by
-  // coherence the merge loop observes the token at this slot's position
-  // too and degrades the statement without reading the outcome.
-  if (cancel_ != nullptr && cancel_->cancelled()) return out;
-  // Same stream order and the same single try as the inline path: a fault
-  // keeps whatever streams finished before it and loses the rest.
-  try {
-    {
-      Folder dom(b.dim, 0, opts_);
-      const i64* p = b.domain.data();
-      for (u64 i = 0; i < b.domain_points; ++i, p += b.dim)
-        dom.add(std::span<const i64>(p, b.dim), {});
-      out.domain = dom.finish();
-    }
-    if (!b.value.empty()) {
-      Folder val(b.dim, 1, opts_);
-      const std::size_t stride = b.dim + 1;
-      for (const i64* p = b.value.data(); p != b.value.data() + b.value.size();
-           p += stride)
-        val.add(std::span<const i64>(p, b.dim),
-                std::span<const i64>(p + b.dim, 1));
-      out.values = val.finish();
-    }
-    if (!b.address.empty()) {
-      Folder addr(b.dim, 1, opts_);
-      const std::size_t stride = b.dim + 1;
-      for (const i64* p = b.address.data();
-           p != b.address.data() + b.address.size(); p += stride)
-        addr.add(std::span<const i64>(p, b.dim),
-                 std::span<const i64>(p + b.dim, 1));
-      out.addresses = addr.finish();
-    }
-  } catch (const Error& e) {
-    out.fault = true;
-    out.fault_reason = e.what();
-  }
-  return out;
-}
-
-FoldingSink::DepOutcome FoldingSink::fold_dep_buffer(const DepBuffer& b) const {
-  DepOutcome out;
-  if (cancel_ != nullptr && cancel_->cancelled()) return out;
-  try {
-    Folder f(b.dst_dim, b.src_dim, opts_);
-    const std::size_t stride = b.dst_dim + b.src_dim;
-    const i64* p = b.rows.data();
-    for (u64 i = 0; i < b.points; ++i, p += stride)
-      f.add(std::span<const i64>(p, b.dst_dim),
-            std::span<const i64>(p + b.dst_dim, b.src_dim));
-    out.relation = f.finish();
-  } catch (const Error& e) {
-    out.fault = true;
-    out.fault_reason = e.what();
-  }
-  return out;
 }
 
 FoldedProgram FoldingSink::finalize(const ddg::StatementTable& table) {
@@ -371,60 +233,22 @@ FoldedProgram FoldingSink::finalize(const ddg::StatementTable& table) {
   prog.statements.reserve(table.size());
   prog.total_dynamic_ops = table.total_executions();
 
-  // Phase A (parallel mode only): fold every buffered statement and
-  // dependence stream into pre-indexed outcome slots — one work-stealing
-  // task per stream, statements and edges in a single fan-out so long
-  // statement folds overlap with the edge folds. Tasks touch no shared
-  // state (faults are captured in the slot, diagnostics deferred), so
-  // phase B can merge in the serial order and reproduce the serial
-  // program and diagnostic sequence byte for byte.
-  std::map<int, StmtOutcome> stmt_outcomes;
   std::vector<DepKey> keys;
-  std::vector<DepOutcome> dep_outcomes;
-  if (buffered()) {
-    std::vector<const StmtBuffer*> sbufs;
-    std::vector<StmtOutcome*> souts;
-    sbufs.reserve(stmt_buf_.size());
-    souts.reserve(stmt_buf_.size());
-    for (auto& [id, b] : stmt_buf_) {
-      sbufs.push_back(&b);
-      souts.push_back(&stmt_outcomes[id]);
-    }
-    keys.reserve(dep_buf_.size());
-    for (const auto& [key, _] : dep_buf_) keys.push_back(key);
-    std::sort(keys.begin(), keys.end());  // deterministic piece order
-    dep_outcomes.resize(keys.size());
-    const std::size_t num_stmts = sbufs.size();
-    obs::Span fanout_span(obs_, "fold:fanout");
-    if (obs_ != nullptr)
-      obs_->add("fold.refold_tasks",
-                static_cast<i64>(num_stmts + keys.size()),
-                obs::Stability::kTiming);
-    pool_->parallel_for(num_stmts + keys.size(), [&](std::size_t i) {
-      if (i < num_stmts)
-        *souts[i] = fold_stmt_buffer(*sbufs[i]);
-      else
-        dep_outcomes[i - num_stmts] =
-            fold_dep_buffer(dep_buf_.at(keys[i - num_stmts]));
-    });
-  } else {
-    keys.reserve(deps_.size());
-    for (const auto& [key, _] : deps_) keys.push_back(key);
-    std::sort(keys.begin(), keys.end());  // deterministic piece order
-  }
+  keys.reserve(deps_.size());
+  for (const auto& [key, _] : deps_) keys.push_back(key);
+  std::sort(keys.begin(), keys.end());  // deterministic piece order
 
-  // Cancellation is observed at merge positions only (structural order):
-  // once the token fires, every later statement/edge in the merge degrades
-  // to an over-approximation, identically at any thread count. The chaos
-  // kDeadlineMidFold hook fires the token AT a seeded merge position, so
-  // the degraded suffix is reproducible for the determinism tests.
-  std::size_t merge_pos = 0;
+  // Cancellation is observed before each statement and edge (structural
+  // order): once the token fires, every later statement/edge degrades to
+  // an over-approximation. The chaos kDeadlineMidFold hook fires the token
+  // AT a seeded position, so the degraded suffix is reproducible.
+  std::size_t pos = 0;
   bool cancel_noted = false;
-  auto merge_checkpoint = [&]() -> bool {
-    if (chaos_deadline_at_ != 0 && merge_pos == chaos_deadline_at_ &&
+  auto checkpoint = [&]() -> bool {
+    if (chaos_deadline_at_ != 0 && pos == chaos_deadline_at_ &&
         cancel_ != nullptr)
       cancel_->expire();
-    ++merge_pos;
+    ++pos;
     if (cancel_ == nullptr || !cancel_->poll()) return false;
     if (!cancel_noted) {
       cancel_noted = true;
@@ -441,26 +265,10 @@ FoldedProgram FoldingSink::finalize(const ddg::StatementTable& table) {
     FoldedStatement fs;
     fs.meta = meta;
     bool degraded = degraded_.count(meta.id) != 0;
-    if (merge_checkpoint()) {
-      // Drop the folded streams (in parallel mode phase A may not even
-      // have produced them); the statement survives as a degraded shell
-      // with its dynamic counters intact.
+    if (checkpoint()) {
+      // Drop the folded streams; the statement survives as a degraded
+      // shell with its dynamic counters intact.
       degraded = true;
-    } else if (buffered()) {
-      auto oit = stmt_outcomes.find(meta.id);
-      if (oit != stmt_outcomes.end()) {
-        StmtOutcome& out = oit->second;
-        fs.domain = std::move(out.domain);
-        fs.values = std::move(out.values);
-        fs.addresses = std::move(out.addresses);
-        if (out.fault) {
-          degraded = true;
-          if (diag_ != nullptr)
-            diag_->error(support::Stage::kFold,
-                         "statement fold failed: " + out.fault_reason,
-                         meta.id);
-        }
-      }
     } else if (auto it = stmts_.find(meta.id); it != stmts_.end()) {
       auto& streams = it->second;
       // Per-stream fault isolation: a folder fault loses this statement's
@@ -477,9 +285,8 @@ FoldedProgram FoldingSink::finalize(const ddg::StatementTable& table) {
                        meta.id);
       }
     }
-    // Folder-piece budget, charged HERE in table order — never from the
-    // phase-A tasks — so exhaustion lands on the same statement at every
-    // thread count.
+    // Folder-piece budget, charged HERE in table order, so exhaustion
+    // always lands on the same statement.
     if (budget_ != nullptr && budget_->folder_pieces != 0) {
       std::size_t pieces = fs.domain.pieces().size() +
                            fs.values.pieces().size() +
@@ -570,37 +377,17 @@ FoldedProgram FoldingSink::finalize(const ddg::StatementTable& table) {
     rel.add_piece(std::move(p));
     return rel;
   };
-  for (std::size_t ki = 0; ki < keys.size(); ++ki) {
-    const DepKey& key = keys[ki];
+  for (const DepKey& key : keys) {
     auto [src, dst, kind, slot] = key;
     (void)slot;
     poly::PolySet rel;
-    if (merge_checkpoint()) {
+    Folder* folder = deps_.at(key).get();
+    if (checkpoint()) {
       // Cancelled: the edge survives as the maximal over-approximation so
       // the scheduler still sees it (sound, never silently dropped).
-      if (buffered()) {
-        const DepBuffer& b = dep_buf_.at(key);
-        rel = universe_fallback(b.dst_dim, b.src_dim, b.points);
-      } else {
-        Folder* folder = deps_.at(key).get();
-        rel = universe_fallback(folder->in_dim(), folder->label_dim(),
-                                folder->points_seen());
-      }
-    } else if (buffered()) {
-      DepOutcome& out = dep_outcomes[ki];
-      if (out.fault) {
-        const DepBuffer& b = dep_buf_.at(key);
-        rel = universe_fallback(b.dst_dim, b.src_dim, b.points);
-        if (diag_ != nullptr)
-          diag_->error(support::Stage::kFold,
-                       std::string("dependence fold failed (S") +
-                           std::to_string(src) + " -> S" +
-                           std::to_string(dst) + "): " + out.fault_reason);
-      } else {
-        rel = std::move(out.relation);
-      }
+      rel = universe_fallback(folder->in_dim(), folder->label_dim(),
+                              folder->points_seen());
     } else {
-      Folder* folder = deps_.at(key).get();
       try {
         rel = folder->finish();
       } catch (const Error& e) {
@@ -642,9 +429,8 @@ FoldedProgram FoldingSink::finalize(const ddg::StatementTable& table) {
   for (auto& [_, fd] : merged) prog.deps.push_back(std::move(fd));
 
   if (obs_ != nullptr && obs_->enabled()) {
-    // Stream/piece finals. Values are properties of the folded program —
-    // byte-identical across thread counts — so they survive the --stable
-    // report section.
+    // Stream/piece finals. Values are properties of the folded program,
+    // so they survive the --stable report section.
     i64 pieces = 0;
     for (const auto& s : prog.statements)
       pieces += static_cast<i64>(s.domain.pieces().size() +
@@ -654,15 +440,15 @@ FoldedProgram FoldingSink::finalize(const ddg::StatementTable& table) {
       pieces += static_cast<i64>(d.relation.pieces().size());
     obs_->set("fold.pieces", pieces);
     obs_->set("fold.stmt_streams",
-              static_cast<i64>(buffered() ? stmt_buf_.size() : stmts_.size()));
+              static_cast<i64>(stmts_.size()));
     obs_->set("fold.dep_streams", static_cast<i64>(keys.size()));
     obs_->set("fold.dep_edges", static_cast<i64>(prog.deps.size()));
     obs_->set("fold.pruned_dep_edges",
               static_cast<i64>(prog.pruned_dep_edges));
     obs_->set("fold.degraded_statements",
               static_cast<i64>(prog.degraded_statements));
-    // Hit pattern depends on fold scheduling (which worker closes a chunk
-    // first), so these are timing-class: excluded from the stable report.
+    // Cache counters are timing-class (excluded from the stable report):
+    // they describe how the fold was computed, not what it produced.
     obs_->set("fold.cache_hits", static_cast<i64>(cache_.hits()),
               obs::Stability::kTiming);
     obs_->set("fold.cache_misses", static_cast<i64>(cache_.misses()),

@@ -15,7 +15,6 @@
 #include "poly/dep_relation.hpp"
 #include "support/budget.hpp"
 #include "support/cancel.hpp"
-#include "support/thread_pool.hpp"
 
 namespace pp::fold {
 
@@ -103,8 +102,7 @@ class FoldingSink : public ddg::DdgSink {
                      std::span<const i64> src_coords, int dst_stmt,
                      std::span<const i64> dst_coords, int slot) override;
   /// Bulk entry points for compressed trace runs: one Folder::add_run per
-  /// stream (inline mode) or one buffer append per run (parallel mode)
-  /// instead of n scalar calls — bit-identical output either way.
+  /// stream instead of n scalar calls — bit-identical output either way.
   void on_instruction_run(const InstrRun& r) override;
   void on_dependence_run(const DepRun& r) override;
 
@@ -114,32 +112,23 @@ class FoldingSink : public ddg::DdgSink {
   void mark_degraded(const std::set<int>& stmt_ids);
   /// Destination for per-stream fold-fault diagnostics (may be null).
   void set_diagnostics(support::DiagnosticLog* diag) { diag_ = diag; }
-  /// Fan folding out on `pool` (null or serial pool = fold inline while
-  /// streaming, the reference behavior). Must be set before the first
-  /// event: with 2+ lanes the sink records events into compact per-stream
-  /// buffers and finalize() folds one task per statement / dependence key
-  /// into pre-indexed slots, merging in the serial order — the resulting
-  /// program and diagnostics are byte-identical to the serial fold.
-  void set_pool(support::ThreadPool* pool) { pool_ = pool; }
-  /// Budget for the folder-piece cap (may be null). Charged in the
-  /// deterministic merge order, never from worker tasks, so exhaustion
-  /// degrades the same statements at every thread count.
+  /// Budget for the folder-piece cap (may be null). Charged in statement
+  /// table order at finalize().
   void set_budget(support::RunBudget* budget) { budget_ = budget; }
-  /// Observability session (may be null). finalize() wraps its fan-out in
-  /// a span and publishes stream/piece counters; nothing touches the
-  /// streaming hot path.
+  /// Observability session (may be null). finalize() runs in a span and
+  /// publishes stream/piece counters; nothing touches the streaming hot
+  /// path.
   void set_obs(obs::Session* obs) { obs_ = obs; }
-  /// Cancellation token (may be null). finalize() polls it at every MERGE
-  /// position — never from phase-A worker tasks, which only probe it to
-  /// skip useless work — so a cancel observed mid-fold degrades the same
-  /// contiguous suffix of statements/edges at every thread count. The
-  /// already-merged prefix keeps its certified folds; the rest become
-  /// over-approximations, exactly like budget exhaustion.
+  /// Cancellation token (may be null). finalize() polls it before each
+  /// statement and dependence key, so a cancel observed mid-fold degrades
+  /// a contiguous suffix of statements/edges. The already-finished prefix
+  /// keeps its certified folds; the rest become over-approximations,
+  /// exactly like budget exhaustion.
   void set_cancel(support::CancelToken* cancel) { cancel_ = cancel; }
   /// Chaos hook (ServiceFault::kDeadlineMidFold): fire the token as an
-  /// expired deadline when the merge reaches position `pos` (0 disables).
-  /// Merge positions are structural, so the injected deadline lands on the
-  /// identical statement at any thread count.
+  /// expired deadline when finalize() reaches position `pos` (0 disables).
+  /// Positions are structural, so the injected deadline always lands on
+  /// the same statement.
   void set_chaos_deadline_at(std::size_t pos) { chaos_deadline_at_ = pos; }
 
   /// The sink-wide canonical-piece cache shared by every folder this sink
@@ -168,56 +157,15 @@ class FoldingSink : public ddg::DdgSink {
     }
   };
 
-  /// Compact event record for the parallel fold: one flat coordinate
-  /// buffer per stream (arity is fixed per statement — the interned
-  /// context determines the depth), so phase A can replay each stream
-  /// into a fresh Folder without touching shared state.
-  struct StmtBuffer {
-    std::size_t dim = 0;
-    bool dim_set = false;
-    u64 domain_points = 0;
-    std::vector<i64> domain;   ///< domain_points x dim coords
-    std::vector<i64> value;    ///< rows of dim coords + 1 label
-    std::vector<i64> address;  ///< rows of dim coords + 1 label
-  };
-  struct DepBuffer {
-    std::size_t dst_dim = 0;
-    std::size_t src_dim = 0;
-    u64 points = 0;
-    std::vector<i64> rows;  ///< points x (dst_dim + src_dim)
-  };
-
-  /// Result of folding one statement's streams (phase A output slot).
-  struct StmtOutcome {
-    poly::PolySet domain{0};
-    poly::PolySet values{0};
-    poly::PolySet addresses{0};
-    bool fault = false;
-    std::string fault_reason;
-  };
-  /// Result of folding one dependence key (phase A output slot).
-  struct DepOutcome {
-    poly::PolySet relation{0};
-    bool fault = false;
-    std::string fault_reason;
-  };
-
-  bool buffered() const { return pool_ != nullptr && !pool_->serial(); }
-  StmtOutcome fold_stmt_buffer(const StmtBuffer& b) const;
-  DepOutcome fold_dep_buffer(const DepBuffer& b) const;
-
   FolderOptions opts_;
   /// Cross-statement piece interning: folders of every statement and
   /// dependence key share it, so identical closed chunks (same canonical
-  /// form) fold once. Thread-safe for the parallel re-fold path.
+  /// form) fold once.
   FoldCache cache_;
   std::map<int, StmtStreams> stmts_;
   std::unordered_map<DepKey, std::unique_ptr<Folder>, DepKeyHash> deps_;
-  std::map<int, StmtBuffer> stmt_buf_;
-  std::unordered_map<DepKey, DepBuffer, DepKeyHash> dep_buf_;
   std::set<int> degraded_;
   support::DiagnosticLog* diag_ = nullptr;
-  support::ThreadPool* pool_ = nullptr;
   support::RunBudget* budget_ = nullptr;
   obs::Session* obs_ = nullptr;
   support::CancelToken* cancel_ = nullptr;

@@ -45,25 +45,18 @@ std::size_t FoldCache::KeyHash::operator()(const Key& k) const {
 }
 
 std::shared_ptr<const poly::Piece> FoldCache::find(const Key& key) const {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = map_.find(key);
   if (it == map_.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
+    ++misses_;
     return nullptr;
   }
-  hits_.fetch_add(1, std::memory_order_relaxed);
+  ++hits_;
   return it->second;
 }
 
 void FoldCache::insert(Key key, std::shared_ptr<const poly::Piece> piece) {
-  std::lock_guard<std::mutex> lock(mu_);
   if (map_.size() >= kMaxEntries) return;
   map_.emplace(std::move(key), std::move(piece));
-}
-
-std::size_t FoldCache::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return map_.size();
 }
 
 // ---------------------------------------------------------------------------

@@ -33,9 +33,7 @@
 //    routed to it) AND the label fit is affine with integer coefficients.
 #pragma once
 
-#include <atomic>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <unordered_map>
 
@@ -75,9 +73,8 @@ struct FolderOptions {
 /// function of its canonical form — template bounds in fixed row order,
 /// the rational label fit, the observed count and the exactness inputs —
 /// so identical pieces across statements and dependence groups are built
-/// once and shared. Thread-safe (the parallel re-fold path hits it from
-/// worker tasks); hit/miss totals are timing-class observability only,
-/// since the hit pattern depends on scheduling while the values do not.
+/// once and shared. Hit/miss totals are timing-class observability only:
+/// they describe how pieces were built, not what they are.
 class FoldCache {
  public:
   using Key = std::vector<u64>;
@@ -87,9 +84,9 @@ class FoldCache {
   /// Inserts (first writer wins); no-op once the entry cap is reached.
   void insert(Key key, std::shared_ptr<const poly::Piece> piece);
 
-  u64 hits() const { return hits_.load(std::memory_order_relaxed); }
-  u64 misses() const { return misses_.load(std::memory_order_relaxed); }
-  std::size_t size() const;
+  u64 hits() const { return hits_; }
+  u64 misses() const { return misses_; }
+  std::size_t size() const { return map_.size(); }
 
  private:
   struct KeyHash {
@@ -98,10 +95,9 @@ class FoldCache {
   /// Growth bound; beyond it the cache stops learning (still serves hits).
   static constexpr std::size_t kMaxEntries = 1u << 16;
 
-  mutable std::mutex mu_;
   std::unordered_map<Key, std::shared_ptr<const poly::Piece>, KeyHash> map_;
-  mutable std::atomic<u64> hits_{0};
-  mutable std::atomic<u64> misses_{0};
+  mutable u64 hits_ = 0;
+  mutable u64 misses_ = 0;
 };
 
 /// Folds one (iteration vector, label vector) stream.

@@ -243,7 +243,6 @@ std::string Session::manifest_json(const ManifestExtra& extra) const {
   os << "{\n  \"tool\": \"poly-prof\",\n";
   if (!extra.workload.empty())
     os << "  \"workload\": \"" << json_escape(extra.workload) << "\",\n";
-  os << "  \"threads\": " << extra.threads << ",\n";
   os << "  \"truncated\": " << (extra.truncated ? "true" : "false") << ",\n";
   os << "  \"degraded_statements\": " << extra.degraded_statements << ",\n";
   os << "  \"diagnostics\": " << extra.diagnostics << ",\n";

@@ -7,11 +7,11 @@
 //    buffers (no lock on the record path after a thread's first span) and
 //    merged deterministically at export time.
 //  * Counters: named monotonic counters / final gauges (events consumed,
-//    shadow pages live, CoordPool occupancy, ring stalls, fold pieces,
-//    steal counts). Each counter is tagged with a Stability: kStable
-//    values are invariant across thread counts and timing (safe for the
-//    --stable golden report), kTiming values are not (ring stalls, steal
-//    counts, anything measured in seconds).
+//    shadow pages live, CoordPool occupancy, fold pieces, cache hits).
+//    Each counter is tagged with a Stability: kStable values are
+//    functions of the profiled execution alone (safe for the --stable
+//    golden report), kTiming values are not (cache hit patterns, which
+//    path decided a check, anything measured in seconds).
 //  * Exporters: Chrome trace_event JSON (loadable in Perfetto /
 //    chrome://tracing) and a flat run-manifest JSON for downstream
 //    machine consumption (stage wall/CPU table, counter finals, budget &
@@ -44,9 +44,9 @@ u64 thread_cpu_ns();
 /// FNV-1a over bytes — the run manifest's report fingerprint.
 u64 fnv1a(std::string_view bytes);
 
-/// Whether a counter's final value is invariant across thread counts and
-/// wall-clock noise. Only kStable counters appear in the --stable report
-/// section (which must stay byte-identical across {1,2,4,8} threads).
+/// Whether a counter's final value is a function of the profiled execution
+/// alone. Only kStable counters appear in the --stable report section
+/// (which must stay byte-identical across runs).
 enum class Stability : std::uint8_t { kStable, kTiming };
 
 /// One closed span. `name` is a static string (span names are compile-time
@@ -145,7 +145,6 @@ class Session {
   /// Caller-supplied context stamped into the run manifest.
   struct ManifestExtra {
     std::string workload;
-    unsigned threads = 0;
     bool truncated = false;
     u64 degraded_statements = 0;
     u64 diagnostics = 0;
@@ -159,7 +158,7 @@ class Session {
 
   /// The full_report "-- self profile --" body. With `stable`, wall/CPU
   /// times are elided ("-") and only kStable counters are printed, so the
-  /// section is byte-identical across thread counts and runs.
+  /// section is byte-identical across runs.
   std::string self_profile_section(bool stable) const;
 
  private:

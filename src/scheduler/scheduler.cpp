@@ -401,29 +401,20 @@ ScheduleResult schedule(const Problem& problem, const Options& opts) {
     for (auto& [_, v] : by_root) groups.push_back(std::move(v));
   }
 
-  // Fused groups are dependence-disjoint: schedule each independently,
-  // fanned out on the caller's pool into pre-indexed slots (serial when
-  // no pool / one lane — parallel_for runs inline in index order).
+  // Fused groups are dependence-disjoint: schedule each independently.
   obs::Span sched_span(opts.obs, "sched:groups");
   if (opts.obs != nullptr) {
     opts.obs->add("sched.groups", static_cast<i64>(groups.size()));
     opts.obs->add("sched.statements",
                   static_cast<i64>(problem.statements.size()));
   }
-  res.groups.resize(groups.size());
-  auto run_group = [&](std::size_t i) {
-    // Per-group checkpoint: parallel_for rethrows the first exception at
-    // the join, so a mid-schedule cancel surfaces exactly like a serial
-    // one (cancelled() only — the poll()s at the boundaries fire the
-    // deadline; worker tasks never mutate the token).
+  res.groups.reserve(groups.size());
+  for (std::vector<int>& g : groups) {
+    // Per-group checkpoint (cancelled() only — the poll()s at the
+    // boundaries fire the deadline).
     if (opts.cancel != nullptr && opts.cancel->cancelled())
       throw Error("job cancelled during scheduling");
-    res.groups[i] = schedule_group(problem, std::move(groups[i]), opts);
-  };
-  if (opts.pool != nullptr) {
-    opts.pool->parallel_for(groups.size(), run_group);
-  } else {
-    for (std::size_t i = 0; i < groups.size(); ++i) run_group(i);
+    res.groups.push_back(schedule_group(problem, std::move(g), opts));
   }
   // Execution order: by first statement id (ids are first-touch order).
   std::sort(res.groups.begin(), res.groups.end(),

@@ -23,7 +23,6 @@
 #include "poly/dep_relation.hpp"
 #include "poly/polyhedron.hpp"
 #include "support/cancel.hpp"
-#include "support/thread_pool.hpp"
 
 namespace pp::scheduler {
 
@@ -74,14 +73,8 @@ struct Options {
   /// structure of the ORIGINAL loop order). Much cheaper, never proposes
   /// interchange/skew.
   bool identity_only = false;
-  /// Schedule fused groups in parallel on this pool (null or 1-lane pool
-  /// = serial). Groups are dependence-SCC-disjoint, so their searches are
-  /// independent; results land in pre-indexed slots and the final
-  /// execution-order sort is by statement id — identical for any lane
-  /// count.
-  support::ThreadPool* pool = nullptr;
   /// Observability session (may be null): schedule() wraps its group
-  /// fan-out in a span and counts groups/levels solved.
+  /// loop in a span and counts groups/levels solved.
   obs::Session* obs = nullptr;
   /// Cancellation token (may be null): polled at entry and before each
   /// group's candidate search. A fired token makes schedule() throw

@@ -118,8 +118,17 @@ u64 Server::fingerprint(const JobRequest& req) {
   fp.u(static_cast<u64>(p.chaos.service));
   fp.u(p.verify_module ? 1 : 0);
   fp.u(p.observe ? 1 : 0);
-  // `threads` deliberately excluded: reports are byte-identical at any
-  // thread count, so a cache hit across thread counts is sound.
+  // The transformation engine adds a `-- transformation --` section whose
+  // content depends on every engine knob.
+  fp.u(p.apply_transforms ? 1 : 0);
+  fp.s(p.transform.tile);
+  fp.u(p.transform.cost.cache_lines);
+  fp.u(p.transform.cost.line_bytes);
+  fp.u(p.transform.cost.ways);
+  fp.u(p.transform.cost.miss_penalty);
+  fp.u(p.transform.max_steps);
+  fp.u(p.transform.run_oracle ? 1 : 0);
+  fp.u(p.transform.force ? 1 : 0);
   fp.s(static_cast<i64>(req.min_fraction * 1e9));
   fp.s(req.max_attempts);
   fp.u(req.chaos_transient ? 1 : 0);
@@ -131,7 +140,6 @@ Server::Server(ServerOptions opts) : opts_(opts) {
   if (opts_.queue_capacity == 0) opts_.queue_capacity = 1;
   opts_.high_watermark = std::min(opts_.high_watermark, opts_.queue_capacity);
   opts_.low_watermark = std::min(opts_.low_watermark, opts_.high_watermark);
-  pool_ = std::make_shared<support::ThreadPool>(opts_.pool_threads);
   executors_.reserve(opts_.executors);
   for (unsigned i = 0; i < opts_.executors; ++i)
     executors_.emplace_back([this] { executor_loop(); });
@@ -235,7 +243,6 @@ void Server::run_job(const JobHandle& job) {
 
   core::PipelineOptions popts = job->req_.pipeline;
   popts.cancel = &job->token_;
-  popts.pool = pool_;
   core::ReportOptions ropts;
   ropts.min_fraction = job->req_.min_fraction;
   if (job->downgraded_) {
@@ -354,7 +361,6 @@ std::string Server::manifest_for(const JobHandle& job,
   if (r.obs == nullptr) return "";
   obs::Session::ManifestExtra extra;
   extra.workload = job->req_.name;
-  extra.threads = static_cast<int>(pool_->workers());
   extra.truncated = r.truncated;
   extra.degraded_statements = r.program.degraded_statements;
   extra.diagnostics = r.diagnostics.size();

@@ -1,9 +1,10 @@
 // pp::service — profiling as a service. A long-running in-process Server
 // accepts profiling jobs (module + workload + PipelineOptions) on a
-// bounded queue, schedules them across a fixed set of executor threads
-// that all share ONE work-stealing ThreadPool (concurrent jobs
-// inter-schedule their stage fan-outs on the same lanes), and returns a
-// Job handle the client waits on. Robustness is the contract:
+// bounded queue, runs them on a fixed set of executor threads — each
+// executor runs one job at a time, start to finish, and the run itself is
+// serial — and returns a Job handle the client waits on. This is the only
+// place in the profiler where threads run concurrently. Robustness is the
+// contract:
 //
 //  * cancellation — every job owns a support::CancelToken plumbed through
 //    core::Pipeline::run; Job::cancel() or an expired deadline stops the
@@ -19,9 +20,8 @@
 //    (folder max_pieces collapsed to 1, soundness oracle disabled), with
 //    the downgrade reported deterministically in the outcome;
 //  * result cache — completed clean runs are cached by an FNV-1a
-//    fingerprint of module + workload + options (thread count excluded:
-//    reports are byte-identical at any thread count), so identical
-//    resubmissions are served without re-profiling;
+//    fingerprint of module + workload + every option that can change the
+//    report, so identical resubmissions are served without re-profiling;
 //  * observability — a service-level pp::obs session counts submissions,
 //    sheds, retries, cancels and queue depth; observed jobs additionally
 //    produce a per-job run manifest (JobOutcome::manifest).
@@ -39,7 +39,6 @@
 #include "core/pipeline.hpp"
 #include "obs/obs.hpp"
 #include "support/cancel.hpp"
-#include "support/thread_pool.hpp"
 
 namespace pp::service {
 
@@ -116,11 +115,8 @@ class Job {
 using JobHandle = std::shared_ptr<Job>;
 
 struct ServerOptions {
-  /// Executor threads = concurrently RUNNING jobs. Their pipelines share
-  /// one ThreadPool, so this bounds oversubscription, not lane count.
+  /// Executor threads = concurrently RUNNING jobs (each job is serial).
   unsigned executors = 2;
-  /// Worker lanes of the shared pool (0 = hardware_concurrency).
-  unsigned pool_threads = 0;
   /// Admission bound: submissions finding this many QUEUED jobs are shed.
   std::size_t queue_capacity = 32;
   /// Overload hysteresis: entering a queue depth >= high_watermark turns
@@ -175,9 +171,10 @@ class Server {
   const obs::Session& observability() const { return obs_; }
 
   /// FNV-1a fingerprint of a job's module + workload + options — the
-  /// result-cache key. Thread count is excluded (reports are
-  /// byte-identical at any thread count); budgets, chaos and fold/ddg
-  /// options are included (they change the report).
+  /// result-cache key. Every option that changes the report is included:
+  /// budgets, chaos, fold/ddg options and the transformation engine's
+  /// switch and knobs. Pure optimizations (path compaction, selective
+  /// instrumentation) are not.
   static u64 fingerprint(const JobRequest& req);
 
  private:
@@ -195,7 +192,6 @@ class Server {
                            const JobOutcome& out);
 
   ServerOptions opts_;
-  std::shared_ptr<support::ThreadPool> pool_;
   obs::Session obs_{true};
 
   mutable std::mutex mu_;

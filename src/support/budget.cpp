@@ -1,6 +1,5 @@
 #include "support/budget.hpp"
 
-#include <algorithm>
 #include <sstream>
 
 namespace pp::support {
@@ -36,7 +35,6 @@ std::string Diagnostic::str() const {
 }
 
 std::size_t DiagnosticLog::count(Severity sev) const {
-  std::lock_guard<std::mutex> lk(mu_);
   std::size_t n = 0;
   for (const auto& d : records_)
     if (d.severity == sev) ++n;
@@ -44,28 +42,11 @@ std::size_t DiagnosticLog::count(Severity sev) const {
 }
 
 std::string DiagnosticLog::render() const {
-  std::lock_guard<std::mutex> lk(mu_);
   std::string out;
   for (const auto& d : records_) {
     out += d.str();
     out += '\n';
   }
-  return out;
-}
-
-std::string DiagnosticLog::stable_flush() {
-  std::lock_guard<std::mutex> lk(mu_);
-  std::stable_sort(records_.begin(), records_.end(),
-                   [](const Diagnostic& a, const Diagnostic& b) {
-                     if (a.stage != b.stage) return a.stage < b.stage;
-                     return a.statement < b.statement;
-                   });
-  std::string out;
-  for (const auto& d : records_) {
-    out += d.str();
-    out += '\n';
-  }
-  records_.clear();
   return out;
 }
 

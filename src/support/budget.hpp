@@ -9,9 +9,7 @@
 // structured record that the feedback report renders deterministically.
 #pragma once
 
-#include <atomic>
 #include <chrono>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -22,15 +20,6 @@ namespace pp::support {
 /// Resource caps for one profiling run. 0 = unlimited. Checked at stage
 /// boundaries by the pipeline and inside the stage-2 hot path by the DDG
 /// builder; exceeding a cap degrades (it never throws).
-///
-/// Thread safety: the caps themselves are set before the run and never
-/// mutated while stages execute. arm() publishes the wall clock through an
-/// atomic, so armed()/wall_exceeded() may race with arm() from another
-/// thread (the threaded replay checks the wall on the consumer lane while
-/// the producer owns the VM). charge_pieces() is the one mutating
-/// operation stages share — it is a relaxed atomic add; exhaustion is
-/// *enforced* in deterministic merge order by the fold stage, the counter
-/// only accounts.
 struct RunBudget {
   u64 wall_ms = 0;                 ///< wall-clock for the whole run
   u64 vm_steps = 0;                ///< retired instructions per VM replay
@@ -38,19 +27,12 @@ struct RunBudget {
   std::size_t coord_pool_words = 0;  ///< interned iteration-vector words
   std::size_t folder_pieces = 0;   ///< per-stream folded pieces (fold cap)
 
-  RunBudget() = default;
-  RunBudget(const RunBudget& o) { copy_from(o); }
-  RunBudget& operator=(const RunBudget& o) {
-    if (this != &o) copy_from(o);
-    return *this;
-  }
-
   /// Start the wall clock. Checks before arm() never report exhaustion.
   void arm() {
     start_ = std::chrono::steady_clock::now();
-    armed_.store(true, std::memory_order_release);
+    armed_ = true;
   }
-  bool armed() const { return armed_.load(std::memory_order_acquire); }
+  bool armed() const { return armed_; }
 
   u64 elapsed_ms() const {
     if (!armed()) return 0;
@@ -72,15 +54,9 @@ struct RunBudget {
     return coord_pool_words != 0 && words > coord_pool_words;
   }
 
-  /// Atomically account `n` folded pieces; returns the post-charge total.
-  /// Safe from any fold worker; callers decide exhaustion from the
-  /// deterministic per-stream totals, not from this global counter.
-  std::size_t charge_pieces(std::size_t n) {
-    return pieces_charged_.fetch_add(n, std::memory_order_relaxed) + n;
-  }
-  std::size_t pieces_charged() const {
-    return pieces_charged_.load(std::memory_order_relaxed);
-  }
+  /// Account `n` folded pieces; returns the post-charge total.
+  std::size_t charge_pieces(std::size_t n) { return pieces_charged_ += n; }
+  std::size_t pieces_charged() const { return pieces_charged_; }
   bool pieces_exceeded(std::size_t used) const {
     return folder_pieces != 0 && used > folder_pieces;
   }
@@ -91,20 +67,9 @@ struct RunBudget {
   }
 
  private:
-  void copy_from(const RunBudget& o) {
-    wall_ms = o.wall_ms;
-    vm_steps = o.vm_steps;
-    shadow_pages = o.shadow_pages;
-    coord_pool_words = o.coord_pool_words;
-    folder_pieces = o.folder_pieces;
-    start_ = o.start_;
-    armed_.store(o.armed(), std::memory_order_relaxed);
-    pieces_charged_.store(o.pieces_charged(), std::memory_order_relaxed);
-  }
-
   std::chrono::steady_clock::time_point start_{};
-  std::atomic<bool> armed_{false};
-  std::atomic<std::size_t> pieces_charged_{0};
+  bool armed_ = false;
+  std::size_t pieces_charged_ = 0;
 };
 
 enum class Severity : std::uint8_t { kInfo, kWarn, kError };
@@ -137,44 +102,12 @@ struct Diagnostic {
 /// Append-only log of a run's degradations. Insertion order is the
 /// pipeline's deterministic processing order, so render() is golden-
 /// testable.
-///
-/// Thread safety: add()/info()/warn()/error(), size(), empty(), count()
-/// and render() may race with each other — records are guarded by an
-/// internal mutex. all() hands out an unguarded reference and must only
-/// be called once concurrent writers have quiesced (the pipeline reads it
-/// strictly after every fan-out joined). Parallel stages that need a
-/// *deterministic* record order do not interleave into a shared log at
-/// all: each task writes a private DiagnosticLog and the stage merges
-/// them with merge_from() in its stable merge order. stable_flush() is
-/// the alternative for genuinely unordered producers — it sequences what
-/// racing threads wrote by the stable (stage, statement) key.
 class DiagnosticLog {
  public:
-  DiagnosticLog() = default;
-  DiagnosticLog(const DiagnosticLog& o) : records_(o.snapshot()) {}
-  DiagnosticLog(DiagnosticLog&& o) noexcept : records_(o.take()) {}
-  DiagnosticLog& operator=(const DiagnosticLog& o) {
-    if (this != &o) {
-      auto copy = o.snapshot();
-      std::lock_guard<std::mutex> lk(mu_);
-      records_ = std::move(copy);
-    }
-    return *this;
-  }
-  DiagnosticLog& operator=(DiagnosticLog&& o) noexcept {
-    if (this != &o) {
-      auto taken = o.take();
-      std::lock_guard<std::mutex> lk(mu_);
-      records_ = std::move(taken);
-    }
-    return *this;
-  }
-
   void add(Severity sev, Stage stage, std::string reason, int statement = -1,
            std::string region = {}) {
-    Diagnostic d{sev, stage, statement, std::move(region), std::move(reason)};
-    std::lock_guard<std::mutex> lk(mu_);
-    records_.push_back(std::move(d));
+    records_.push_back(
+        Diagnostic{sev, stage, statement, std::move(region), std::move(reason)});
   }
   void info(Stage stage, std::string reason, int statement = -1) {
     add(Severity::kInfo, stage, std::move(reason), statement);
@@ -187,30 +120,18 @@ class DiagnosticLog {
   }
 
   /// Append another log's records after this log's own, preserving the
-  /// donor's internal order. The stages' stable merge primitive: per-task
-  /// logs are merged in statement-table / sorted-dep-key order, which
-  /// reproduces the serial insertion order byte for byte.
+  /// donor's internal order.
   void merge_from(DiagnosticLog&& other) {
-    auto donated = other.take();
-    std::lock_guard<std::mutex> lk(mu_);
-    records_.insert(records_.end(), std::make_move_iterator(donated.begin()),
-                    std::make_move_iterator(donated.end()));
+    records_.insert(records_.end(),
+                    std::make_move_iterator(other.records_.begin()),
+                    std::make_move_iterator(other.records_.end()));
+    other.records_.clear();
   }
 
-  bool empty() const {
-    std::lock_guard<std::mutex> lk(mu_);
-    return records_.empty();
-  }
-  std::size_t size() const {
-    std::lock_guard<std::mutex> lk(mu_);
-    return records_.size();
-  }
-  /// Unguarded view; requires no concurrent writers (post-join reads).
+  bool empty() const { return records_.empty(); }
+  std::size_t size() const { return records_.size(); }
   const std::vector<Diagnostic>& all() const { return records_; }
-  void clear() {
-    std::lock_guard<std::mutex> lk(mu_);
-    records_.clear();
-  }
+  void clear() { records_.clear(); }
 
   std::size_t count(Severity sev) const;
   bool has_errors() const { return count(Severity::kError) > 0; }
@@ -218,23 +139,7 @@ class DiagnosticLog {
   /// One line per record, insertion order, trailing newline per line.
   std::string render() const;
 
-  /// Sequence records written by unordered concurrent producers: stable-
-  /// sort by (stage, statement) — ties keep arrival order — then render
-  /// and clear. Unlike render(), the output does not depend on thread
-  /// interleaving as long as each (stage, statement) key has one producer.
-  std::string stable_flush();
-
  private:
-  std::vector<Diagnostic> snapshot() const {
-    std::lock_guard<std::mutex> lk(mu_);
-    return records_;
-  }
-  std::vector<Diagnostic> take() {
-    std::lock_guard<std::mutex> lk(mu_);
-    return std::move(records_);
-  }
-
-  mutable std::mutex mu_;
   std::vector<Diagnostic> records_;
 };
 

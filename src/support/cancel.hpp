@@ -1,16 +1,18 @@
 // Cooperative cancellation — the robustness substrate for pp::service.
 // A CancelToken is a thread-safe, monotonic "stop now" flag with an
 // optional deadline. The pipeline checks it at stage boundaries, the VM at
-// a fixed step cadence, the fold stage at every merge position, and the
-// scheduler/oracle per fused group / region; a fired token degrades the
-// run to a diagnosed partial result (degrade-don't-die), it never aborts.
+// a fixed step cadence, the fold stage before every statement and edge,
+// and the scheduler/oracle per fused group / region; a fired token
+// degrades the run to a diagnosed partial result (degrade-don't-die), it
+// never aborts. It stays thread-safe because the run's thread is not the
+// only one touching it: clients cancel and the service watchdog expires
+// deadlines from their own threads.
 //
 // The token never un-fires: once cancelled, every observer — on any
 // thread — eventually sees it, and the first reason to fire wins. poll()
 // is the checkpoint primitive (it also evaluates the deadline, so
-// deadlines work without a watchdog); cancelled() is the cheap hot-path
-// probe (one acquire load, no clock read) for code that runs between
-// checkpoints, e.g. fold worker tasks.
+// deadlines work without a watchdog); cancelled() is the cheap probe (one
+// acquire load, no clock read) for code between checkpoints.
 #pragma once
 
 #include <atomic>

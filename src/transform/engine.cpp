@@ -377,7 +377,6 @@ void plan_pairs(const ir::Module& m, const fold::FoldedProgram& prog,
         region.name = site;
         region.stmts = pc.region;
         feedback::AnalyzeOptions aopts;
-        aopts.sched.pool = opts.pool;
         aopts.sched.cancel = opts.cancel;
         feedback::RegionMetrics mx = feedback::analyze_region(prog, region, aopts);
         std::string why;
@@ -793,8 +792,7 @@ EngineReport apply_and_measure(const ir::Module& m,
     if (!opts.force && opts.run_oracle && !p.mx.sched.groups.empty()) {
       feedback::RegionMetrics mx = p.mx;
       verify::ClaimReport claims =
-          verify::check_parallel_claims(prog, mx, /*downgrade=*/true,
-                                        opts.pool);
+          verify::check_parallel_claims(prog, mx, /*downgrade=*/true);
       if (!claims.ok()) {
         std::ostringstream why;
         why << "oracle contradicted the schedule ("

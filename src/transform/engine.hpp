@@ -33,7 +33,6 @@
 #include "fold/folded_ddg.hpp"
 #include "ir/ir.hpp"
 #include "support/cancel.hpp"
-#include "support/thread_pool.hpp"
 #include "vm/vm.hpp"
 
 namespace pp::transform {
@@ -75,7 +74,6 @@ struct Options {
   /// identity check can be demonstrated catching an illegal rewrite.
   bool force = false;
   support::CancelToken* cancel = nullptr;
-  support::ThreadPool* pool = nullptr;
 };
 
 /// One transformation that was applied and measured.

@@ -373,34 +373,19 @@ ddg::SelectivePlan compute_selective_plan(const ir::Module& m) {
   return plan;
 }
 
-std::string precision_section(const ir::Module& m,
-                              support::ThreadPool* pool) {
-  std::vector<const ir::Function*> funcs;
-  for (const ir::Function& f : m.functions)
-    if (!f.blocks.empty()) funcs.push_back(&f);
-
-  std::vector<std::string> slots(funcs.size());
-  auto render = [&](std::size_t i) {
-    const ir::Function& f = *funcs[i];
+std::string precision_section(const ir::Module& m) {
+  std::ostringstream os;
+  for (const ir::Function& f : m.functions) {
+    if (f.blocks.empty()) continue;
     const ExactDeps ex(m, f);
-    if (ex.model().accesses.empty()) return;  // slot stays empty
+    if (ex.model().accesses.empty()) continue;
     const ExactDeps::Summary s = ex.summary();
-    std::ostringstream os;
     os << "  " << f.name << ": " << s.classes[0] << " static-exact, "
        << s.classes[1] << " weakly-dynamic, " << s.classes[2]
        << " dynamic-required; " << s.pairs << " store pair(s): "
        << s.independent << " independent, " << s.dependent << " dependent, "
        << s.unknown << " undecided\n";
-    slots[i] = os.str();
-  };
-  if (pool) {
-    pool->parallel_for(funcs.size(), render);
-  } else {
-    for (std::size_t i = 0; i < funcs.size(); ++i) render(i);
   }
-
-  std::ostringstream os;
-  for (const std::string& s : slots) os << s;
   const ddg::SelectivePlan plan = compute_selective_plan(m);
   if (plan.total_sites() > 0) {
     os << "  selective plan: " << plan.total_sites()

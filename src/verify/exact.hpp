@@ -29,7 +29,6 @@
 
 #include "ddg/selective.hpp"
 #include "poly/omega.hpp"
-#include "support/thread_pool.hpp"
 #include "verify/static_deps.hpp"
 
 namespace pp::verify::exact {
@@ -116,8 +115,6 @@ ddg::SelectivePlan compute_selective_plan(const ir::Module& m);
 /// function with memory accesses (class counts + pair verdict counts) and
 /// the selective-plan summary line. A pure function of the module — it
 /// renders identically whether or not selective instrumentation ran.
-/// `pool` (optional) fans the per-function analyses out into ordered slots.
-std::string precision_section(const ir::Module& m,
-                              support::ThreadPool* pool = nullptr);
+std::string precision_section(const ir::Module& m);
 
 }  // namespace pp::verify::exact

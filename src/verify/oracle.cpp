@@ -66,32 +66,9 @@ bool reg_flow_plausible(const ir::Function& f, const FuncOracle& fo,
 }  // namespace
 
 CoverageReport check_dynamic_coverage(const ir::Module& m,
-                                      const fold::FoldedProgram& prog,
-                                      support::ThreadPool* pool) {
+                                      const fold::FoldedProgram& prog) {
   CoverageReport rep;
   std::map<int, std::unique_ptr<FuncOracle>> cache;
-  if (pool != nullptr && !pool->serial()) {
-    // Prefetch: collect every function the sweep below will consult (same
-    // filters as the sweep) and build their dataflow oracles in parallel —
-    // construction (CFG + reaching defs + may-dep set) dominates the cost.
-    // The sweep itself stays serial, so violation order is unchanged.
-    for (const fold::FoldedDep& d : prog.deps) {
-      const vm::CodeRef s = prog.stmt(d.src).meta.code;
-      const vm::CodeRef t = prog.stmt(d.dst).meta.code;
-      if (s.func != t.func || s.func < 0 ||
-          static_cast<std::size_t>(s.func) >= m.functions.size())
-        continue;
-      const ir::Function& f = m.functions[static_cast<std::size_t>(s.func)];
-      if (in_range(f, s) && in_range(f, t)) cache.emplace(s.func, nullptr);
-    }
-    std::vector<std::pair<const int, std::unique_ptr<FuncOracle>>*> slots;
-    slots.reserve(cache.size());
-    for (auto& entry : cache) slots.push_back(&entry);
-    pool->parallel_for(slots.size(), [&](std::size_t i) {
-      slots[i]->second = std::make_unique<FuncOracle>(
-          m, m.functions[static_cast<std::size_t>(slots[i]->first)]);
-    });
-  }
   auto oracle_for = [&](int func) -> FuncOracle& {
     auto& slot = cache[func];
     if (!slot)
@@ -185,28 +162,12 @@ std::string CoverageReport::str() const {
 // ---------------------------------------------------------------------------
 // Part (c): exact ⊆ may-dep — the static precision tier.
 
-PrecisionReport check_precision_tier(const ir::Module& m,
-                                     support::ThreadPool* pool) {
+PrecisionReport check_precision_tier(const ir::Module& m) {
   PrecisionReport rep;
-  std::vector<const ir::Function*> funcs;
-  for (const ir::Function& f : m.functions)
-    if (!f.blocks.empty()) funcs.push_back(&f);
-
-  // The per-function analyses (statican model + memoized Omega verdicts)
-  // dominate the cost and are independent: build them into ordered slots.
-  std::vector<std::unique_ptr<exact::ExactDeps>> deps(funcs.size());
-  auto build = [&](std::size_t i) {
-    deps[i] = std::make_unique<exact::ExactDeps>(m, *funcs[i]);
-  };
-  if (pool != nullptr && !pool->serial()) {
-    pool->parallel_for(funcs.size(), build);
-  } else {
-    for (std::size_t i = 0; i < funcs.size(); ++i) build(i);
-  }
-
-  // Serial sweep in program order: violation order is deterministic.
-  for (std::size_t fi = 0; fi < funcs.size(); ++fi) {
-    const exact::ExactDeps& ex = *deps[fi];
+  // Sweep in program order: violation order is deterministic.
+  for (const ir::Function& f : m.functions) {
+    if (f.blocks.empty()) continue;
+    const exact::ExactDeps ex(m, f);
     const auto& acc = ex.model().accesses;
     for (std::size_t i = 0; i < acc.size(); ++i) {
       for (std::size_t j = i + 1; j < acc.size(); ++j) {
@@ -222,13 +183,13 @@ PrecisionReport check_precision_tier(const ir::Module& m,
             ex.pair_verdict(x.block, x.instr, y.block, y.instr);
         if (!may && v == exact::PairVerdict::kDependent) {
           PrecisionViolation pv;
-          pv.func = funcs[fi]->id;
+          pv.func = f.id;
           pv.src_block = x.block;
           pv.src_instr = x.instr;
           pv.dst_block = y.block;
           pv.dst_instr = y.instr;
           std::ostringstream os;
-          os << funcs[fi]->name << " b" << x.block << ":i" << x.instr
+          os << f.name << " b" << x.block << ":i" << x.instr
              << " vs b" << y.block << ":i" << y.instr
              << ": may-tester proves the addresses disjoint but the exact "
                 "test finds an integer instance pair touching the same word";
@@ -526,22 +487,17 @@ struct ClaimChecker {
 }  // namespace
 
 ClaimReport check_parallel_claims(const fold::FoldedProgram& prog,
-                                  feedback::RegionMetrics& m, bool downgrade,
-                                  support::ThreadPool* pool) {
+                                  feedback::RegionMetrics& m, bool downgrade) {
   auto& groups = m.sched.groups;
   std::vector<std::set<int>> contradicted(groups.size());
-  // Groups re-validate independently: each task owns its own part report,
-  // dedup set and contradicted[gi] slot. Parts merge in group order below,
-  // so counters and witness order match the serial sweep exactly.
-  std::vector<ClaimReport> parts(groups.size());
+  ClaimReport rep;
+  ClaimChecker checker{prog, rep, contradicted, {}};
 
-  auto check_group = [&](std::size_t gi) {
+  for (std::size_t gi = 0; gi < groups.size(); ++gi) {
     const scheduler::GroupSchedule& g = groups[gi];
-    if (!g.schedulable || g.levels.empty()) return;
-    ClaimReport& part = parts[gi];
-    ClaimChecker checker{prog, part, contradicted, {}};
+    if (!g.schedulable || g.levels.empty()) continue;
     for (const auto& lv : g.levels)
-      if (lv.parallel) ++part.parallel_levels;
+      if (lv.parallel) ++rep.parallel_levels;
     std::set<int> in_group(g.stmts.begin(), g.stmts.end());
 
     for (std::size_t di = 0; di < prog.deps.size(); ++di) {
@@ -564,34 +520,18 @@ ClaimReport check_parallel_claims(const fold::FoldedProgram& prog,
           checker.check_capped(piece, g, static_cast<int>(gi), shared,
                                static_cast<int>(di), d);
         } else if (ClaimChecker::proves_clean(piece, g, shared)) {
-          part.instances_checked += *n;
-          ++part.pieces_proved;
+          rep.instances_checked += *n;
+          ++rep.pieces_proved;
         } else {
           // A possible witness: walk the instances so the witness text and
           // order are exactly those of the per-instance check.
-          ++part.pieces_enumerated;
+          ++rep.pieces_enumerated;
           checker.check_enumerated(*piece.domain.enumerate(kEnumCap), piece,
                                    g, static_cast<int>(gi), shared,
                                    static_cast<int>(di), d);
         }
       }
     }
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(groups.size(), check_group);
-  } else {
-    for (std::size_t gi = 0; gi < groups.size(); ++gi) check_group(gi);
-  }
-
-  ClaimReport rep;
-  for (ClaimReport& part : parts) {
-    rep.parallel_levels += part.parallel_levels;
-    rep.instances_checked += part.instances_checked;
-    rep.capped_pieces += part.capped_pieces;
-    rep.pieces_proved += part.pieces_proved;
-    rep.pieces_enumerated += part.pieces_enumerated;
-    for (ClaimWitness& w : part.witnesses)
-      rep.witnesses.push_back(std::move(w));
   }
 
   if (downgrade) {
@@ -654,31 +594,25 @@ std::string OracleReport::verdict_line() const {
 
 OracleReport run_oracle(const ir::Module& m, const fold::FoldedProgram& prog,
                         const std::vector<feedback::RegionMetrics*>& regions,
-                        bool downgrade, support::ThreadPool* pool,
-                        obs::Session* obs, support::CancelToken* cancel) {
+                        bool downgrade, obs::Session* obs,
+                        support::CancelToken* cancel) {
   obs::Span oracle_span(obs, "oracle:run");
   OracleReport r;
   if (cancel != nullptr && cancel->poll()) return r;
-  r.coverage = check_dynamic_coverage(m, prog, pool);
-  r.precision = check_precision_tier(m, pool);
-  // Each region's claim check touches only that region's metrics, so the
-  // checks fan out; reports land in pre-indexed slots preserving the
-  // serial (filtered) region order.
+  r.coverage = check_dynamic_coverage(m, prog);
+  r.precision = check_precision_tier(m);
+  // Each region's claim check touches only that region's metrics; reports
+  // keep the (filtered) region order.
   std::vector<std::size_t> picked;
   for (std::size_t i = 0; i < regions.size(); ++i)
     if (regions[i] != nullptr && regions[i]->analyzable) picked.push_back(i);
   r.claims.resize(picked.size());
-  auto check_region = [&](std::size_t k) {
-    // Cancelled mid-oracle: leave this region's ClaimReport empty rather
-    // than half-examined (cancelled() only — tasks never fire the token).
-    if (cancel != nullptr && cancel->cancelled()) return;
-    r.claims[k] =
-        check_parallel_claims(prog, *regions[picked[k]], downgrade, pool);
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(picked.size(), check_region);
-  } else {
-    for (std::size_t k = 0; k < picked.size(); ++k) check_region(k);
+  for (std::size_t k = 0; k < picked.size(); ++k) {
+    // Cancelled mid-oracle: leave the remaining ClaimReports empty rather
+    // than half-examined (cancelled() only — the entry poll() fires the
+    // deadline).
+    if (cancel != nullptr && cancel->cancelled()) break;
+    r.claims[k] = check_parallel_claims(prog, *regions[picked[k]], downgrade);
   }
   if (obs != nullptr && obs->enabled()) {
     obs->add("oracle.regions_checked", static_cast<i64>(picked.size()));

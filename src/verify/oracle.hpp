@@ -31,7 +31,6 @@
 #include "fold/folded_ddg.hpp"
 #include "obs/obs.hpp"
 #include "support/cancel.hpp"
-#include "support/thread_pool.hpp"
 #include "verify/static_deps.hpp"
 
 namespace pp::verify {
@@ -58,12 +57,8 @@ struct CoverageReport {
   std::string str() const;
 };
 
-/// `pool` (optional) parallelizes the per-function dataflow construction
-/// (the dominant cost); the edge sweep itself is serial, so the report —
-/// including violation order — is identical for any lane count.
 CoverageReport check_dynamic_coverage(const ir::Module& m,
-                                      const fold::FoldedProgram& prog,
-                                      support::ThreadPool* pool = nullptr);
+                                      const fold::FoldedProgram& prog);
 
 /// One exact-⊆-may nesting failure: the may-tester proved a site pair
 /// address-disjoint, yet the exact Omega test found an integer instance
@@ -87,11 +82,8 @@ struct PrecisionReport {
 };
 
 /// Compare the may-dep tester and the exact tier over every modeled
-/// store-involved site pair of every function. `pool` (optional) fans the
-/// per-function analyses out; the comparison sweep is serial in program
-/// order, so violation order is identical for any lane count.
-PrecisionReport check_precision_tier(const ir::Module& m,
-                                     support::ThreadPool* pool = nullptr);
+/// store-involved site pair of every function, in program order.
+PrecisionReport check_precision_tier(const ir::Module& m);
 
 /// One contradicted scheduler claim, with the offending dependence.
 struct ClaimWitness {
@@ -134,14 +126,10 @@ struct ClaimReport {
 /// of the folded dependences. With `downgrade` set (the default),
 /// contradicted parallel levels lose their flag and the schedule-derived
 /// metrics of `m` are recomputed via feedback::refresh_schedule_metrics.
-/// `pool` (optional) re-validates the fused groups in parallel — groups
-/// are independent (disjoint statement sets, group-local dedup), and the
-/// per-group reports merge in group order, so witnesses and counters are
-/// identical for any lane count.
+/// Witnesses come in group order.
 ClaimReport check_parallel_claims(const fold::FoldedProgram& prog,
                                   feedback::RegionMetrics& m,
-                                  bool downgrade = true,
-                                  support::ThreadPool* pool = nullptr);
+                                  bool downgrade = true);
 
 /// All three parts bundled, plus the one-line verdict full_report prints.
 struct OracleReport {
@@ -153,11 +141,7 @@ struct OracleReport {
   std::string verdict_line() const;
 };
 
-/// `pool` (optional) fans out the coverage prefetch, the per-region claim
-/// checks (each region's metrics are touched by exactly one task) and the
-/// per-group sweeps within each region. Reports collect into pre-indexed
-/// slots and merge in region order — byte-identical at any lane count.
-/// `obs` (optional) wraps the run in a span and counts regions/claims,
+/// Claim reports come in region order. `obs` (optional) wraps the run in a span and counts regions/claims,
 /// enumeration-cap hits (`verify.cap_hits`) and, as kTiming counters, the
 /// enumerable pieces proved witness-free vs walked per instance
 /// (`oracle.pieces_proved` / `oracle.pieces_enumerated`).
@@ -168,7 +152,6 @@ struct OracleReport {
 OracleReport run_oracle(const ir::Module& m, const fold::FoldedProgram& prog,
                         const std::vector<feedback::RegionMetrics*>& regions,
                         bool downgrade = true,
-                        support::ThreadPool* pool = nullptr,
                         obs::Session* obs = nullptr,
                         support::CancelToken* cancel = nullptr);
 

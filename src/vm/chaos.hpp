@@ -26,16 +26,16 @@ const char* fault_kind_name(FaultKind k);
 /// Service-level fault points — the failure surface pp::service adds on
 /// top of the event-stream faults above. These don't corrupt events; they
 /// fire a job's CancelToken (or shed it) at a deterministic structural
-/// point, so cancellation paths are testable with byte-identical partial
-/// reports at any thread count (unlike a wall-clock cancel, which lands
-/// wherever the race does).
+/// point, so cancellation paths are testable with reproducible partial
+/// reports (unlike a wall-clock cancel, which lands wherever the race
+/// does).
 enum class ServiceFault : std::uint8_t {
   kNone,              ///< no service fault injected
   kCancelAtControl,   ///< cancel fired at the stage-1 boundary
   kCancelAtDdg,       ///< cancel fired at the stage-2 boundary
   kCancelAtFold,      ///< cancel fired at the fold boundary
   kCancelAtFeedback,  ///< cancel fired entering stage 4 (report/oracle)
-  kDeadlineMidFold,   ///< deadline expires at a seeded fold merge position
+  kDeadlineMidFold,   ///< deadline expires at a seeded fold position
   kQueueFull,         ///< service admission rejects as if the queue were full
 };
 

@@ -127,7 +127,7 @@ RunResult Machine::run(const std::string& entry, const std::vector<i64>& args,
       break;
     }
     // Cancellation checkpoint: fixed step cadence, so a token fired before
-    // the run truncates at the same step ordinal at every thread count.
+    // the run truncates at the same step ordinal every time.
     if (cancel_ != nullptr && (steps & 2047u) == 0 && cancel_->poll()) {
       truncated = true;
       cancelled = true;

@@ -105,8 +105,8 @@ class Machine {
   void set_cost_model(const CostModel& cm) { cost_ = cm; }
 
   /// Cooperative cancellation: run() polls the token every ~2048 steps
-  /// (same cadence at every thread count — a pre-fired token truncates at
-  /// a deterministic step ordinal) and stops with a truncated RunResult,
+  /// (a fixed cadence — a pre-fired token truncates at a deterministic
+  /// step ordinal) and stops with a truncated RunResult,
   /// exactly like the step cap. May be null (default: never cancelled).
   void set_cancel(support::CancelToken* cancel) { cancel_ = cancel; }
 

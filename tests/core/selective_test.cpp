@@ -3,7 +3,7 @@
 // BYTE-identical to a full run — the skipped sites were proven
 // dependence-free by the exact static analysis, so no dependence edge, no
 // shadow page, no fold piece and no report byte may change. Diffing against
-// the serial full run covers the whole plan-consumption surface at once.
+// the full run covers the whole plan-consumption surface at once.
 #include <string>
 #include <vector>
 
@@ -17,10 +17,9 @@
 namespace pp {
 namespace {
 
-std::string report_with(const ir::Module& m, unsigned threads,
-                        bool selective, bool observe = false) {
+std::string report_with(const ir::Module& m, bool selective,
+                        bool observe = false) {
   core::PipelineOptions opts;
-  opts.threads = threads;
   opts.selective_instrumentation = selective;
   opts.observe = observe;
   core::ProfileResult r = core::Pipeline(m).run(opts);
@@ -31,12 +30,9 @@ class SelectiveIdentity : public testing::TestWithParam<std::string> {};
 
 TEST_P(SelectiveIdentity, ReportIsByteIdenticalToFullRun) {
   workloads::Workload wl = workloads::make_rodinia(GetParam());
-  const std::string full = report_with(wl.module, 1, false);
+  const std::string full = report_with(wl.module, false);
   EXPECT_NE(full.find("-- static precision --"), std::string::npos);
-  for (unsigned threads : {1u, 2u, 4u, 8u}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    EXPECT_EQ(full, report_with(wl.module, threads, true));
-  }
+  EXPECT_EQ(full, report_with(wl.module, true));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBenchmarks, SelectiveIdentity,
@@ -86,12 +82,11 @@ TEST(SelectiveTriad, PlanCoversEverySiteAndReportMatches) {
   EXPECT_TRUE(plan.poison_reason.empty());
   EXPECT_EQ(plan.total_sites(), 3u);
 
-  const std::string full = report_with(m, 1, false);
+  const std::string full = report_with(m, false);
   // Guard against a vacuous pass: a verifier-rejected module would yield
   // two identical *error* reports. A real profile carries this section.
   EXPECT_NE(full.find("-- static precision --"), std::string::npos);
-  EXPECT_EQ(full, report_with(m, 1, true));
-  EXPECT_EQ(full, report_with(m, 4, true));
+  EXPECT_EQ(full, report_with(m, true));
 }
 
 TEST(SelectiveTriad, ObservedStableReportMatchesToo) {
@@ -99,10 +94,9 @@ TEST(SelectiveTriad, ObservedStableReportMatchesToo) {
   // them) in the self-profile section: the reconstructed page count and
   // untouched event/dependence counters must render identically.
   const ir::Module m = make_triad();
-  const std::string full = report_with(m, 1, false, /*observe=*/true);
+  const std::string full = report_with(m, false, /*observe=*/true);
   EXPECT_NE(full.find("-- self profile --"), std::string::npos);
-  EXPECT_EQ(full, report_with(m, 1, true, /*observe=*/true));
-  EXPECT_EQ(full, report_with(m, 4, true, /*observe=*/true));
+  EXPECT_EQ(full, report_with(m, true, /*observe=*/true));
 }
 
 TEST(SelectiveTriad, SkipsAreActuallyTaken) {
@@ -111,7 +105,6 @@ TEST(SelectiveTriad, SkipsAreActuallyTaken) {
   // observable stayed put.
   const ir::Module m = make_triad();
   core::PipelineOptions base;
-  base.threads = 1;
   core::ProfileResult full = core::Pipeline(m).run(base);
   ASSERT_FALSE(full.truncated) << full.diagnostics.render();
   base.selective_instrumentation = true;
@@ -128,7 +121,6 @@ TEST(SelectiveGating, AntiOutputTrackingDisablesSkips) {
   // runs instrument fully).
   const ir::Module m = make_triad();
   core::PipelineOptions opts;
-  opts.threads = 1;
   opts.ddg.track_anti_output = true;
   core::ProfileResult full = core::Pipeline(m).run(opts);
   opts.selective_instrumentation = true;
@@ -142,7 +134,6 @@ TEST(SelectiveGating, ShadowPageBudgetDisablesSkips) {
   // replay; selective must auto-disable so degradation is identical.
   const ir::Module m = make_triad(4096);
   core::PipelineOptions opts;
-  opts.threads = 1;
   opts.budget.shadow_pages = 1;
   core::ProfileResult full = core::Pipeline(m).run(opts);
   opts.selective_instrumentation = true;
@@ -156,7 +147,6 @@ TEST(SelectiveClamp, ClampedRunsStayByteIdentical) {
   // mode, so clamped selective runs must match clamped full runs too.
   const ir::Module m = make_triad();
   core::PipelineOptions opts;
-  opts.threads = 1;
   opts.ddg.clamp_instances = 8;
   core::ProfileResult full = core::Pipeline(m).run(opts);
   opts.selective_instrumentation = true;

@@ -1,8 +1,8 @@
 // pp::obs end-to-end: the observed pipeline produces stage spans covering
 // the run, counters that agree with the result's own accounting, a
 // Perfetto-loadable Chrome trace and a run manifest, and a self-profile
-// report section that is stable across thread counts (the determinism
-// suite covers the cross-thread byte-identity; this file covers content).
+// report section whose stable rendering elides timing (the reference-
+// identity suite covers byte-identity; this file covers content).
 #include <string>
 #include <vector>
 
@@ -14,11 +14,10 @@
 namespace pp {
 namespace {
 
-core::ProfileResult observed_run(const ir::Module& m, unsigned threads) {
+core::ProfileResult observed_run(const ir::Module& m) {
   core::Pipeline pipe(m);
   core::PipelineOptions opts;
   opts.observe = true;
-  opts.threads = threads;
   return pipe.run(opts);
 }
 
@@ -26,14 +25,14 @@ TEST(SelfProfile, SessionPresentOnlyWhenObserved) {
   workloads::Workload wl = workloads::make_rodinia("backprop");
   core::Pipeline pipe(wl.module);
   EXPECT_EQ(pipe.run({}).obs, nullptr);
-  core::ProfileResult r = observed_run(wl.module, 2);
+  core::ProfileResult r = observed_run(wl.module);
   ASSERT_NE(r.obs, nullptr);
   EXPECT_TRUE(r.obs->enabled());
 }
 
 TEST(SelfProfile, StageSpansCoverEveryPipelineStage) {
   workloads::Workload wl = workloads::make_rodinia("backprop");
-  core::ProfileResult r = observed_run(wl.module, 2);
+  core::ProfileResult r = observed_run(wl.module);
   core::full_report(r);  // runs + closes the feedback stage
   std::vector<std::string> names;
   for (const obs::SpanRec& s : r.obs->stage_spans()) names.push_back(s.name);
@@ -44,7 +43,7 @@ TEST(SelfProfile, StageSpansCoverEveryPipelineStage) {
 
 TEST(SelfProfile, CountersAgreeWithResultAccounting) {
   workloads::Workload wl = workloads::make_rodinia("backprop");
-  core::ProfileResult r = observed_run(wl.module, 4);
+  core::ProfileResult r = observed_run(wl.module);
   auto cs = r.obs->counters();
   EXPECT_EQ(cs.at("ddg.dependences").value,
             static_cast<i64>(r.ddg_dependences));
@@ -55,22 +54,11 @@ TEST(SelfProfile, CountersAgreeWithResultAccounting) {
   EXPECT_EQ(cs.at("vm.instructions").value,
             static_cast<i64>(r.stats.instructions));
   EXPECT_GT(cs.at("fold.pieces").value, 0);
-  // The threaded replay streams both stages through the ring.
-  EXPECT_GT(cs.at("ring.events_consumed").value, 0);
-  EXPECT_GT(cs.at("ring.batches").value, 0);
-}
-
-TEST(SelfProfile, SerialRunHasNoRingCounters) {
-  workloads::Workload wl = workloads::make_rodinia("backprop");
-  core::ProfileResult r = observed_run(wl.module, 1);
-  auto cs = r.obs->counters();
-  EXPECT_EQ(cs.count("ring.events_consumed"), 0u);
-  EXPECT_GT(cs.at("vm.instructions").value, 0);
 }
 
 TEST(SelfProfile, ChromeTraceAndManifestExport) {
   workloads::Workload wl = workloads::make_rodinia("backprop");
-  core::ProfileResult r = observed_run(wl.module, 2);
+  core::ProfileResult r = observed_run(wl.module);
   std::string report = core::full_report(r);
 
   std::string trace = r.obs->chrome_trace_json();
@@ -82,7 +70,6 @@ TEST(SelfProfile, ChromeTraceAndManifestExport) {
 
   obs::Session::ManifestExtra extra;
   extra.workload = "backprop";
-  extra.threads = 2;
   extra.truncated = r.truncated;
   char fp[32];
   std::snprintf(fp, sizeof fp, "%016llx",
@@ -99,7 +86,7 @@ TEST(SelfProfile, ChromeTraceAndManifestExport) {
 TEST(SelfProfile, StageSpanSumIsSaneAgainstWallTime) {
   workloads::Workload wl = workloads::make_rodinia("backprop");
   const u64 t0 = obs::now_ns();
-  core::ProfileResult r = observed_run(wl.module, 2);
+  core::ProfileResult r = observed_run(wl.module);
   core::full_report(r);
   const u64 wall = obs::now_ns() - t0;
   u64 sum = 0;
@@ -114,18 +101,18 @@ TEST(SelfProfile, StageSpanSumIsSaneAgainstWallTime) {
 
 TEST(SelfProfile, StableSectionElidesTimesButTimedSectionHasThem) {
   workloads::Workload wl = workloads::make_rodinia("backprop");
-  core::ProfileResult r = observed_run(wl.module, 4);
+  core::ProfileResult r = observed_run(wl.module);
   core::ReportOptions stable;
   std::string s = core::full_report(r, stable);
   EXPECT_NE(s.find("-- self profile --"), std::string::npos);
   EXPECT_NE(s.find("stage ddg: wall - cpu -"), std::string::npos);
-  EXPECT_EQ(s.find("pool.steals"), std::string::npos);
+  EXPECT_EQ(s.find("fold.cache_hits"), std::string::npos);
 
   core::ReportOptions timed;
   timed.stable_self_profile = false;
   std::string t = core::full_report(r, timed);
   EXPECT_NE(t.find("stage ddg: wall "), std::string::npos);
-  EXPECT_NE(t.find("pool.tasks"), std::string::npos);
+  EXPECT_NE(t.find("fold.cache_hits"), std::string::npos);
 }
 
 }  // namespace

@@ -448,7 +448,6 @@ class WorkloadBoxBounds : public ::testing::TestWithParam<std::string> {};
 TEST_P(WorkloadBoxBounds, FoldedPiecesMatchSimplex) {
   workloads::Workload wl = workloads::make_rodinia(GetParam());
   core::PipelineOptions opts;
-  opts.threads = 1;
   core::Pipeline pipe(wl.module);
   core::ProfileResult r = pipe.run(opts);
   u64 box_queries = 0;

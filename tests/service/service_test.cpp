@@ -19,9 +19,7 @@ namespace {
 std::string serial_report(const ir::Module& m,
                           const core::PipelineOptions& base = {},
                           double min_fraction = 0.05) {
-  core::PipelineOptions opts = base;
-  opts.threads = 1;
-  core::ProfileResult r = core::Pipeline(m).run(opts);
+  core::ProfileResult r = core::Pipeline(m).run(base);
   return core::full_report(r, core::ReportOptions{min_fraction});
 }
 
@@ -34,9 +32,7 @@ JobRequest request_for(const ir::Module& m, const std::string& name) {
 
 TEST(Service, SubmittedJobMatchesSerialReport) {
   workloads::Workload wl = workloads::make_rodinia("pathfinder");
-  ServerOptions sopts;
-  sopts.pool_threads = 4;
-  Server server(sopts);
+  Server server;
 
   JobHandle job = server.submit(request_for(wl.module, "pathfinder"));
   const JobOutcome& out = job->wait();
@@ -56,9 +52,7 @@ TEST(Service, SubmittedJobMatchesSerialReport) {
 
 TEST(Service, CacheHitServedWithoutReprofiling) {
   workloads::Workload wl = workloads::make_rodinia("nw");
-  ServerOptions sopts;
-  sopts.pool_threads = 2;
-  Server server(sopts);
+  Server server;
 
   JobHandle first = server.submit(request_for(wl.module, "nw"));
   first->wait();
@@ -77,12 +71,9 @@ TEST(Service, CacheHitServedWithoutReprofiling) {
   EXPECT_EQ(st.completed, 1u);  // executed once, served twice
 }
 
-TEST(Service, CacheKeyDistinguishesOptionsButNotThreads) {
+TEST(Service, CacheKeyDistinguishesOptions) {
   workloads::Workload wl = workloads::make_rodinia("nw");
   JobRequest a = request_for(wl.module, "nw");
-  JobRequest b = a;
-  b.pipeline.threads = 7;  // thread count must NOT change the key
-  EXPECT_EQ(Server::fingerprint(a), Server::fingerprint(b));
 
   JobRequest c = a;
   c.pipeline.fold.max_pieces = 8;
@@ -94,6 +85,47 @@ TEST(Service, CacheKeyDistinguishesOptionsButNotThreads) {
   workloads::Workload other = workloads::make_rodinia("pathfinder");
   JobRequest e = request_for(other.module, "nw");
   EXPECT_NE(Server::fingerprint(a), Server::fingerprint(e));
+
+  // The transformation engine's switch and every knob that changes its
+  // report section.
+  JobRequest t = a;
+  t.pipeline.apply_transforms = true;
+  EXPECT_NE(Server::fingerprint(a), Server::fingerprint(t));
+  JobRequest tile = t;
+  tile.pipeline.transform.tile = 8;
+  EXPECT_NE(Server::fingerprint(t), Server::fingerprint(tile));
+  JobRequest steps = t;
+  steps.pipeline.transform.max_steps = 1000;
+  EXPECT_NE(Server::fingerprint(t), Server::fingerprint(steps));
+  JobRequest no_oracle = t;
+  no_oracle.pipeline.transform.run_oracle = false;
+  EXPECT_NE(Server::fingerprint(t), Server::fingerprint(no_oracle));
+  JobRequest force = t;
+  force.pipeline.transform.force = true;
+  EXPECT_NE(Server::fingerprint(t), Server::fingerprint(force));
+  JobRequest cost = t;
+  cost.pipeline.transform.cost.miss_penalty = 1;
+  EXPECT_NE(Server::fingerprint(t), Server::fingerprint(cost));
+}
+
+// A plain run in the cache must not answer a transformation job: the
+// second job is re-profiled and carries the `-- transformation --` section
+// a direct run has.
+TEST(Service, ApplyTransformsJobIsNotServedFromPlainCache) {
+  workloads::Workload wl = workloads::make_rodinia("backprop");
+  Server server;
+  JobRequest plain = request_for(wl.module, "backprop");
+  EXPECT_EQ(server.submit(plain)->wait().state, JobState::kCompleted);
+
+  JobRequest transformed = plain;
+  transformed.pipeline.apply_transforms = true;
+  JobHandle job = server.submit(transformed);
+  const JobOutcome& out = job->wait();
+  EXPECT_EQ(out.state, JobState::kCompleted);
+  EXPECT_FALSE(out.from_cache);
+  EXPECT_NE(out.report.find("-- transformation --"), std::string::npos);
+  EXPECT_EQ(out.report, serial_report(wl.module, transformed.pipeline));
+  EXPECT_EQ(server.stats().cache_hits, 0u);
 }
 
 TEST(Service, ChaosCancelledJobDeliversDeterministicPartialReport) {
@@ -101,9 +133,7 @@ TEST(Service, ChaosCancelledJobDeliversDeterministicPartialReport) {
   JobRequest req = request_for(wl.module, "pathfinder");
   req.pipeline.chaos.service = vm::ServiceFault::kCancelAtDdg;
 
-  ServerOptions sopts;
-  sopts.pool_threads = 2;
-  Server server(sopts);
+  Server server;
   JobHandle job = server.submit(req);
   const JobOutcome& out = job->wait();
 
@@ -116,7 +146,6 @@ TEST(Service, ChaosCancelledJobDeliversDeterministicPartialReport) {
   // The partial report is the same one the library yields one-shot.
   support::CancelToken token;
   core::PipelineOptions direct = req.pipeline;
-  direct.threads = 1;
   direct.cancel = &token;
   core::ProfileResult r = core::Pipeline(wl.module).run(direct);
   EXPECT_EQ(out.report, core::full_report(r, core::ReportOptions{}));
@@ -129,9 +158,7 @@ TEST(Service, DeadlineExpiresLongJob) {
   JobRequest req = request_for(wl.module, "cfd");
   req.deadline_ms = 1;  // cfd takes tens of milliseconds
 
-  ServerOptions sopts;
-  sopts.pool_threads = 2;
-  Server server(sopts);
+  Server server;
   JobHandle job = server.submit(req);
   const JobOutcome& out = job->wait();
 
@@ -145,9 +172,7 @@ TEST(Service, DeadlineExpiresLongJob) {
 
 TEST(Service, ClientCancelStopsJobWithoutHanging) {
   workloads::Workload wl = workloads::make_rodinia("cfd");
-  ServerOptions sopts;
-  sopts.pool_threads = 2;
-  Server server(sopts);
+  Server server;
   JobHandle job = server.submit(request_for(wl.module, "cfd"));
   job->cancel();
   const JobOutcome& out = job->wait();
@@ -176,7 +201,6 @@ TEST(Service, OverloadDowngradeCollapsesFoldAndDisablesOracle) {
   workloads::Workload wl = workloads::make_rodinia("pathfinder");
   ServerOptions sopts;
   sopts.executors = 1;
-  sopts.pool_threads = 2;
   sopts.high_watermark = 1;  // overloaded from the first admission
   sopts.low_watermark = 0;   // and never recovers
   Server server(sopts);
@@ -201,7 +225,6 @@ TEST(Service, QueueOverflowShedsWhenSaturated) {
   workloads::Workload fast = workloads::make_rodinia("nw");
   ServerOptions sopts;
   sopts.executors = 1;
-  sopts.pool_threads = 2;
   sopts.queue_capacity = 2;
   sopts.cache = false;  // identical fast jobs must all really queue
   Server server(sopts);
@@ -239,9 +262,7 @@ TEST(Service, TransientChaosRetriedToCleanCompletion) {
   req.chaos_transient = true;  // the fault does not recur on retry
   req.max_attempts = 3;
 
-  ServerOptions sopts;
-  sopts.pool_threads = 2;
-  Server server(sopts);
+  Server server;
   JobHandle job = server.submit(req);
   const JobOutcome& out = job->wait();
 
@@ -259,9 +280,7 @@ TEST(Service, PersistentChaosExhaustsRetriesWithPartialReport) {
   req.pipeline.chaos.seed = 7;
   req.max_attempts = 2;  // chaos_transient off: the fault recurs
 
-  ServerOptions sopts;
-  sopts.pool_threads = 2;
-  Server server(sopts);
+  Server server;
   JobHandle job = server.submit(req);
   const JobOutcome& out = job->wait();
   EXPECT_EQ(out.state, JobState::kCompleted);
@@ -275,7 +294,6 @@ TEST(Service, PersistentChaosExhaustsRetriesWithPartialReport) {
 TEST(Service, ObservedJobCarriesRunManifest) {
   workloads::Workload wl = workloads::make_rodinia("nw");
   ServerOptions sopts;
-  sopts.pool_threads = 2;
   sopts.observe_jobs = true;
   Server server(sopts);
   JobHandle job = server.submit(request_for(wl.module, "nw"));
@@ -294,7 +312,6 @@ TEST(Service, ShutdownDrainsQueuedJobs) {
   workloads::Workload wl = workloads::make_rodinia("nw");
   ServerOptions sopts;
   sopts.executors = 1;
-  sopts.pool_threads = 2;
   sopts.cache = false;
   Server server(sopts);
   std::vector<JobHandle> jobs;
@@ -314,7 +331,6 @@ TEST(Service, ShutdownCancelPendingStopsEverything) {
   workloads::Workload wl = workloads::make_rodinia("cfd");
   ServerOptions sopts;
   sopts.executors = 1;
-  sopts.pool_threads = 2;
   sopts.cache = false;
   Server server(sopts);
   std::vector<JobHandle> jobs;

@@ -46,6 +46,30 @@ TEST(RunBudget, WallClockNeedsArming) {
   (void)b.wall_exceeded();
 }
 
+TEST(RunBudget, ChargePiecesAccumulates) {
+  RunBudget budget;
+  budget.folder_pieces = 1000;
+  for (int i = 0; i < 256; ++i) budget.charge_pieces(5);
+  EXPECT_EQ(budget.pieces_charged(), 256u * 5u);
+  EXPECT_TRUE(budget.pieces_exceeded(budget.pieces_charged()));
+  EXPECT_FALSE(budget.pieces_exceeded(1000));
+}
+
+TEST(RunBudget, CopyCarriesArmingAndCharges) {
+  RunBudget budget;
+  budget.wall_ms = 50000;
+  budget.arm();
+  budget.charge_pieces(7);
+  RunBudget copy = budget;
+  EXPECT_TRUE(copy.armed());
+  EXPECT_EQ(copy.pieces_charged(), 7u);
+  EXPECT_EQ(copy.wall_ms, 50000u);
+  RunBudget assigned;
+  assigned = copy;
+  EXPECT_TRUE(assigned.armed());
+  EXPECT_EQ(assigned.pieces_charged(), 7u);
+}
+
 TEST(Diagnostic, RendersDeterministically) {
   Diagnostic d;
   d.severity = Severity::kError;
@@ -82,6 +106,30 @@ TEST(DiagnosticLog, InsertionOrderAndCounts) {
   log.clear();
   EXPECT_TRUE(log.empty());
   EXPECT_FALSE(log.has_errors());
+}
+
+TEST(DiagnosticLog, MergeFromPreservesDonorOrder) {
+  DiagnosticLog task_a, task_b, merged;
+  task_a.warn(Stage::kFold, "a1", 0);
+  task_a.error(Stage::kFold, "a2", 0);
+  task_b.warn(Stage::kFold, "b1", 1);
+  merged.info(Stage::kSetup, "start");
+  merged.merge_from(std::move(task_a));
+  merged.merge_from(std::move(task_b));
+  EXPECT_EQ(merged.render(),
+            "[info] setup: start\n"
+            "[warn] fold: a1 (statement S0)\n"
+            "[error] fold: a2 (statement S0)\n"
+            "[warn] fold: b1 (statement S1)\n");
+}
+
+TEST(DiagnosticLog, CopyAndMoveCarryRecords) {
+  DiagnosticLog log;
+  log.error(Stage::kDdg, "trap", 2);
+  DiagnosticLog copy = log;
+  EXPECT_EQ(copy.render(), log.render());
+  DiagnosticLog moved = std::move(log);
+  EXPECT_EQ(moved.size(), 1u);
 }
 
 }  // namespace

@@ -364,7 +364,6 @@ TEST(Oracle, ProofFirstCountersAreTimingOnly) {
   // in the session, absent from stable self-profile reports.
   workloads::Workload w = workloads::make_rodinia("hotspot");
   core::PipelineOptions opts;
-  opts.threads = 1;
   opts.observe = true;
   core::Pipeline pipe(w.module);
   core::ProfileResult r = pipe.run(opts);

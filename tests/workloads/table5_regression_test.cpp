@@ -88,7 +88,7 @@ INSTANTIATE_TEST_SUITE_P(AllBenchmarks, Table5Regression,
                          });
 
 TEST(Table5Regression, ConcurrentPipelinesAreDeterministic) {
-  // The Table 5 bench sweeps benchmarks on a thread pool; pipelines must
+  // The Table 5 bench sweeps benchmarks concurrently; pipelines must
   // not share hidden state. Run the same benchmark concurrently and
   // compare headline numbers against a serial run.
   Workload w = make_rodinia("kmeans");
