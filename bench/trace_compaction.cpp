@@ -89,10 +89,6 @@ Run one_run(const ir::Module& m, bool compaction) {
   core::PipelineOptions opts;
   opts.observe = true;
   opts.path_compaction = compaction;
-  // The selective-instrumentation plan (exact LP analysis) runs inside
-  // the ddg stage span and costs the same on both sides; leaving it on
-  // would dilute the measured compaction ratio with a constant term.
-  opts.selective_instrumentation = false;
   const u64 t0 = obs::now_ns();
   core::ProfileResult r = pipe.run(opts);
   std::string report = core::full_report(r);

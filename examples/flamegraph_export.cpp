@@ -4,6 +4,10 @@
 //
 //   $ ./flamegraph_export nw
 //   $ ./flamegraph_export            # lists available benchmarks
+//
+// A missing or unknown benchmark name prints the usage line with the
+// available benchmarks on stderr and exits 2.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
@@ -14,12 +18,13 @@
 using namespace pp;
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    std::printf("usage: %s <benchmark>\navailable:", argv[0]);
-    for (const auto& n : workloads::rodinia_names())
-      std::printf(" %s", n.c_str());
-    std::printf("\n");
-    return 1;
+  const auto& names = workloads::rodinia_names();
+  if (argc < 2 ||
+      std::find(names.begin(), names.end(), argv[1]) == names.end()) {
+    std::fprintf(stderr, "usage: %s <benchmark>\navailable:", argv[0]);
+    for (const auto& n : names) std::fprintf(stderr, " %s", n.c_str());
+    std::fprintf(stderr, "\n");
+    return 2;
   }
   workloads::Workload w = workloads::make_rodinia(argv[1]);
   std::printf("profiling %s ...\n", w.name.c_str());

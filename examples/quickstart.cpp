@@ -3,20 +3,13 @@
 // transformation feedback.
 //
 //   $ ./quickstart [--trace-out F] [--manifest-out F] [--stable]
-//                  [--selective] [--no-path-compaction]
-//                  [--apply-transforms] [workload]
+//                  [--no-path-compaction] [--apply-transforms] [workload]
 //
 // --apply-transforms closes the loop: after profiling, the transformation
 // engine (pp::transform) applies the schedules the profile justifies to a
 // copy of the module, re-runs it under the VM cost model, and prints the
 // measured speedup next to the scheduler's prediction — with a byte-
 // identity check on the program output.
-//
-// --selective turns on selective instrumentation: the exact static
-// dependence analysis (verify::exact) proves access sites dependence-free
-// before stage 2, and the profiler skips shadow-memory tracking for them.
-// Also byte-identical by construction — the line printed above the report
-// shows how many sites the plan covers.
 //
 // --no-path-compaction disables hot-path trace compaction (the Ball-Larus
 // path cache that replays re-executed loop iterations into the DDG in
@@ -33,7 +26,9 @@
 // name (e.g. backprop, hotspot, srad_v1) instead of the built-in example:
 // a matrix-vector product with the loops in the "wrong" order
 // (column-major walk of a row-major matrix) — the classic situation the
-// profiler's interchange feedback exists for.
+// profiler's interchange feedback exists for. An unknown name prints the
+// usage line with the available workloads and exits 2.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -42,7 +37,6 @@
 #include "core/pipeline.hpp"
 #include "ir/builder.hpp"
 #include "obs/obs.hpp"
-#include "verify/exact.hpp"
 #include "workloads/workloads.hpp"
 
 using namespace pp;
@@ -109,6 +103,18 @@ static ir::Module build_matvec(i64 n) {
   return m;
 }
 
+static int usage(const char* argv0) {
+  std::fprintf(stderr,
+               "usage: %s [--trace-out F] [--manifest-out F] [--stable] "
+               "[--no-path-compaction] [--apply-transforms] [workload]\n"
+               "available:",
+               argv0);
+  for (const std::string& n : workloads::rodinia_names())
+    std::fprintf(stderr, " %s", n.c_str());
+  std::fprintf(stderr, "\n");
+  return 2;
+}
+
 static bool write_file(const char* path, const std::string& content) {
   std::ofstream out(path, std::ios::binary);
   out << content;
@@ -119,7 +125,6 @@ int main(int argc, char** argv) {
   const char* trace_out = nullptr;
   const char* manifest_out = nullptr;
   bool stable = false;
-  bool selective = false;
   bool path_compaction = true;
   bool apply_transforms = false;
   std::string workload;
@@ -130,8 +135,6 @@ int main(int argc, char** argv) {
       manifest_out = argv[++i];
     } else if (std::strcmp(argv[i], "--stable") == 0) {
       stable = true;
-    } else if (std::strcmp(argv[i], "--selective") == 0) {
-      selective = true;
     } else if (std::strcmp(argv[i], "--no-path-compaction") == 0) {
       path_compaction = false;
     } else if (std::strcmp(argv[i], "--apply-transforms") == 0) {
@@ -139,14 +142,13 @@ int main(int argc, char** argv) {
     } else if (argv[i][0] != '-' && workload.empty()) {
       workload = argv[i];
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--trace-out F] [--manifest-out F] [--stable] "
-                   "[--selective] [--no-path-compaction] "
-                   "[--apply-transforms] [workload]\n",
-                   argv[0]);
-      return 2;
+      return usage(argv[0]);
     }
   }
+  const auto& names = workloads::rodinia_names();
+  if (!workload.empty() &&
+      std::find(names.begin(), names.end(), workload) == names.end())
+    return usage(argv[0]);
   ir::Module m;
   if (workload.empty()) {
     std::printf("polyprof quickstart: profiling a j-outer/i-inner matvec\n\n");
@@ -160,15 +162,8 @@ int main(int argc, char** argv) {
   // The whole pipeline is two lines.
   core::PipelineOptions opts;
   opts.observe = trace_out != nullptr || manifest_out != nullptr;
-  opts.selective_instrumentation = selective;
   opts.path_compaction = path_compaction;
   opts.apply_transforms = apply_transforms;
-  if (selective) {
-    const ddg::SelectivePlan plan = verify::exact::compute_selective_plan(m);
-    std::printf("selective instrumentation: %zu access site(s) proven "
-                "dependence-free, shadow tracking skipped for them\n\n",
-                plan.total_sites());
-  }
   const u64 t0 = obs::now_ns();
   core::Pipeline pipe(m);
   core::ProfileResult r = pipe.run(opts);

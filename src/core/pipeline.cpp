@@ -185,23 +185,13 @@ ProfileResult Pipeline::run(const PipelineOptions& opts) {
   ddg_opts.budget = &budget;
   ddg_opts.diag = &res.diagnostics;
   // The transformation engine's legality checks (fusion distances, sunk
-  // loads) need WAR/WAW edges; anti/output tracking in turn vetoes
-  // selective instrumentation and path compaction below.
+  // loads) need WAR/WAW edges; anti/output tracking in turn vetoes path
+  // compaction below.
   if (opts.apply_transforms) ddg_opts.track_anti_output = true;
   // Trace compaction: the builder itself vetoes incompatible
   // configurations (anti/output tracking, per-event budget caps), so the
   // flag can be forwarded unconditionally.
   ddg_opts.path_compaction = opts.path_compaction;
-  // Selective instrumentation: compute the dependence-free plan and hand
-  // it to the builder. Declared at this scope — the builder keeps a
-  // pointer for the whole replay. Deliberately NOT observed (no span, no
-  // counter): the observed report must stay byte-identical to a full run.
-  ddg::SelectivePlan splan;
-  if (opts.selective_instrumentation && !ddg_opts.track_anti_output &&
-      budget.shadow_pages == 0) {
-    splan = verify::exact::compute_selective_plan(module_);
-    if (splan.total_sites() > 0) ddg_opts.selective = &splan;
-  }
   ddg::DdgBuilder builder(module_, res.control, &sink, ddg_opts);
   {
     vm::Machine machine(module_);
@@ -259,7 +249,6 @@ ProfileResult Pipeline::run(const PipelineOptions& opts) {
     }
     if (builder.budget_exhausted()) res.truncated = true;
   }
-  builder.materialize_skipped_pages();
   res.statements = builder.statements();
   res.ddg_dependences = builder.dependences_emitted();
   res.shadow_pages = builder.shadow().pages_live();
@@ -561,10 +550,8 @@ std::string full_report(const ProfileResult& r, const ReportOptions& ropts) {
   os << "\n";
 
   // The precision tier above the baseline: exact (Omega-test) pairwise
-  // verdicts, the three-way statement classification, and the selective-
-  // instrumentation plan. A pure function of the module — rendered whether
-  // or not the run actually skipped anything, so selective and full runs
-  // stay byte-identical.
+  // verdicts and the three-way statement classification. A pure function
+  // of the module.
   os << "-- static precision --\n";
   if (r.module == nullptr) {
     os << "unavailable (module not retained)\n";

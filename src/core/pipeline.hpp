@@ -42,15 +42,6 @@ struct PipelineOptions {
   /// degrade paths; kNone in production). Stage 1 is never chaos-wrapped,
   /// so the control structure stays intact under injected faults.
   vm::ChaosOptions chaos;
-  /// Selective instrumentation: before stage 2, run the exact static
-  /// dependence analysis (verify::exact) and skip shadow-memory tracking
-  /// for access sites proven dependence-free. Pure optimization — the
-  /// full_report is byte-identical to a full run by construction (the
-  /// skipped sites could never have produced a dependence edge, and the
-  /// shadow page count is reconstructed from recorded store addresses).
-  /// Silently ignored when it could be observable: anti/output tracking
-  /// on, or a shadow-page budget set (skips would move its trip point).
-  bool selective_instrumentation = false;
   /// Hot-path trace compaction (vm::PathCache + bulk DDG replay): loop
   /// iterations re-executing an already-recorded Ball-Larus path with
   /// affine value/address recurrences are swallowed into compressed runs
@@ -88,9 +79,8 @@ struct PipelineOptions {
   /// copy of the module, A/B-measure under the engine's cost model, and
   /// enforce the output-identity contract. Forces
   /// DdgOptions::track_anti_output (the legality checks need WAR/WAW
-  /// edges), which in turn disables selective instrumentation and path
-  /// compaction for the run. full_report gains a `-- transformation --`
-  /// section.
+  /// edges), which in turn disables path compaction for the run.
+  /// full_report gains a `-- transformation --` section.
   bool apply_transforms = false;
   /// Engine knobs (tile size, measurement cost model, oracle gate) used
   /// when `apply_transforms` is set; `cancel` is plumbed from the run.

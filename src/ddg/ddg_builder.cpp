@@ -184,24 +184,6 @@ void DdgBuilder::reg_dep(const ShadowFrame& frame, ir::Reg r,
                        dst.stmt, dst_coords, slot);
 }
 
-bool DdgBuilder::stmt_skipped(int stmt, const Statement& s) {
-  if (opts_.selective == nullptr || opts_.track_anti_output) return false;
-  const std::size_t i = static_cast<std::size_t>(stmt);
-  if (i >= skip_cache_.size()) skip_cache_.resize(i + 1, -1);
-  if (skip_cache_[i] < 0) {
-    skip_cache_[i] = opts_.selective->skip(s.code.func, s.code.block,
-                                           s.code.instr)
-                         ? 1
-                         : 0;
-  }
-  return skip_cache_[i] != 0;
-}
-
-void DdgBuilder::materialize_skipped_pages() {
-  for (const i64 a : skipped_store_addrs_) shadow_.touch(a);
-  skipped_store_addrs_.clear();
-}
-
 void DdgBuilder::mem_dep(DepKind kind, const Occurrence& src,
                          const Occurrence& dst,
                          std::span<const i64> dst_coords) {
@@ -315,33 +297,21 @@ void DdgBuilder::on_instr(const vm::InstrEvent& ev) {
       ShadowMemory::Record& r = shadow_.touch(ev.address);
       if (!clamped && r.writer.valid()) mem_dep(DepKind::kMemFlow, r.writer, occ, coords);
       r.reader = occ;
-    } else if (stmt_skipped(stmt, s)) {
-      // Proven dependence-free: no store in the run can have written this
-      // word, so the lookup could never find a writer.
-      ++mem_skipped_;
     } else if (!clamped) {
       if (const Occurrence* w = shadow_.read(ev.address))
         mem_dep(DepKind::kMemFlow, *w, occ, coords);
     }
   } else if (in.op == ir::Op::kStore) {
     PP_CHECK((ev.address & 7) == 0, "unaligned VM store address");
-    if (stmt_skipped(stmt, s)) {
-      // Proven dependence-free: no load in the run ever consults this
-      // word's record, so the writer update is unobservable. Keep only the
-      // address — materialize_skipped_pages() reconstructs pages_live.
-      skipped_store_addrs_.push_back(ev.address);
-      ++mem_skipped_;
-    } else {
-      ShadowMemory::Record& r = shadow_.touch(ev.address);
-      if (!clamped && opts_.track_anti_output) {
-        if (r.writer.valid()) mem_dep(DepKind::kOutput, r.writer, occ, coords);
-        if (r.reader.valid()) mem_dep(DepKind::kAnti, r.reader, occ, coords);
-      }
-      r.writer = occ;
-      // The store kills the pending read: the next store to this word must
-      // not report an anti dependence from a reader that preceded this one.
-      r.reader = Occurrence{};
+    ShadowMemory::Record& r = shadow_.touch(ev.address);
+    if (!clamped && opts_.track_anti_output) {
+      if (r.writer.valid()) mem_dep(DepKind::kOutput, r.writer, occ, coords);
+      if (r.reader.valid()) mem_dep(DepKind::kAnti, r.reader, occ, coords);
     }
+    r.writer = occ;
+    // The store kills the pending read: the next store to this word must
+    // not report an anti dependence from a reader that preceded this one.
+    r.reader = Occurrence{};
   }
 
   // Producer bookkeeping (always, even when clamped — later instances
@@ -548,8 +518,7 @@ void DdgBuilder::expand_path_run(const vm::PathTemplate& tp,
   // Memory phase. Shadow state changes in exact instance order unless the
   // slots are provably order-independent: all addresses affine and the
   // word intervals of distinct slots pairwise disjoint — then each slot
-  // replays in one strided page-walk. Selective-plan skips never touch
-  // shadow and are handled separately.
+  // replays in one strided page-walk.
   struct MemRef {
     std::size_t i;
     int stmt;
@@ -585,23 +554,6 @@ void DdgBuilder::expand_path_run(const vm::PathTemplate& tp,
     } else {
       m.addrs = &run.collect[static_cast<std::size_t>(sl.collect_a)];
       batched_ok = false;
-    }
-    const Statement& st = table_.stmt(sl.stmt);
-    if (stmt_skipped(sl.stmt, st)) {
-      // Mirror the reference path exactly: skipped loads only count;
-      // skipped stores also park their addresses for page realization.
-      if (m.store) {
-        if (m.affine) {
-          i64 a = m.base;
-          for (u64 t = 0; t < m.n; ++t, a += m.stride)
-            skipped_store_addrs_.push_back(a);
-        } else {
-          for (u64 t = 0; t < m.n; ++t)
-            skipped_store_addrs_.push_back((*m.addrs)[t]);
-        }
-      }
-      mem_skipped_ += m.n;
-      continue;
     }
     mem.push_back(m);
   }

@@ -20,7 +20,6 @@
 
 #include "cfg/loop_events.hpp"
 #include "cfg/path_numbering.hpp"
-#include "ddg/selective.hpp"
 #include "vm/path_cache.hpp"
 #include "ddg/shadow.hpp"
 #include "ddg/statement.hpp"
@@ -115,14 +114,6 @@ struct DdgOptions {
   const support::RunBudget* budget = nullptr;
   /// Destination for the (single) budget-exhaustion diagnostic.
   support::DiagnosticLog* diag = nullptr;
-  /// Selective instrumentation (verify::exact::compute_selective_plan):
-  /// access sites proven dependence-free skip shadow-memory work entirely.
-  /// Loads skip the whole lookup; stores only append their address to a
-  /// flat vector so materialize_skipped_pages() can reconstruct the shadow
-  /// page count. Ignored when track_anti_output is set (skips would drop
-  /// WAR/WAW edges the plan does not reason about). The plan must outlive
-  /// the builder.
-  const SelectivePlan* selective = nullptr;
   /// Hot-path trace compaction (vm::PathCache): recognize re-executed
   /// loop-body paths whose values/addresses follow affine per-iteration
   /// recurrences and replay whole runs in bulk instead of per instruction.
@@ -175,13 +166,6 @@ class DdgBuilder : public vm::Observer, private vm::PathHost {
     if (pc_ != nullptr) pc_->flush();
   }
 
-  /// Memory events whose shadow work the selective plan elided.
-  u64 memory_events_skipped() const { return mem_skipped_; }
-  /// Touch the shadow words of every skipped store so pages_live matches a
-  /// full run exactly. Call once after the replay, before reading shadow
-  /// statistics.
-  void materialize_skipped_pages();
-
  private:
   void reg_dep(const ShadowFrame& frame, ir::Reg r, const Occurrence& dst,
                std::span<const i64> dst_coords, int slot);
@@ -225,12 +209,6 @@ class DdgBuilder : public vm::Observer, private vm::PathHost {
   int ctx_id_ = -1;
   support::CoordRef coord_cache_;
   std::vector<i64> coord_scratch_;
-  bool stmt_skipped(int stmt, const Statement& s);
-  /// Per-statement skip verdict (-1 unknown, else 0/1): the plan lookup is
-  /// a set query, too slow for once-per-event.
-  std::vector<signed char> skip_cache_;
-  std::vector<i64> skipped_store_addrs_;
-  u64 mem_skipped_ = 0;
   std::set<int> clamped_;
   u64 deps_emitted_ = 0;
   bool budget_exhausted_ = false;

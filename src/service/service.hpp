@@ -173,8 +173,7 @@ class Server {
   /// FNV-1a fingerprint of a job's module + workload + options — the
   /// result-cache key. Every option that changes the report is included:
   /// budgets, chaos, fold/ddg options and the transformation engine's
-  /// switch and knobs. Pure optimizations (path compaction, selective
-  /// instrumentation) are not.
+  /// switch and knobs. Pure optimizations (path compaction) are not.
   static u64 fingerprint(const JobRequest& req);
 
  private:

@@ -1,7 +1,6 @@
 #include "verify/exact.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <sstream>
 
 #include "poly/polyhedron.hpp"
@@ -49,8 +48,8 @@ struct PairSystem {
   bool comparable = false;
 };
 
-PairSystem pair_system(const AccessInfo& x, const FunctionModel& fmx,
-                       const AccessInfo& y, const FunctionModel& fmy) {
+PairSystem pair_system(const AccessInfo& x, const AccessInfo& y,
+                       const FunctionModel& fm) {
   PairSystem s;
   if (!x.affine || !y.affine || !comparable_bases(x, y)) return s;
   const auto cx = coeff_list(x);
@@ -62,16 +61,16 @@ PairSystem pair_system(const AccessInfo& x, const FunctionModel& fmx,
   for (const auto& [l, c] : cx) {
     s.x_loops.push_back(l);
     ec[v] = c;
-    const auto it = fmx.bounds.find(l);
-    if (it != fmx.bounds.end() && it->second.known)
+    const auto it = fm.bounds.find(l);
+    if (it != fm.bounds.end() && it->second.known)
       p.bound_var(v, it->second.lo, it->second.hi);
     ++v;
   }
   for (const auto& [l, c] : cy) {
     s.y_loops.push_back(l);
     ec[v] = -c;
-    const auto it = fmy.bounds.find(l);
-    if (it != fmy.bounds.end() && it->second.known)
+    const auto it = fm.bounds.find(l);
+    if (it != fm.bounds.end() && it->second.known)
       p.bound_var(v, it->second.lo, it->second.hi);
     ++v;
   }
@@ -126,8 +125,8 @@ PairVerdict ExactDeps::verdict_by_index(std::size_t i, std::size_t j) const {
   const std::size_t n = model().accesses.size();
   const std::size_t key = i * n + j;
   if (cached_[key]) return cache_[key];
-  const PairVerdict v = verdict_of(pair_system(
-      model().accesses[i], model(), model().accesses[j], model()));
+  const PairVerdict v = verdict_of(
+      pair_system(model().accesses[i], model().accesses[j], model()));
   cached_[key] = true;
   cache_[key] = v;
   return v;
@@ -149,8 +148,8 @@ std::optional<DepVector> ExactDeps::dep_vector(int src_block, int src_instr,
   const std::size_t j = index_of(dst_block, dst_instr);
   const std::size_t n = model().accesses.size();
   if (i >= n || j >= n) return std::nullopt;
-  const PairSystem s = pair_system(model().accesses[i], model(),
-                                   model().accesses[j], model());
+  const PairSystem s =
+      pair_system(model().accesses[i], model().accesses[j], model());
   if (!s.comparable) return std::nullopt;
   if (poly::integer_feasible(s.p) == poly::Feas::kInfeasible)
     return std::nullopt;
@@ -273,106 +272,6 @@ ExactDeps::Summary ExactDeps::summary() const {
   return s;
 }
 
-ddg::SelectivePlan compute_selective_plan(const ir::Module& m) {
-  ddg::SelectivePlan plan;
-  plan.funcs.resize(m.functions.size());
-
-  struct Site {
-    int func = -1;
-    const AccessInfo* a = nullptr;
-    const FunctionModel* fm = nullptr;
-    i128 wlo = 0, whi = 0;  ///< inclusive shadow-word range (byte >> 3)
-  };
-  std::vector<FunctionModel> models(m.functions.size());
-  std::vector<Site> sites;
-  for (const ir::Function& f : m.functions) {
-    if (f.blocks.empty()) continue;
-    auto& fm = models[static_cast<std::size_t>(f.id)];
-    fm = statican::model_function(m, f);
-    for (const AccessInfo& a : fm.accesses) {
-      bool known = a.modeled && a.base_arg < 0;
-      i128 lo = a.offset, hi = a.offset;
-      if (known) {
-        for (const auto& [l, c] : a.coeffs) {
-          if (c == 0) continue;
-          const auto it = fm.bounds.find(l);
-          if (it == fm.bounds.end() || !it->second.known) {
-            known = false;
-            break;
-          }
-          const i128 cl = c;
-          if (cl > 0) {
-            lo += cl * it->second.lo;
-            hi += cl * it->second.hi;
-          } else {
-            lo += cl * it->second.hi;
-            hi += cl * it->second.lo;
-          }
-        }
-      }
-      if (!known) {
-        // One unanalyzable access could touch any address: poison the
-        // whole plan, remembering the first offender (program order, so
-        // the reason is deterministic).
-        if (plan.poison_reason.empty()) {
-          plan.poison_reason = f.name + " b" + std::to_string(a.block) +
-                               ":i" + std::to_string(a.instr) +
-                               " not statically bounded (" +
-                               statican::access_class_name(a.cls) + ")";
-        }
-        continue;
-      }
-      sites.push_back({f.id, &a, &fm, floor_div(lo, 8), floor_div(hi, 8)});
-    }
-  }
-  if (!plan.poison_reason.empty()) return plan;
-
-  // Word-range overlap components: sort by range start and sweep. Ranges
-  // are inclusive, so a site joins the open component iff wlo <= cur_hi.
-  std::vector<std::size_t> order(sites.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    const Site& x = sites[a];
-    const Site& y = sites[b];
-    return std::tie(x.wlo, x.whi, x.func, x.a->block, x.a->instr) <
-           std::tie(y.wlo, y.whi, y.func, y.a->block, y.a->instr);
-  });
-  std::vector<std::vector<std::size_t>> comps;
-  i128 cur_hi = 0;
-  for (const std::size_t idx : order) {
-    if (comps.empty() || sites[idx].wlo > cur_hi) {
-      comps.emplace_back();
-      cur_hi = sites[idx].whi;
-    } else {
-      cur_hi = std::max(cur_hi, sites[idx].whi);
-    }
-    comps.back().push_back(idx);
-  }
-
-  for (const std::vector<std::size_t>& comp : comps) {
-    bool free_of_deps = true;
-    for (std::size_t i = 0; i < comp.size() && free_of_deps; ++i) {
-      for (std::size_t j = i + 1; j < comp.size(); ++j) {
-        const Site& x = sites[comp[i]];
-        const Site& y = sites[comp[j]];
-        if (x.a->is_store == y.a->is_store) continue;  // flow needs both
-        const PairSystem s = pair_system(*x.a, *x.fm, *y.a, *y.fm);
-        if (verdict_of(s) != PairVerdict::kIndependent) {
-          free_of_deps = false;
-          break;
-        }
-      }
-    }
-    if (!free_of_deps) continue;
-    ++plan.groups;
-    for (const std::size_t idx : comp) {
-      plan.funcs[static_cast<std::size_t>(sites[idx].func)].sites.insert(
-          {sites[idx].a->block, sites[idx].a->instr});
-    }
-  }
-  return plan;
-}
-
 std::string precision_section(const ir::Module& m) {
   std::ostringstream os;
   for (const ir::Function& f : m.functions) {
@@ -385,16 +284,6 @@ std::string precision_section(const ir::Module& m) {
        << " dynamic-required; " << s.pairs << " store pair(s): "
        << s.independent << " independent, " << s.dependent << " dependent, "
        << s.unknown << " undecided\n";
-  }
-  const ddg::SelectivePlan plan = compute_selective_plan(m);
-  if (plan.total_sites() > 0) {
-    os << "  selective plan: " << plan.total_sites()
-       << " skippable site(s) in " << plan.groups
-       << " dependence-free group(s)\n";
-  } else if (!plan.poison_reason.empty()) {
-    os << "  selective plan: empty (" << plan.poison_reason << ")\n";
-  } else {
-    os << "  selective plan: empty (no dependence-free group)\n";
   }
   return os.str();
 }

@@ -16,18 +16,18 @@
 //   * the three-way statement classification (statican::AccessClass): a
 //     kStaticExact candidate keeps the class only when EVERY store-involved
 //     pair it participates in is decided — otherwise it is downgraded to
-//     kWeaklyDynamic,
-//   * the module-wide selective-instrumentation plan: word-range overlap
-//     components in which every (store, load) pair is proven independent
-//     (see ddg/selective.hpp for the full byte-identity contract), and
+//     kWeaklyDynamic, and
 //   * the deterministic "-- static precision --" report section.
+//
+// Consumers: the soundness oracle's precision tier (dynamic ⊆ exact ⊆ may,
+// verify/oracle.hpp) and the report section. Nothing here changes what
+// stage 2 records: every memory access goes through shadow memory.
 #pragma once
 
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "ddg/selective.hpp"
 #include "poly/omega.hpp"
 #include "verify/static_deps.hpp"
 
@@ -104,17 +104,9 @@ class ExactDeps {
   mutable std::vector<bool> cached_;
 };
 
-/// Module-wide selective-instrumentation plan (contract in
-/// ddg/selective.hpp): dependence-free word-range overlap components of
-/// reach-known accesses. Any access that is not reach-known — non-affine,
-/// reasons on its block, argument base, or unknown IV bounds — poisons the
-/// whole plan, because it could touch any address.
-ddg::SelectivePlan compute_selective_plan(const ir::Module& m);
-
 /// The deterministic "-- static precision --" report section: one line per
-/// function with memory accesses (class counts + pair verdict counts) and
-/// the selective-plan summary line. A pure function of the module — it
-/// renders identically whether or not selective instrumentation ran.
+/// function with memory accesses (class counts + pair verdict counts). A
+/// pure function of the module.
 std::string precision_section(const ir::Module& m);
 
 }  // namespace pp::verify::exact

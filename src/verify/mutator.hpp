@@ -48,8 +48,7 @@ Mutation mutate(ir::Module& m, DefectClass cls, u64 seed);
 /// Semantics-preserving access-class mutations, the exact analysis's
 /// false-negative guard: flip a kStaticExact access site down the
 /// classification lattice without changing what the program computes, then
-/// assert the classifier downgrades it and the selective plan refuses to
-/// skip it.
+/// assert the classifier downgrades it.
 enum class AccessMutation : std::uint8_t {
   /// Launder the block's branch condition through loaded data: the block
   /// gains reason 'B' (data-dependent conditional) and the access drops to

@@ -6,9 +6,6 @@
 // cancellation at a structural point — must be reproducible: a repeat run
 // yields the same partial report byte for byte, which is what lets the
 // service compare a degraded job against a direct run.
-//
-// The suite and test names are older than the serial pipeline; they are
-// kept so these tests' ids stay stable.
 #include <string>
 
 #include "core/pipeline.hpp"
@@ -23,12 +20,12 @@ std::string report(const ir::Module& m, const core::PipelineOptions& opts = {}) 
   return core::full_report(r);
 }
 
-class ParallelDeterminism : public testing::TestWithParam<std::string> {};
+class ReferenceIdentity : public testing::TestWithParam<std::string> {};
 
 // With observe on, the report grows a "-- self profile --" section whose
 // stable rendering (times elided, kStable counters only) is reproducible
 // run to run — and except for that section, matches the unobserved report.
-TEST_P(ParallelDeterminism, ObservedStableReportIsByteIdenticalToo) {
+TEST_P(ReferenceIdentity, ObservedStableReportIsByteIdenticalToo) {
   workloads::Workload wl = workloads::make_rodinia(GetParam());
   core::PipelineOptions observed;
   observed.observe = true;
@@ -42,7 +39,7 @@ TEST_P(ParallelDeterminism, ObservedStableReportIsByteIdenticalToo) {
 // Hot-path trace compaction is a pure optimization: the report with
 // path_compaction off (the reference interpretation) must be byte-equal
 // to the compacted one.
-TEST_P(ParallelDeterminism, CompactionIsByteIdenticalOnOffAcrossThreads) {
+TEST_P(ReferenceIdentity, CompactionIsByteIdenticalOnOff) {
   workloads::Workload wl = workloads::make_rodinia(GetParam());
   core::PipelineOptions off;
   off.path_compaction = false;
@@ -51,7 +48,7 @@ TEST_P(ParallelDeterminism, CompactionIsByteIdenticalOnOffAcrossThreads) {
   EXPECT_EQ(report(wl.module, off), report(wl.module, on));
 }
 
-INSTANTIATE_TEST_SUITE_P(AllBenchmarks, ParallelDeterminism,
+INSTANTIATE_TEST_SUITE_P(AllBenchmarks, ReferenceIdentity,
                          testing::ValuesIn(workloads::rodinia_names()),
                          [](const auto& info) {
                            std::string n = info.param;
@@ -64,7 +61,7 @@ INSTANTIATE_TEST_SUITE_P(AllBenchmarks, ParallelDeterminism,
 // like the reference: the chaos interposer sits upstream of the
 // compactor, so the fault fires on the same event ordinal either way and
 // the armed run flushes at the same point.
-TEST(ParallelDeterminismChaos, FaultInsideCompressedRunMatchesReference) {
+TEST(ReferenceIdentityChaos, FaultInsideCompressedRunMatchesReference) {
   workloads::Workload wl = workloads::make_rodinia("pathfinder");
   for (vm::FaultKind kind :
        {vm::FaultKind::kTruncate, vm::FaultKind::kUnmatchedReturn,
@@ -80,7 +77,7 @@ TEST(ParallelDeterminismChaos, FaultInsideCompressedRunMatchesReference) {
   }
 }
 
-TEST(ParallelDeterminismChaos, DegradedRunsMatchSerialReference) {
+TEST(ReferenceIdentityChaos, DegradedRunsMatchSerialReference) {
   workloads::Workload wl = workloads::make_rodinia("pathfinder");
   for (vm::FaultKind kind :
        {vm::FaultKind::kTruncate, vm::FaultKind::kUnmatchedReturn,
@@ -97,7 +94,7 @@ TEST(ParallelDeterminismChaos, DegradedRunsMatchSerialReference) {
 
 // A folder-piece budget degrades statements in statement-table order, so
 // the same statement degrades on every run.
-TEST(ParallelDeterminismBudget, PieceBudgetDegradesIdentically) {
+TEST(ReferenceIdentityBudget, PieceBudgetDegradesIdentically) {
   workloads::Workload wl = workloads::make_rodinia("srad_v1");
   core::PipelineOptions opts;
   opts.budget.folder_pieces = 24;
@@ -121,7 +118,7 @@ std::string cancelled_report(const ir::Module& m, vm::ServiceFault fault,
   return report(m, opts);
 }
 
-TEST(ParallelDeterminismCancel, CancelledRunsMatchSerialReference) {
+TEST(ReferenceIdentityCancel, CancelledRunsMatchSerialReference) {
   workloads::Workload wl = workloads::make_rodinia("pathfinder");
   for (vm::ServiceFault fault :
        {vm::ServiceFault::kCancelAtControl, vm::ServiceFault::kCancelAtDdg,
@@ -136,7 +133,7 @@ TEST(ParallelDeterminismCancel, CancelledRunsMatchSerialReference) {
 
 // The seeded mid-fold deadline lands on different fold positions for
 // different seeds; every one of them must be reproducible.
-TEST(ParallelDeterminismCancel, MidFoldDeadlineSeedSweep) {
+TEST(ReferenceIdentityCancel, MidFoldDeadlineSeedSweep) {
   workloads::Workload wl = workloads::make_rodinia("srad_v1");
   for (u64 seed : {u64{0}, u64{1}, u64{2}, u64{3}}) {
     SCOPED_TRACE("seed=" + std::to_string(seed));

@@ -26,25 +26,25 @@ struct Pin {
 // the only kernels.
 const std::map<std::string, Pin>& pins() {
   static const std::map<std::string, Pin> table = {
-      {"backprop", {0x217da5a961be7d59ull, 0xc4f7cc41f3bdbf2full}},
-      {"bfs", {0xe840d55d110ab6d8ull, 0x29f24b347b8bf4a2ull}},
-      {"b+tree", {0xc1095b2cf99977e2ull, 0x9fff4993d8659edbull}},
-      {"cfd", {0x16b59e22684df5e9ull, 0x3d4ab4a3ac6dafb9ull}},
-      {"heartwall", {0xa48d92b32b6d31c6ull, 0xea05fa492c757ea5ull}},
-      {"hotspot", {0x320235e4b8a17a7cull, 0x3b1d844e4fe953a3ull}},
-      {"hotspot3D", {0x34460c2a33f30092ull, 0x63695e76dfd209d4ull}},
-      {"kmeans", {0xb8463183affe20d9ull, 0x5793fde84f954ae1ull}},
-      {"lavaMD", {0x35bb631ea7be51c2ull, 0xf1462c2b571fd2f3ull}},
-      {"leukocyte", {0xb93adeba5427d43eull, 0xaa43371866665230ull}},
-      {"lud", {0xf4df23c67e4ccd2bull, 0x75c4d16b2b32130aull}},
-      {"myocyte", {0x0f0050fdaa84e156ull, 0x6e96774595819bccull}},
-      {"nn", {0xcabe6c989b574285ull, 0x516b68013495212cull}},
-      {"nw", {0x4b6be9f5b69aa45eull, 0x195df0554de586b4ull}},
-      {"particlefilter", {0xa3b2f76b57b8c3ccull, 0x6f953031ceb30e6aull}},
-      {"pathfinder", {0x4417da048e3fd6d1ull, 0x909ee09798b22286ull}},
-      {"srad_v1", {0x06c8f2c4b64d1305ull, 0x51bd640ec77cec00ull}},
-      {"srad_v2", {0x02415da444460ef1ull, 0x47e9b1b9bde786fdull}},
-      {"streamcluster", {0xc5e795aac3a8d36aull, 0x0f58607d4e5ece2aull}},
+      {"backprop", {0x8ec9664748a784cfull, 0x71b5e8ebedf8c4e9ull}},
+      {"bfs", {0xae10c2b08f325341ull, 0x88970d3b41298641ull}},
+      {"b+tree", {0x91a57496fc6abb15ull, 0x404723c72d73d6f6ull}},
+      {"cfd", {0x6ad04d56617d5780ull, 0x15ff04337347fa52ull}},
+      {"heartwall", {0x81ea42cdfd5b55e3ull, 0x8f25a3234da2f27cull}},
+      {"hotspot", {0x22330e6ccdba1945ull, 0xd05bcc317c864780ull}},
+      {"hotspot3D", {0x1ddc2f71a66ceac7ull, 0xe49fea79b27ca807ull}},
+      {"kmeans", {0xf9571e25b8f5c212ull, 0xd1e3babf721c9f4cull}},
+      {"lavaMD", {0x4c1a3265bc4ecd57ull, 0xf7033e0f028c6a28ull}},
+      {"leukocyte", {0xbf1468bf92ff5cffull, 0x2d42c05e6b681b07ull}},
+      {"lud", {0x376c1e4a0087e111ull, 0xbf83e14bd436de5aull}},
+      {"myocyte", {0x47a0d1d57424f403ull, 0x658955e9e441de3full}},
+      {"nn", {0xc1707d4751563f1cull, 0xad0833f7ad8fd2fdull}},
+      {"nw", {0x2ed8c46629c221d5ull, 0x1e4b7f66b4f9c33bull}},
+      {"particlefilter", {0xcfbd287e9c01fc6cull, 0x91adb82216d7b8f6ull}},
+      {"pathfinder", {0x4659d81a5984ced2ull, 0x3424522f85b25851ull}},
+      {"srad_v1", {0x42ccf9a293f3d462ull, 0xe19e426776d69219ull}},
+      {"srad_v2", {0x5977b61e9f8c5d5aull, 0xb0ea1ff53e9f474eull}},
+      {"streamcluster", {0xe244495bf2148ccbull, 0x7d3211e4ea0a7025ull}},
   };
   return table;
 }

@@ -207,95 +207,6 @@ TEST(SiteClasses, UndecidablePartnerDowngradesCandidates) {
   EXPECT_EQ(ex.site_class(sb, si), statican::AccessClass::kWeaklyDynamic);
 }
 
-// --- selective plan -----------------------------------------------------
-
-TEST(SelectivePlan, DisjointArraysAreSkippable) {
-  // out[i] = a[i] + b[i] over three disjoint globals: three dependence-free
-  // components (two load-only, one store-only), every site skippable.
-  Module m;
-  const i64 ga = m.add_global("a", 128);
-  const i64 gb = m.add_global("b", 128);
-  const i64 go = m.add_global("out", 128);
-  Function& f = m.add_function("main", 0);
-  Builder b(m, f);
-  b.set_block(b.make_block());
-  Reg ra = b.const_(ga);
-  Reg rb = b.const_(gb);
-  Reg ro = b.const_(go);
-  Reg n = b.const_(10);
-  b.counted_loop(0, n, 1, [&](Reg iv) {
-    Reg off = b.muli(iv, 8);
-    Reg x = b.load(b.add(ra, off));
-    Reg y = b.load(b.add(rb, off));
-    b.store(b.add(ro, off), b.add(x, y));
-  });
-  b.ret();
-
-  const ddg::SelectivePlan plan = compute_selective_plan(m);
-  EXPECT_TRUE(plan.poison_reason.empty());
-  EXPECT_EQ(plan.total_sites(), 3u);
-  EXPECT_EQ(plan.groups, 3u);
-}
-
-TEST(SelectivePlan, OverlappingDependentPairBlocksItsComponent) {
-  EvenOdd eo;
-  // store a[2i] and load a[2i] conflict: their shared component is not
-  // dependence-free, and it also swallows the independent odd load.
-  const ddg::SelectivePlan plan = compute_selective_plan(eo.m);
-  EXPECT_TRUE(plan.poison_reason.empty());
-  EXPECT_EQ(plan.total_sites(), 0u);
-  EXPECT_EQ(plan.groups, 0u);
-}
-
-TEST(SelectivePlan, StrideInterleavedButIndependentIsSkippable) {
-  // store a[2i], load a[2i+1]: word ranges interleave (one component) but
-  // the integer test proves every pair independent — skippable, which no
-  // range-based argument could justify.
-  Module m;
-  const i64 g = m.add_global("a", 400);
-  Function& f = m.add_function("main", 0);
-  Builder b(m, f);
-  b.set_block(b.make_block());
-  Reg base = b.const_(g);
-  Reg n = b.const_(10);
-  b.counted_loop(0, n, 1, [&](Reg iv) {
-    Reg p = b.add(base, b.muli(iv, 16));
-    b.store(p, iv);
-    b.load(p, 8);
-  });
-  b.ret();
-
-  const ddg::SelectivePlan plan = compute_selective_plan(m);
-  EXPECT_TRUE(plan.poison_reason.empty());
-  EXPECT_EQ(plan.total_sites(), 2u);
-  EXPECT_EQ(plan.groups, 1u);
-}
-
-TEST(SelectivePlan, UnboundedAccessPoisonsTheWholePlan) {
-  // A non-affine access could touch any address: even the provably
-  // disjoint sites elsewhere must stay instrumented.
-  Module m;
-  const i64 g = m.add_global("a", 400);
-  const i64 go = m.add_global("out", 128);
-  Function& f = m.add_function("main", 0);
-  Builder b(m, f);
-  b.set_block(b.make_block());
-  Reg base = b.const_(g);
-  Reg ro = b.const_(go);
-  Reg n = b.const_(5);
-  b.counted_loop(0, n, 1, [&](Reg iv) {
-    Reg p = b.add(base, b.mul(iv, iv));
-    b.load(p);
-    b.store(b.add(ro, b.muli(iv, 8)), iv);
-  });
-  b.ret();
-
-  const ddg::SelectivePlan plan = compute_selective_plan(m);
-  EXPECT_EQ(plan.total_sites(), 0u);
-  EXPECT_NE(plan.poison_reason.find("not statically bounded"),
-            std::string::npos);
-}
-
 // --- report section -----------------------------------------------------
 
 TEST(PrecisionSection, DeterministicOnAllRodiniaWorkloads) {
@@ -307,7 +218,8 @@ TEST(PrecisionSection, DeterministicOnAllRodiniaWorkloads) {
     const workloads::Workload w = workloads::make_rodinia(name);
     const std::string first = precision_section(w.module);
     EXPECT_EQ(first, precision_section(w.module)) << name;
-    EXPECT_NE(first.find("selective plan:"), std::string::npos) << name;
+    // Non-vacuity: the per-function tally is rendered for every workload.
+    EXPECT_NE(first.find("static-exact"), std::string::npos) << name;
   }
 }
 

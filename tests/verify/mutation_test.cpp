@@ -76,11 +76,11 @@ INSTANTIATE_TEST_SUITE_P(
 // -----------------------------------------------------------------------
 // Access-class mutations: the exact analysis's false-negative guard. A
 // kStaticExact site flipped down the lattice must (a) keep the module
-// verifier-clean (the flips are semantics-preserving), (b) be downgraded
-// by the classifier, and (c) never be skipped by the selective plan.
+// verifier-clean (the flips are semantics-preserving) and (b) be
+// downgraded by the classifier.
 
-/// a[i] = i*3 over a private global: one provably skippable store.
-ir::Module skippable_kernel() {
+/// a[i] = i*3 over a private global: one static-exact store.
+ir::Module static_exact_kernel() {
   ir::Module m;
   i64 g = m.add_global("a", 65 * 8);
   ir::Function& f = m.add_function("main", 0);
@@ -98,13 +98,18 @@ ir::Module skippable_kernel() {
 class AccessMutationMatrix
     : public ::testing::TestWithParam<AccessMutation> {};
 
-TEST_P(AccessMutationMatrix, FlipsSkippableSiteAndSelectiveRefuses) {
+TEST_P(AccessMutationMatrix, FlipsStaticExactSiteAndClassifierDowngrades) {
   const AccessMutation cls = GetParam();
   for (u64 seed : {u64{1}, u64{7}, u64{42}}) {
-    ir::Module m = skippable_kernel();
-    // Baseline: the store really is skippable before the flip.
-    ASSERT_TRUE(
-        verify::exact::compute_selective_plan(m).total_sites() > 0u);
+    ir::Module m = static_exact_kernel();
+    {
+      // Baseline: the store really is static-exact before the flip.
+      const exact::ExactDeps ex(m, m.functions[0]);
+      ASSERT_EQ(ex.model().accesses.size(), 1u);
+      const statican::AccessInfo& a = ex.model().accesses[0];
+      ASSERT_EQ(ex.site_class(a.block, a.instr),
+                statican::AccessClass::kStaticExact);
+    }
     AccessMutationResult mu = mutate_access(m, cls, seed);
     ASSERT_GE(mu.func, 0) << access_mutation_name(cls);
     ASSERT_TRUE(verify_module(m).ok())
@@ -113,10 +118,6 @@ TEST_P(AccessMutationMatrix, FlipsSkippableSiteAndSelectiveRefuses) {
         m.functions[static_cast<std::size_t>(mu.func)];
     exact::ExactDeps ex(m, f);
     EXPECT_EQ(ex.site_class(mu.block, mu.instr), expected_access_class(cls))
-        << access_mutation_name(cls) << " seed " << seed << ": "
-        << mu.description;
-    ddg::SelectivePlan plan = verify::exact::compute_selective_plan(m);
-    EXPECT_FALSE(plan.skip(mu.func, mu.block, mu.instr))
         << access_mutation_name(cls) << " seed " << seed << ": "
         << mu.description;
   }
@@ -138,10 +139,6 @@ TEST_P(AccessMutationMatrix, DowngradesAcrossWorkloads) {
       exact::ExactDeps ex(w.module, f);
       EXPECT_EQ(ex.site_class(mu.block, mu.instr),
                 expected_access_class(cls))
-          << name << " seed " << seed << ": " << mu.description;
-      ddg::SelectivePlan plan =
-          verify::exact::compute_selective_plan(w.module);
-      EXPECT_FALSE(plan.skip(mu.func, mu.block, mu.instr))
           << name << " seed " << seed << ": " << mu.description;
     }
   }
