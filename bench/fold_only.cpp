@@ -1,13 +1,15 @@
-// Fold-stage microbench: record one workload's DDG event stream (the
-// exact on_instruction / on_dependence sequence Instrumentation II
-// emits), then time FoldingSink consumption + finalize() alone. This
+// Fold-stage microbench: record each mini-Rodinia workload's DDG event
+// stream (the exact on_instruction / on_dependence sequence
+// Instrumentation II emits), then time FoldingSink consumption +
+// finalize() alone, per workload and summed over the suite. This
 // isolates stage 3 from the VM and the DDG builder, which is the right
 // lens for folder-asymptotics work — cfd's seed profile spent 3.6 s of a
 // 3.8 s pipeline inside fold, so pipeline-level timing is mostly noise
 // around the folder.
 //
 //   $ ./fold_only            # human-readable table
-//   $ ./fold_only --json     # {"workloads":[...],"pass":..}; exit 1 on fail
+//   $ ./fold_only --json     # {"workloads":[...],"suite_fold_ms":..,"pass":..}
+//                            # exit 1 on fail
 //
 // scripts/check.sh runs the --json mode and gates on `pass`: the cfd
 // fold wall time must stay under a committed budget (min-of-N to keep
@@ -15,20 +17,23 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "fold/folded_ddg.hpp"
 #include "obs/obs.hpp"
 #include "trace_replay.hpp"
+#include "workloads/workloads.hpp"
 
 using namespace pp;
 
 namespace {
 
 // The regression budget for the recorded cfd stream. Seed folded it in
-// ~3660 ms; the stride-run/closed-form-count folder does it in ~25 ms.
-// 400 ms leaves >10x headroom over the measured time for slow CI boxes
-// while still failing loudly on any asymptotic regression.
+// ~3660 ms; the stride-run/closed-form-count folder does it in ~100-150 ms
+// (min of 5, Release and RelWithDebInfo, on a shared 4-vCPU Xeon host).
+// 400 ms leaves ~3x headroom for slow CI boxes while still failing loudly
+// on any asymptotic regression.
 constexpr double kCfdBudgetMs = 400.0;
 constexpr int kReps = 5;
 
@@ -124,16 +129,15 @@ DdgStream record_stream(const char* workload) {
 }
 
 struct Result {
-  const char* workload;
+  std::string workload;
   u64 events;
   double fold_ms;
   u64 pieces;
-  u64 cache_hits;
 };
 
-Result time_fold(const char* workload) {
-  DdgStream s = record_stream(workload);
-  Result r{workload, s.events.size(), 1e300, 0, 0};
+Result time_fold(const std::string& workload) {
+  DdgStream s = record_stream(workload.c_str());
+  Result r{workload, s.events.size(), 1e300, 0};
   for (int i = 0; i < kReps; ++i) {
     fold::FoldingSink sink{fold::FolderOptions{}};
     const u64 t0 = obs::now_ns();
@@ -147,7 +151,6 @@ Result time_fold(const char* workload) {
                 st.addresses.pieces().size();
     for (const auto& d : prog.deps) pieces += d.relation.pieces().size();
     r.pieces = pieces;
-    r.cache_hits = sink.cache().hits();
   }
   return r;
 }
@@ -165,13 +168,15 @@ int main(int argc, char** argv) {
     }
   }
 
-  const char* kWorkloads[] = {"cfd", "heartwall"};
   std::vector<Result> results;
-  for (const char* w : kWorkloads) results.push_back(time_fold(w));
+  for (const std::string& w : workloads::rodinia_names())
+    results.push_back(time_fold(w));
 
-  double cfd_ms = 0;
-  for (const Result& r : results)
-    if (std::strcmp(r.workload, "cfd") == 0) cfd_ms = r.fold_ms;
+  double cfd_ms = 0, suite_ms = 0;
+  for (const Result& r : results) {
+    if (r.workload == "cfd") cfd_ms = r.fold_ms;
+    suite_ms += r.fold_ms;
+  }
   const bool pass = cfd_ms <= kCfdBudgetMs;
 
   if (json) {
@@ -179,24 +184,22 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < results.size(); ++i) {
       const Result& r = results[i];
       std::printf("%s{\"workload\": \"%s\", \"events\": %llu, "
-                  "\"fold_ms\": %.3f, \"pieces\": %llu, "
-                  "\"cache_hits\": %llu}",
-                  i ? ", " : "", r.workload,
+                  "\"fold_ms\": %.3f, \"pieces\": %llu}",
+                  i ? ", " : "", r.workload.c_str(),
                   static_cast<unsigned long long>(r.events), r.fold_ms,
-                  static_cast<unsigned long long>(r.pieces),
-                  static_cast<unsigned long long>(r.cache_hits));
+                  static_cast<unsigned long long>(r.pieces));
     }
-    std::printf("], \"cfd_budget_ms\": %.1f, \"pass\": %s}\n", kCfdBudgetMs,
-                pass ? "true" : "false");
+    std::printf("], \"suite_fold_ms\": %.3f, \"cfd_budget_ms\": %.1f, "
+                "\"pass\": %s}\n",
+                suite_ms, kCfdBudgetMs, pass ? "true" : "false");
   } else {
     std::printf("fold-only wall time (recorded DDG streams, min of %d)\n",
                 kReps);
     for (const Result& r : results)
-      std::printf("  %-10s %10llu events  %9.3f ms  %6llu pieces  "
-                  "%8llu cache hits\n",
-                  r.workload, static_cast<unsigned long long>(r.events),
-                  r.fold_ms, static_cast<unsigned long long>(r.pieces),
-                  static_cast<unsigned long long>(r.cache_hits));
+      std::printf("  %-14s %10llu events  %9.3f ms  %6llu pieces\n",
+                  r.workload.c_str(), static_cast<unsigned long long>(r.events),
+                  r.fold_ms, static_cast<unsigned long long>(r.pieces));
+    std::printf("  %-14s %28.3f ms\n", "suite total", suite_ms);
     std::printf("  cfd budget %.1f ms -> %s\n", kCfdBudgetMs,
                 pass ? "PASS" : "FAIL");
   }

@@ -59,7 +59,7 @@ namespace {
 
 constexpr int kReps = 5;
 /// hotspot, heartwall and backprop compress 96-97% of their instruction
-/// stream; the bulk DDG replay plus chained-run folding must pay off by
+/// stream; the bulk DDG replay plus stride-run folding must pay off by
 /// at least this factor on the serial ddg stage (measured 2.1-2.6x; the
 /// margin absorbs host load — see the file comment for why the shared
 /// interpreter floor caps the ratio well below the compression ratio).

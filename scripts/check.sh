@@ -185,7 +185,7 @@ if [[ $RUN_TESTS -eq 1 ]]; then
   fi
 
   # ---- 3c. fold regression gate (default flavor only) --------------------
-  # bench/fold_only replays recorded cfd + heartwall DDG streams into a
+  # bench/fold_only replays every workload's recorded DDG stream into a
   # FoldingSink and times fold alone; it exits nonzero when the cfd fold
   # wall time exceeds its committed budget (see kCfdBudgetMs), catching
   # folder asymptotic regressions that full-pipeline timing would blur.

@@ -108,9 +108,7 @@ u64 FoldedProgram::fully_affine_ops() const {
   return n;
 }
 
-FoldingSink::FoldingSink(FolderOptions opts) : opts_(opts) {
-  if (opts_.cache == nullptr) opts_.cache = &cache_;
-}
+FoldingSink::FoldingSink(FolderOptions opts) : opts_(opts) {}
 
 void FoldingSink::mark_degraded(const std::set<int>& stmt_ids) {
   degraded_.insert(stmt_ids.begin(), stmt_ids.end());
@@ -447,12 +445,6 @@ FoldedProgram FoldingSink::finalize(const ddg::StatementTable& table) {
               static_cast<i64>(prog.pruned_dep_edges));
     obs_->set("fold.degraded_statements",
               static_cast<i64>(prog.degraded_statements));
-    // Cache counters are timing-class (excluded from the stable report):
-    // they describe how the fold was computed, not what it produced.
-    obs_->set("fold.cache_hits", static_cast<i64>(cache_.hits()),
-              obs::Stability::kTiming);
-    obs_->set("fold.cache_misses", static_cast<i64>(cache_.misses()),
-              obs::Stability::kTiming);
   }
   return prog;
 }

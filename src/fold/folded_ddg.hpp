@@ -131,10 +131,6 @@ class FoldingSink : public ddg::DdgSink {
   /// the same statement.
   void set_chaos_deadline_at(std::size_t pos) { chaos_deadline_at_ = pos; }
 
-  /// The sink-wide canonical-piece cache shared by every folder this sink
-  /// creates (unless FolderOptions carried an external one).
-  const FoldCache& cache() const { return cache_; }
-
   /// Fold everything and build the program. `table` must be the
   /// DdgBuilder's statement table from the same run. A pp::Error thrown by
   /// one statement's (or edge's) folder degrades that statement (or edge)
@@ -158,10 +154,6 @@ class FoldingSink : public ddg::DdgSink {
   };
 
   FolderOptions opts_;
-  /// Cross-statement piece interning: folders of every statement and
-  /// dependence key share it, so identical closed chunks (same canonical
-  /// form) fold once.
-  FoldCache cache_;
   std::map<int, StmtStreams> stmts_;
   std::unordered_map<DepKey, std::unique_ptr<Folder>, DepKeyHash> deps_;
   std::set<int> degraded_;

@@ -32,34 +32,6 @@ bool lex_greater(std::span<const i64> point, const std::vector<i64>& prev) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// FoldCache
-
-std::size_t FoldCache::KeyHash::operator()(const Key& k) const {
-  // FNV-1a over the key words.
-  u64 h = 14695981039346656037ull;
-  for (u64 w : k) {
-    h ^= w;
-    h *= 1099511628211ull;
-  }
-  return static_cast<std::size_t>(h);
-}
-
-std::shared_ptr<const poly::Piece> FoldCache::find(const Key& key) const {
-  auto it = map_.find(key);
-  if (it == map_.end()) {
-    ++misses_;
-    return nullptr;
-  }
-  ++hits_;
-  return it->second;
-}
-
-void FoldCache::insert(Key key, std::shared_ptr<const poly::Piece> piece) {
-  if (map_.size() >= kMaxEntries) return;
-  map_.emplace(std::move(key), std::move(piece));
-}
-
-// ---------------------------------------------------------------------------
 // Folder
 
 Folder::Folder(std::size_t in_dim, std::size_t label_dim, FolderOptions opts)
@@ -269,7 +241,6 @@ void Folder::refit(Chunk& c) {
 Folder::Chunk Folder::make_chunk(std::span<const i64> point,
                                  std::span<const i64> label, u64 at_seq) {
   Chunk c;
-  c.id = ++next_chunk_id_;
   c.points = 1;
   c.last_use = at_seq;
   c.created = at_seq;
@@ -358,11 +329,6 @@ void Folder::set_run_last(std::span<const i64> point,
 }
 
 bool Folder::fit_maps_stride(const Chunk& c) const {
-  return fit_maps(c, pstride_, lstride_);
-}
-
-bool Folder::fit_maps(const Chunk& c, std::span<const i128> ps,
-                      std::span<const i128> ls) const {
   if (label_dim_ == 0) return true;
   // Overflow in the stride image falls back to scalar routing (which is
   // always sound) instead of faulting a stream the point-at-a-time path
@@ -373,201 +339,21 @@ bool Folder::fit_maps(const Chunk& c, std::span<const i128> ps,
         i128 acc = 0;
         for (std::size_t i = 0; i < in_dim_; ++i)
           if (c.fit_int[j][i] != 0)
-            acc = add_checked(acc, mul_checked(c.fit_int[j][i], ps[i]));
-        if (acc != ls[j]) return false;
+            acc = add_checked(acc, mul_checked(c.fit_int[j][i], pstride_[i]));
+        if (acc != lstride_[j]) return false;
       }
       return true;
     }
     for (std::size_t j = 0; j < label_dim_; ++j) {
       Rat acc(0);
       for (std::size_t i = 0; i < in_dim_; ++i)
-        if (!c.fit[j][i].is_zero()) acc += c.fit[j][i] * Rat(ps[i]);
-      if (acc != Rat(ls[j])) return false;
+        if (!c.fit[j][i].is_zero()) acc += c.fit[j][i] * Rat(pstride_[i]);
+      if (acc != Rat(lstride_[j])) return false;
     }
     return true;
   } catch (const Error&) {
     return false;
   }
-}
-
-Folder::Chunk* Folder::chunk_by_id(u64 id) {
-  for (auto& c : open_)
-    if (c.id == id) return &c;
-  return nullptr;
-}
-
-bool Folder::chain_defer(u64 n) {
-  if (chain_state_ == ChainState::kNone) return false;
-  if (run_stride_viol_ || n < 2 || n != chain_T_) return false;
-  if (pstride_ != chain_s_ || lstride_ != chain_ls_) return false;
-  if (chain_state_ == ChainState::kArmed) {
-    // Within-group extension: the base advances by exactly the level-2
-    // stride. The geometric conditions were established when the chain
-    // armed and no chunk state has changed since, so O(d) delta checks
-    // suffice.
-    bool within = true;
-    for (std::size_t i = 0; within && i < in_dim_; ++i)
-      within = static_cast<i128>(run_base_[i]) - chain_last_base_[i] ==
-               chain_o1_[i];
-    for (std::size_t j = 0; within && j < label_dim_; ++j)
-      within = static_cast<i128>(run_lbase_[j]) - chain_last_lbase_[j] ==
-               chain_lo1_[j];
-    if (within) {
-      if (chain_R_ != 0 && chain_B_ >= chain_R_) return false;  // irregular
-      ++chain_B_;
-    } else if (chain_R_ == 0) {
-      // First group boundary: learn the group size and the level-3
-      // stride. The new group base b = base0 + o2 needs the full
-      // point-routing conditions once — the fit must predict it (so
-      // generic routing would pick this chunk, the MRU, at step 1) and it
-      // must sit in the affine hull (so absorption would not extend the
-      // basis). The fit mapping o2 then propagates both properties to
-      // every later group: each next group base differs by o2, a hull
-      // direction, from a predicted hull member.
-      Chunk* c = chunk_by_id(chain_chunk_id_);
-      PP_CHECK(c != nullptr, "folder: chained chunk vanished");
-      chain_o2_.resize(in_dim_);
-      chain_lo2_.resize(label_dim_);
-      for (std::size_t i = 0; i < in_dim_; ++i)
-        chain_o2_[i] = static_cast<i128>(run_base_[i]) - chain_base0_[i];
-      for (std::size_t j = 0; j < label_dim_; ++j)
-        chain_lo2_[j] = static_cast<i128>(run_lbase_[j]) - chain_lbase0_[j];
-      if (!fit_maps(*c, chain_o2_, chain_lo2_)) return false;
-      if (!predicts(*c, run_base_, run_lbase_)) return false;
-      if (!in_hull(*c, run_base_)) return false;
-      chain_R_ = chain_B_;
-      chain_M_ = 2;
-      chain_B_ = 1;
-      chain_group_base_.assign(run_base_.begin(), run_base_.end());
-      chain_group_lbase_.assign(run_lbase_.begin(), run_lbase_.end());
-    } else {
-      // Later group boundaries: only complete groups advancing by the
-      // learned level-3 stride extend the chain.
-      if (chain_B_ != chain_R_) return false;
-      bool boundary = true;
-      for (std::size_t i = 0; boundary && i < in_dim_; ++i)
-        boundary = static_cast<i128>(run_base_[i]) - chain_group_base_[i] ==
-                   chain_o2_[i];
-      for (std::size_t j = 0; boundary && j < label_dim_; ++j)
-        boundary = static_cast<i128>(run_lbase_[j]) - chain_group_lbase_[j] ==
-                   chain_lo2_[j];
-      if (!boundary) return false;
-      ++chain_M_;
-      chain_B_ = 1;
-      chain_group_base_.assign(run_base_.begin(), run_base_.end());
-      chain_group_lbase_.assign(run_lbase_.begin(), run_lbase_.end());
-    }
-    chain_last_base_.assign(run_base_.begin(), run_base_.end());
-    chain_last_lbase_.assign(run_lbase_.begin(), run_lbase_.end());
-    chain_points_ += n;
-    chain_end_seq_ = run_start_seq_ + n - 1;
-    return true;
-  }
-  // Seeded: try to arm on this run. Deferring run points (b + t·s,
-  // t < n) and every later matching run (bases b + e·o1 and, past the
-  // first group boundary, + g·o2) is equivalent to the generic flush path
-  // iff, on the seed chunk c:
-  //   * the fit maps every stride and predicts b — then it predicts every
-  //     deferred point by affinity, so point-at-a-time routing would pick
-  //     c (it is MRU: it took the seed run's last point, and no other
-  //     routing happens mid-chain) via step 1 with no refit;
-  //   * the generators b, b + (n-1)·s and b + o1 lie in c's affine hull —
-  //     affine hulls are closed under affine combination, so every
-  //     deferred point does too, and point-at-a-time absorption would
-  //     never extend the basis.
-  // Template rows are linear, so their min/max over the deferred block
-  // sit at its lattice corners, applied in chain_finalize().
-  Chunk* c = chunk_by_id(chain_chunk_id_);
-  if (c == nullptr) {
-    chain_state_ = ChainState::kNone;
-    return false;
-  }
-  chain_o1_.resize(in_dim_);
-  chain_lo1_.resize(label_dim_);
-  chain_tmp_.resize(in_dim_);
-  for (std::size_t i = 0; i < in_dim_; ++i) {
-    chain_o1_[i] = static_cast<i128>(run_base_[i]) - chain_seed_base_[i];
-    const i128 probe = static_cast<i128>(run_base_[i]) + chain_o1_[i];
-    if (probe < INT64_MIN || probe > INT64_MAX) return false;
-    chain_tmp_[i] = static_cast<i64>(probe);
-  }
-  for (std::size_t j = 0; j < label_dim_; ++j)
-    chain_lo1_[j] = static_cast<i128>(run_lbase_[j]) - chain_seed_lbase_[j];
-  if (!fit_maps(*c, pstride_, lstride_) ||
-      !fit_maps(*c, chain_o1_, chain_lo1_))
-    return false;
-  if (!predicts(*c, run_base_, run_lbase_)) return false;
-  if (!in_hull(*c, run_base_) || !in_hull(*c, run_last_) ||
-      !in_hull(*c, chain_tmp_))
-    return false;
-  chain_state_ = ChainState::kArmed;
-  chain_base0_.assign(run_base_.begin(), run_base_.end());
-  chain_lbase0_.assign(run_lbase_.begin(), run_lbase_.end());
-  chain_group_base_ = chain_base0_;
-  chain_group_lbase_ = chain_lbase0_;
-  chain_last_base_ = chain_base0_;
-  chain_last_lbase_ = chain_lbase0_;
-  chain_R_ = 0;
-  chain_M_ = 1;
-  chain_B_ = 1;
-  chain_points_ = n;
-  chain_end_seq_ = run_start_seq_ + n - 1;
-  return true;
-}
-
-void Folder::chain_finalize() {
-  if (chain_state_ != ChainState::kArmed) {
-    chain_state_ = ChainState::kNone;
-    return;
-  }
-  chain_state_ = ChainState::kNone;
-  Chunk* c = chunk_by_id(chain_chunk_id_);
-  PP_CHECK(c != nullptr, "folder: chained chunk vanished");
-  // Template rows are linear, so their extrema over the deferred block —
-  // a full (M-1)×R×n lattice box plus the current (possibly partial)
-  // group's B×n slice — sit at the corners of those two boxes. Every
-  // corner is a genuinely observed point, so the i64 narrowing is exact.
-  chain_tmp_.resize(in_dim_);
-  auto fold_corner = [&](u64 g, u64 e, u64 t) {
-    for (std::size_t i = 0; i < in_dim_; ++i) {
-      i128 v = static_cast<i128>(chain_base0_[i]) +
-               static_cast<i128>(t) * chain_s_[i] +
-               static_cast<i128>(e) * chain_o1_[i];
-      if (g > 0) v += static_cast<i128>(g) * chain_o2_[i];
-      chain_tmp_[i] = static_cast<i64>(v);
-    }
-    for (std::size_t r = 0; r < rows_.size(); ++r) {
-      const i128 v = eval_row(rows_[r], chain_tmp_);
-      c->bnd[r].min = std::min(c->bnd[r].min, v);
-      c->bnd[r].max = std::max(c->bnd[r].max, v);
-    }
-  };
-  const u64 t_hi = chain_T_ - 1;
-  if (chain_M_ >= 2) {
-    // Complete groups 0 .. M-2 (each R runs).
-    for (u64 g : {u64{0}, chain_M_ - 2})
-      for (u64 e : {u64{0}, chain_R_ - 1})
-        for (u64 t : {u64{0}, t_hi}) fold_corner(g, e, t);
-  }
-  // Current group (ordinal M, B runs, possibly partial).
-  for (u64 e : {u64{0}, chain_B_ - 1})
-    for (u64 t : {u64{0}, t_hi}) fold_corner(chain_M_ - 1, e, t);
-  c->points += chain_points_;
-  c->last_use = chain_end_seq_;
-}
-
-void Folder::chain_seed(u64 n, u64 chunk_id, bool clean) {
-  if (!clean || n < 2) {
-    chain_state_ = ChainState::kNone;
-    return;
-  }
-  chain_state_ = ChainState::kSeeded;
-  chain_chunk_id_ = chunk_id;
-  chain_T_ = n;
-  chain_s_.assign(pstride_.begin(), pstride_.end());
-  chain_ls_.assign(lstride_.begin(), lstride_.end());
-  chain_seed_base_.assign(run_base_.begin(), run_base_.end());
-  chain_seed_lbase_.assign(run_lbase_.begin(), run_lbase_.end());
 }
 
 void Folder::bulk_absorb(Chunk& c, std::span<const i64> first,
@@ -596,18 +382,10 @@ void Folder::flush_run() {
   if (run_len_ == 0) return;
   const u64 n = run_len_;
   run_len_ = 0;
-  if (chain_defer(n)) {
-    run_stride_viol_ = false;
-    return;
-  }
-  chain_finalize();
-  std::size_t base_ci = 0;
-  bool clean = false;
   cur_pt_ = run_base_;
   cur_lab_ = run_lbase_;
   for (u64 k = 0; k < n; ++k) {
     std::size_t ci = route_point(cur_pt_, cur_lab_, run_start_seq_ + k);
-    if (k == 0) base_ci = ci;
     // A non-lex-positive stride violates monotonicity at every run point
     // AFTER the base — apply it only once the base has routed, so closes
     // forced by the base see the same lex state as point-at-a-time.
@@ -622,13 +400,9 @@ void Folder::flush_run() {
     if (fit_maps_stride(open_[ci])) {
       bulk_absorb(open_[ci], cur_pt_, cur_lab_, n - 1 - k,
                   run_start_seq_ + n - 1);
-      // The whole run landed in one chunk with no per-point routing —
-      // a chain candidate (the next flush may arm on it).
-      clean = (k == 0);
       break;
     }
   }
-  chain_seed(n, clean ? open_[base_ci].id : 0, clean);
   run_stride_viol_ = false;
 }
 
@@ -812,9 +586,9 @@ void Folder::add_run(std::span<const i64> point, std::span<const i64> label,
       return;
     }
     if (run_len_ >= 2) {
-      // The run breaks the pending one: flush it (possibly into a chain),
-      // apply the cross-run lexicographic check against its tail, and
-      // install this run as the new pending run.
+      // The run breaks the pending one: flush it, apply the cross-run
+      // lexicographic check against its tail, and install this run as the
+      // new pending run.
       flush_run();
       if (!lex_greater(point, run_last_)) lex_ok_ = false;
       run_base_.assign(point.begin(), point.end());
@@ -1052,35 +826,6 @@ poly::Piece Folder::build_piece(const Chunk& chunk) const {
   return piece;
 }
 
-FoldCache::Key Folder::cache_key(const Chunk& c) const {
-  // Canonical form: every input build_piece() reads, in a fixed order.
-  // The template rows are a function of (in_dim, octagon), so encoding
-  // the bounds in rows_ order covers the sorted-constraint canonical form.
-  FoldCache::Key key;
-  key.reserve(6 + 4 * c.bnd.size() + 4 * label_dim_ * (in_dim_ + 1));
-  auto push128 = [&key](i128 v) {
-    key.push_back(static_cast<u64>(static_cast<unsigned __int128>(v)));
-    key.push_back(static_cast<u64>(static_cast<unsigned __int128>(v) >> 64));
-  };
-  key.push_back(static_cast<u64>(in_dim_));
-  key.push_back(static_cast<u64>(label_dim_));
-  key.push_back(opts_.use_octagon ? 1 : 0);
-  key.push_back(opts_.count_cap);
-  key.push_back(lex_ok_ ? 1 : 0);
-  key.push_back(c.points);
-  for (const Bnd& b : c.bnd) {
-    push128(b.min);
-    push128(b.max);
-  }
-  for (const auto& row : c.fit) {
-    for (const Rat& r : row) {
-      push128(r.num());
-      push128(r.den());
-    }
-  }
-  return key;
-}
-
 void Folder::close_chunk(Chunk& chunk) {
   // Running collapse bounds: every close merges its template bounds in
   // O(d²), so the collapsed over-approximation in finish() never needs
@@ -1100,24 +845,11 @@ void Folder::close_chunk(Chunk& chunk) {
   // bound-merged over-approximation — stop materializing pieces at all.
   if (collapsed_) return;
 
-  if (opts_.cache != nullptr) {
-    FoldCache::Key key = cache_key(chunk);
-    if (auto hit = opts_.cache->find(key)) {
-      result_.add_piece(*hit);
-      return;
-    }
-    poly::Piece piece = build_piece(chunk);
-    opts_.cache->insert(std::move(key),
-                        std::make_shared<const poly::Piece>(piece));
-    result_.add_piece(std::move(piece));
-    return;
-  }
   result_.add_piece(build_piece(chunk));
 }
 
 poly::PolySet Folder::finish() {
   flush_run();
-  chain_finalize();  // flush_run may have deferred the final run
   // Close remaining chunks in creation order for stable output.
   std::sort(open_.begin(), open_.end(),
             [](const Chunk& a, const Chunk& b) { return a.created < b.created; });

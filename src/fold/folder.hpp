@@ -33,15 +33,11 @@
 //    routed to it) AND the label fit is affine with integer coefficients.
 #pragma once
 
-#include <memory>
 #include <optional>
-#include <unordered_map>
 
 #include "poly/poly_set.hpp"
 
 namespace pp::fold {
-
-class FoldCache;
 
 struct FolderOptions {
   /// Lattice-point budget for the exactness check; domains bigger than
@@ -62,42 +58,6 @@ struct FolderOptions {
   /// chunk updates per run. Off reproduces the point-at-a-time folder —
   /// the outputs are identical by construction (ablation/testing knob).
   bool stride_runs = true;
-  /// Optional fold-wide canonical-piece cache shared by many folders
-  /// (cross-statement interning); may be null. The cache key captures
-  /// every input of piece construction, so a hit is byte-identical to a
-  /// recomputation.
-  FoldCache* cache = nullptr;
-};
-
-/// Fold-wide canonical-piece cache: a closed chunk's piece is a pure
-/// function of its canonical form — template bounds in fixed row order,
-/// the rational label fit, the observed count and the exactness inputs —
-/// so identical pieces across statements and dependence groups are built
-/// once and shared. Hit/miss totals are timing-class observability only:
-/// they describe how pieces were built, not what they are.
-class FoldCache {
- public:
-  using Key = std::vector<u64>;
-
-  /// Returns the cached piece for `key`, or null on a miss.
-  std::shared_ptr<const poly::Piece> find(const Key& key) const;
-  /// Inserts (first writer wins); no-op once the entry cap is reached.
-  void insert(Key key, std::shared_ptr<const poly::Piece> piece);
-
-  u64 hits() const { return hits_; }
-  u64 misses() const { return misses_; }
-  std::size_t size() const { return map_.size(); }
-
- private:
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const;
-  };
-  /// Growth bound; beyond it the cache stops learning (still serves hits).
-  static constexpr std::size_t kMaxEntries = 1u << 16;
-
-  std::unordered_map<Key, std::shared_ptr<const poly::Piece>, KeyHash> map_;
-  mutable u64 hits_ = 0;
-  mutable u64 misses_ = 0;
 };
 
 /// Folds one (iteration vector, label vector) stream.
@@ -144,7 +104,6 @@ class Folder {
   };
 
   struct Chunk {
-    u64 id = 0;         ///< stable identity (open_ indices shift on evict)
     u64 points = 0;
     u64 last_use = 0;   ///< stream sequence number of the last routed point
     u64 created = 0;    ///< creation sequence (stable output ordering)
@@ -186,8 +145,6 @@ class Folder {
   /// Linear part of the chunk's fit applied to the pending stride equals
   /// the label stride (then the fit predicts every remaining run point).
   bool fit_maps_stride(const Chunk& c) const;
-  bool fit_maps(const Chunk& c, std::span<const i128> ps,
-                std::span<const i128> ls) const;
   void bulk_absorb(Chunk& c, std::span<const i64> first,
                    std::span<const i64> first_label, u64 extra, u64 end_seq);
 
@@ -204,7 +161,6 @@ class Folder {
                                  const poly::Polyhedron& dom) const;
   std::optional<u64> count_octagon_2d(const std::vector<Bnd>& bnd) const;
   poly::Piece build_piece(const Chunk& c) const;
-  FoldCache::Key cache_key(const Chunk& c) const;
 
   std::size_t in_dim_;
   std::size_t label_dim_;
@@ -234,46 +190,6 @@ class Folder {
   std::vector<i64> arun_pt_, arun_lab_;  ///< add_run scratch (add() may
                                          ///< trigger flush_run, which owns
                                          ///< cur_pt_/cur_lab_)
-
-  // Chained runs ("runs of runs", levels 2 and 3): loop nests flush one
-  // arithmetic run per innermost-loop entry; consecutive entries produce
-  // runs of identical length and stride whose bases advance by a constant
-  // second-level stride o1, and consecutive middle-loop entries produce
-  // GROUPS of runs whose group bases advance by a constant third-level
-  // stride o2 (the group size R is learned from the first group). Once a
-  // chunk's fit maps every stride and the chain's generators lie in its
-  // affine hull, every further matching run is absorbed with O(d)
-  // bookkeeping — the template bounds are applied once, at the chain's
-  // lattice corners (at most 12 points), when the chain breaks.
-  // chain_defer() states the exact conditions under which this is
-  // equivalent to flushing each run through the generic path.
-  enum class ChainState : std::uint8_t { kNone, kSeeded, kArmed };
-  ChainState chain_state_ = ChainState::kNone;
-  u64 chain_chunk_id_ = 0;  ///< chunk absorbing the chain
-  u64 chain_T_ = 0;         ///< per-run length (fixed across the chain)
-  u64 chain_R_ = 0;         ///< runs per complete group (0 = unlearned)
-  u64 chain_M_ = 0;         ///< current group ordinal (1-based)
-  u64 chain_B_ = 0;         ///< runs in the current group
-  u64 chain_points_ = 0;    ///< total deferred points
-  u64 chain_end_seq_ = 0;   ///< seq of the last deferred point
-  std::vector<i128> chain_s_, chain_ls_;    ///< level-1 (within-run) stride
-  std::vector<i128> chain_o1_, chain_lo1_;  ///< level-2 (run-to-run) stride
-  std::vector<i128> chain_o2_, chain_lo2_;  ///< level-3 (group-to-group)
-  std::vector<i64> chain_base0_, chain_lbase0_;  ///< first deferred run base
-  std::vector<i64> chain_group_base_, chain_group_lbase_;
-  std::vector<i64> chain_last_base_, chain_last_lbase_;
-  std::vector<i64> chain_seed_base_, chain_seed_lbase_;
-  std::vector<i64> chain_tmp_;  ///< hull-probe / corner scratch
-  u64 next_chunk_id_ = 0;
-  Chunk* chunk_by_id(u64 id);
-  /// Absorb the just-ended pending run into the active chain (or arm a
-  /// seeded one); true = fully handled, skip the generic flush path.
-  bool chain_defer(u64 n);
-  /// Apply the deferred chain effects (corner bounds, point count) to its
-  /// chunk and reset the chain. Must run before any routing or close.
-  void chain_finalize();
-  /// Remember a cleanly absorbed run as a chain candidate.
-  void chain_seed(u64 n, u64 chunk_id, bool clean);
 
   poly::PolySet result_{0};
   u64 total_points_ = 0;

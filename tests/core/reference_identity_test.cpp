@@ -48,6 +48,16 @@ TEST_P(ReferenceIdentity, CompactionIsByteIdenticalOnOff) {
   EXPECT_EQ(report(wl.module, off), report(wl.module, on));
 }
 
+// Stride runs are the folder's one fast path: with them off every point
+// routes one at a time (the reference folder), and the report must not
+// change. Compaction stays on, so compressed runs reach Folder::add_run.
+TEST_P(ReferenceIdentity, StrideRunsIsByteIdenticalOnOff) {
+  workloads::Workload wl = workloads::make_rodinia(GetParam());
+  core::PipelineOptions off;
+  off.fold.stride_runs = false;
+  EXPECT_EQ(report(wl.module, off), report(wl.module));
+}
+
 INSTANTIATE_TEST_SUITE_P(AllBenchmarks, ReferenceIdentity,
                          testing::ValuesIn(workloads::rodinia_names()),
                          [](const auto& info) {

@@ -106,13 +106,13 @@ TEST(SelfProfile, StableSectionElidesTimesButTimedSectionHasThem) {
   std::string s = core::full_report(r, stable);
   EXPECT_NE(s.find("-- self profile --"), std::string::npos);
   EXPECT_NE(s.find("stage ddg: wall - cpu -"), std::string::npos);
-  EXPECT_EQ(s.find("fold.cache_hits"), std::string::npos);
+  EXPECT_EQ(s.find("oracle.pieces_proved"), std::string::npos);
 
   core::ReportOptions timed;
   timed.stable_self_profile = false;
   std::string t = core::full_report(r, timed);
   EXPECT_NE(t.find("stage ddg: wall "), std::string::npos);
-  EXPECT_NE(t.find("fold.cache_hits"), std::string::npos);
+  EXPECT_NE(t.find("oracle.pieces_proved"), std::string::npos);
 }
 
 }  // namespace
