@@ -1,7 +1,9 @@
 // Fold-stage microbench: record each mini-Rodinia workload's DDG event
-// stream (the exact on_instruction / on_dependence sequence
-// Instrumentation II emits), then time FoldingSink consumption +
-// finalize() alone, per workload and summed over the suite. This
+// stream (the exact sequence Instrumentation II emits in the default
+// pipeline configuration: path compaction on, so compressed loop runs
+// arrive as on_instruction_run / on_dependence_run events and reach
+// Folder::add_run), then time FoldingSink consumption + finalize()
+// alone, per workload and summed over the suite. This
 // isolates stage 3 from the VM and the DDG builder, which is the right
 // lens for folder-asymptotics work — cfd's seed profile spent 3.6 s of a
 // 3.8 s pipeline inside fold, so pipeline-level timing is mostly noise
@@ -10,6 +12,9 @@
 //   $ ./fold_only            # human-readable table
 //   $ ./fold_only --json     # {"workloads":[...],"suite_fold_ms":..,"pass":..}
 //                            # exit 1 on fail
+//
+// Each workload reports its recorded events and, among them, its "runs":
+// the InstrRun/DepRun events that fold through Folder::add_run.
 //
 // scripts/check.sh runs the --json mode and gates on `pass`: the cfd
 // fold wall time must stay under a committed budget (min-of-N to keep
@@ -20,9 +25,10 @@
 #include <string>
 #include <vector>
 
+#include "cfg/dynamic_cfg.hpp"
+#include "ddg/ddg_builder.hpp"
 #include "fold/folded_ddg.hpp"
 #include "obs/obs.hpp"
-#include "trace_replay.hpp"
 #include "workloads/workloads.hpp"
 
 using namespace pp;
@@ -41,15 +47,24 @@ constexpr int kReps = 5;
 /// pool, so replay into a sink costs a span construction per event.
 struct DdgStream {
   struct Ev {
-    bool is_dep = false;
-    // instruction fields
+    enum Kind : std::uint8_t { kInstr, kDep, kInstrRun, kDepRun } kind = kInstr;
+    // instruction fields (a run's first instance)
     int stmt = 0;
     bool has_value = false, has_address = false;
     i64 value = 0, address = 0;
+    // run fields: n instances; affine values/addresses advance by their
+    // stride, the others are listed in the pool
+    u64 n = 0;
+    bool value_affine = false, address_affine = false;
+    i64 value_stride = 0, address_stride = 0;
     // dependence fields
-    ddg::DepKind kind = ddg::DepKind::kRegFlow;
+    ddg::DepKind dep = ddg::DepKind::kRegFlow;
     int src = 0, dst = 0, slot = 0;
-    // coords in `pool`: [off, off+n1) primary, [off+n1, off+n1+n2) second
+    // Segments in `pool` from `off` on:
+    //   kInstr     coords[n1]
+    //   kDep       dst[n1] src[n2]
+    //   kInstrRun  coords[n1] stride[n1] values[n]? addresses[n]?
+    //   kDepRun    dst[n1] dst_stride[n1] src[n2] src_stride[n2]
     std::size_t off = 0;
     std::size_t n1 = 0, n2 = 0;
   };
@@ -58,15 +73,63 @@ struct DdgStream {
   std::vector<Ev> events;
   ddg::StatementTable table;
 
+  u64 runs() const {
+    u64 k = 0;
+    for (const Ev& e : events)
+      k += e.kind == Ev::kInstrRun || e.kind == Ev::kDepRun;
+    return k;
+  }
+
   void replay_into(ddg::DdgSink& sink) const {
     for (const Ev& e : events) {
-      std::span<const i64> c1(pool.data() + e.off, e.n1);
-      if (e.is_dep) {
-        std::span<const i64> c2(pool.data() + e.off + e.n1, e.n2);
-        sink.on_dependence(e.kind, e.src, c1, e.dst, c2, e.slot);
-      } else {
-        sink.on_instruction(stmts[static_cast<std::size_t>(e.stmt)], c1,
-                            e.has_value, e.value, e.has_address, e.address);
+      const i64* p = pool.data() + e.off;
+      switch (e.kind) {
+        case Ev::kInstr:
+          sink.on_instruction(stmts[static_cast<std::size_t>(e.stmt)],
+                              {p, e.n1}, e.has_value, e.value, e.has_address,
+                              e.address);
+          break;
+        case Ev::kDep:
+          sink.on_dependence(e.dep, e.src, {p + e.n1, e.n2}, e.dst, {p, e.n1},
+                             e.slot);
+          break;
+        case Ev::kInstrRun: {
+          ddg::DdgSink::InstrRun r;
+          r.stmt = &stmts[static_cast<std::size_t>(e.stmt)];
+          r.n = e.n;
+          r.coords = {p, e.n1};
+          r.coord_stride = {p + e.n1, e.n1};
+          p += 2 * e.n1;
+          r.has_value = e.has_value;
+          r.value_affine = e.value_affine;
+          r.value = e.value;
+          r.value_stride = e.value_stride;
+          if (e.has_value && !e.value_affine) {
+            r.values = {p, e.n};
+            p += e.n;
+          }
+          r.has_address = e.has_address;
+          r.address_affine = e.address_affine;
+          r.address = e.address;
+          r.address_stride = e.address_stride;
+          if (e.has_address && !e.address_affine) r.addresses = {p, e.n};
+          sink.on_instruction_run(r);
+          break;
+        }
+        case Ev::kDepRun: {
+          ddg::DdgSink::DepRun r;
+          r.kind = e.dep;
+          r.src_stmt = e.src;
+          r.dst_stmt = e.dst;
+          r.slot = e.slot;
+          r.n = e.n;
+          r.dst_coords = {p, e.n1};
+          r.dst_stride = {p + e.n1, e.n1};
+          r.src_coords = {p + 2 * e.n1, e.n2};
+          r.src_stride = {p + 2 * e.n1 + e.n2, e.n2};
+          sink.on_dependence_run(r);
+          break;
+        }
       }
     }
   }
@@ -105,8 +168,8 @@ struct StreamRecorder : ddg::DdgSink {
                      std::span<const i64> src_coords, int dst_stmt,
                      std::span<const i64> dst_coords, int slot) override {
     DdgStream::Ev e;
-    e.is_dep = true;
-    e.kind = kind;
+    e.kind = DdgStream::Ev::kDep;
+    e.dep = kind;
     e.src = src_stmt;
     e.dst = dst_stmt;
     e.slot = slot;
@@ -116,14 +179,67 @@ struct StreamRecorder : ddg::DdgSink {
     e.n2 = src_coords.size();
     out->events.push_back(e);
   }
+  void on_instruction_run(const InstrRun& r) override {
+    keep_stmt(*r.stmt);
+    DdgStream::Ev e;
+    e.kind = DdgStream::Ev::kInstrRun;
+    e.stmt = r.stmt->id;
+    e.n = r.n;
+    e.has_value = r.has_value;
+    e.value_affine = r.value_affine;
+    e.value = r.value;
+    e.value_stride = r.value_stride;
+    e.has_address = r.has_address;
+    e.address_affine = r.address_affine;
+    e.address = r.address;
+    e.address_stride = r.address_stride;
+    e.off = push(r.coords);
+    e.n1 = r.coords.size();
+    push(r.coord_stride);
+    if (r.has_value && !r.value_affine) push(r.values);
+    if (r.has_address && !r.address_affine) push(r.addresses);
+    out->events.push_back(e);
+  }
+  void on_dependence_run(const DepRun& r) override {
+    DdgStream::Ev e;
+    e.kind = DdgStream::Ev::kDepRun;
+    e.dep = r.kind;
+    e.src = r.src_stmt;
+    e.dst = r.dst_stmt;
+    e.slot = r.slot;
+    e.n = r.n;
+    e.off = push(r.dst_coords);
+    e.n1 = r.dst_coords.size();
+    push(r.dst_stride);
+    push(r.src_coords);
+    push(r.src_stride);
+    e.n2 = r.src_coords.size();
+    out->events.push_back(e);
+  }
 };
 
+/// Run the workload the way core::Pipeline does (stage 1 for the control
+/// structure, then a compacted stage-2 replay) and record what the
+/// builder streams.
 DdgStream record_stream(const char* workload) {
-  bench::Trace t = bench::record_trace(workload);
+  workloads::Workload w = workloads::make_rodinia(workload);
+  cfg::ControlStructure cs;
+  {
+    vm::Machine machine(w.module);
+    cfg::DynamicCfgBuilder dyn;
+    machine.set_observer(&dyn);
+    machine.run("main");
+    cs = cfg::ControlStructure::build(dyn, {w.module.find_function("main")->id});
+  }
   DdgStream s;
   StreamRecorder rec(&s);
-  ddg::DdgBuilder builder(t.module, t.cs, &rec);
-  bench::replay(t, builder);
+  ddg::DdgOptions opts;
+  opts.path_compaction = true;
+  ddg::DdgBuilder builder(w.module, cs, &rec, opts);
+  vm::Machine machine(w.module);
+  machine.set_observer(&builder);
+  machine.run("main");
+  builder.flush_compaction();
   s.table = builder.statements();
   return s;
 }
@@ -131,13 +247,14 @@ DdgStream record_stream(const char* workload) {
 struct Result {
   std::string workload;
   u64 events;
+  u64 runs;  ///< InstrRun/DepRun events: each folds through Folder::add_run
   double fold_ms;
   u64 pieces;
 };
 
 Result time_fold(const std::string& workload) {
   DdgStream s = record_stream(workload.c_str());
-  Result r{workload, s.events.size(), 1e300, 0};
+  Result r{workload, s.events.size(), s.runs(), 1e300, 0};
   for (int i = 0; i < kReps; ++i) {
     fold::FoldingSink sink{fold::FolderOptions{}};
     const u64 t0 = obs::now_ns();
@@ -184,9 +301,10 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < results.size(); ++i) {
       const Result& r = results[i];
       std::printf("%s{\"workload\": \"%s\", \"events\": %llu, "
-                  "\"fold_ms\": %.3f, \"pieces\": %llu}",
+                  "\"runs\": %llu, \"fold_ms\": %.3f, \"pieces\": %llu}",
                   i ? ", " : "", r.workload.c_str(),
-                  static_cast<unsigned long long>(r.events), r.fold_ms,
+                  static_cast<unsigned long long>(r.events),
+                  static_cast<unsigned long long>(r.runs), r.fold_ms,
                   static_cast<unsigned long long>(r.pieces));
     }
     std::printf("], \"suite_fold_ms\": %.3f, \"cfd_budget_ms\": %.1f, "
@@ -196,10 +314,11 @@ int main(int argc, char** argv) {
     std::printf("fold-only wall time (recorded DDG streams, min of %d)\n",
                 kReps);
     for (const Result& r : results)
-      std::printf("  %-14s %10llu events  %9.3f ms  %6llu pieces\n",
+      std::printf("  %-14s %10llu events  %8llu runs  %9.3f ms  %6llu pieces\n",
                   r.workload.c_str(), static_cast<unsigned long long>(r.events),
-                  r.fold_ms, static_cast<unsigned long long>(r.pieces));
-    std::printf("  %-14s %28.3f ms\n", "suite total", suite_ms);
+                  static_cast<unsigned long long>(r.runs), r.fold_ms,
+                  static_cast<unsigned long long>(r.pieces));
+    std::printf("  %-14s %42.3f ms\n", "suite total", suite_ms);
     std::printf("  cfd budget %.1f ms -> %s\n", kCfdBudgetMs,
                 pass ? "PASS" : "FAIL");
   }

@@ -1,15 +1,16 @@
 // Service soak: N concurrent jobs across all 19 mini-Rodinia workloads
-// with a mixed fault diet — plain runs, chaos-transient retries,
-// chaos-injected cancels, queue-full sheds, tight deadlines and client
-// cancels — pushed through one pp::service::Server. The acceptance gates
+// with a mixed fault diet — plain runs, chaos truncations, chaos-injected
+// cancels, queue-full sheds, tight deadlines and client cancels — pushed
+// through one pp::service::Server with the default ServerOptions apart
+// from its executor count and queue capacity. The acceptance gates
 // (scripts/check.sh, including the ASan and TSan flavors):
 //
 //   * zero hangs: the whole soak finishes under a hard alarm;
 //   * every job that completed clean delivers a report byte-identical to
 //     a one-shot direct run of its workload;
-//   * chaos-cancelled jobs deliver diagnosed PARTIAL reports;
-//   * cache-hit resubmissions (one per workload) are served without
-//     re-profiling.
+//   * chaos-truncated jobs deliver, from their single run, the diagnosed
+//     PARTIAL report a direct run with the same chaos options gives;
+//   * chaos-cancelled jobs deliver diagnosed PARTIAL reports.
 //
 //   $ ./service_soak            # human-readable table
 //   $ ./service_soak --json     # one JSON line; exit 1 on gate failure
@@ -34,7 +35,7 @@ constexpr int kJobs = 76;  // 4 waves over the 19 workloads
 
 enum class Mode {
   kPlain,          // expect clean completion, byte-identical report
-  kTransientRetry, // chaos truncation, retried clean — identical report
+  kChaosTruncate,  // chaos truncation — identical partial report
   kChaosCancel,    // service fault fires the job's token mid-pipeline
   kChaosShed,      // admission rejects as if the queue were full
   kDeadline,       // 1 ms whole-job deadline
@@ -47,7 +48,7 @@ Mode mode_for(int i) {
     case 1:
     case 2: return Mode::kPlain;
     case 3: return Mode::kChaosShed;
-    case 4: return Mode::kTransientRetry;
+    case 4: return Mode::kChaosTruncate;
     case 5: return Mode::kChaosCancel;
     case 6: return Mode::kDeadline;
     default: return Mode::kClientCancel;
@@ -57,7 +58,7 @@ Mode mode_for(int i) {
 const char* mode_name(Mode m) {
   switch (m) {
     case Mode::kPlain: return "plain";
-    case Mode::kTransientRetry: return "transient-retry";
+    case Mode::kChaosTruncate: return "chaos-truncate";
     case Mode::kChaosCancel: return "chaos-cancel";
     case Mode::kChaosShed: return "chaos-shed";
     case Mode::kDeadline: return "deadline";
@@ -102,16 +103,11 @@ int main(int argc, char** argv) {
     reference[wl.name] = core::full_report(r);
   }
 
-  service::ServerOptions sopts;
-  sopts.executors = 4;
-  sopts.queue_capacity = 128;    // the soak sheds via chaos, not capacity
-  sopts.high_watermark = 128;    // no overload downgrades: clean jobs must
-  sopts.low_watermark = 64;      // stay byte-comparable to the references
-  service::Server server(sopts);
-
-  std::vector<service::JobHandle> jobs;
+  // Build every request up front so the submissions arrive in one burst.
+  // Chaos-truncated jobs get their own direct-run reference, by job index.
+  std::vector<service::JobRequest> requests;
   std::vector<Mode> modes;
-  jobs.reserve(kJobs);
+  std::map<int, std::string> partial_reference;
   for (int i = 0; i < kJobs; ++i) {
     const workloads::Workload& wl = wls[static_cast<std::size_t>(i) % wls.size()];
     const Mode mode = mode_for(i);
@@ -119,12 +115,13 @@ int main(int argc, char** argv) {
     switch (mode) {
       case Mode::kPlain:
         break;
-      case Mode::kTransientRetry:
+      case Mode::kChaosTruncate: {
         req.pipeline.chaos.kind = vm::FaultKind::kTruncate;
         req.pipeline.chaos.seed = static_cast<u64>(i) + 1;
-        req.chaos_transient = true;
-        req.max_attempts = 3;
+        core::ProfileResult r = core::Pipeline(wl.module).run(req.pipeline);
+        partial_reference[i] = core::full_report(r);
         break;
+      }
       case Mode::kChaosCancel: {
         static const vm::ServiceFault kPoints[] = {
             vm::ServiceFault::kCancelAtControl, vm::ServiceFault::kCancelAtDdg,
@@ -144,8 +141,19 @@ int main(int argc, char** argv) {
         break;
     }
     modes.push_back(mode);
-    jobs.push_back(server.submit(std::move(req)));
-    if (mode == Mode::kClientCancel) jobs.back()->cancel();
+    requests.push_back(std::move(req));
+  }
+
+  service::ServerOptions sopts;
+  sopts.executors = 4;
+  sopts.queue_capacity = 128;  // the soak sheds via chaos, not capacity
+  service::Server server(sopts);
+
+  std::vector<service::JobHandle> jobs;
+  for (int i = 0; i < kJobs; ++i) {
+    jobs.push_back(server.submit(requests[static_cast<std::size_t>(i)]));
+    if (modes[static_cast<std::size_t>(i)] == Mode::kClientCancel)
+      jobs.back()->cancel();
   }
 
   int mismatches = 0;
@@ -164,12 +172,19 @@ int main(int argc, char** argv) {
     };
     switch (modes[static_cast<std::size_t>(i)]) {
       case Mode::kPlain:
-      case Mode::kTransientRetry:
         if (out.state != service::JobState::kCompleted || out.truncated)
           fail("expected clean completion");
-        else if (!out.from_cache && out.report != reference[wname]) {
+        else if (out.report != reference[wname]) {
           ++mismatches;
           fail("report differs from the direct-run reference");
+        }
+        break;
+      case Mode::kChaosTruncate:
+        if (out.state != service::JobState::kCompleted || !out.truncated)
+          fail("expected a completed partial profile");
+        else if (out.report != partial_reference[i]) {
+          ++mismatches;
+          fail("partial report differs from the direct-run reference");
         }
         break;
       case Mode::kChaosCancel:
@@ -197,48 +212,30 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Cache gate: one identical plain resubmission per workload. Every
-  // workload saw at least one clean plain job above, so all 19 must be
-  // served from cache without re-profiling.
-  int cache_misses = 0;
-  for (const workloads::Workload& wl : wls) {
-    service::JobHandle job = server.submit(plain_request(wl));
-    const service::JobOutcome& out = job->wait();
-    if (!out.from_cache || out.report != reference[wl.name]) {
-      ++cache_misses;
-      std::fprintf(stderr, "resubmission of %s: not a faithful cache hit\n",
-                   wl.name.c_str());
-    }
-  }
   server.shutdown();
 
   service::Server::Stats st = server.stats();
-  const bool pass = unexpected == 0 && mismatches == 0 && cache_misses == 0;
+  const bool pass = unexpected == 0 && mismatches == 0;
   if (json) {
     std::printf(
         "{\"jobs\":%d,\"completed\":%llu,\"cancelled\":%llu,"
-        "\"deadline_expired\":%llu,\"shed\":%llu,\"retries\":%llu,"
-        "\"cache_hits\":%llu,\"max_queue_depth\":%zu,\"mismatches\":%d,"
-        "\"unexpected\":%d,\"cache_misses\":%d,\"pass\":%s}\n",
+        "\"deadline_expired\":%llu,\"shed\":%llu,\"max_queue_depth\":%zu,"
+        "\"mismatches\":%d,\"unexpected\":%d,\"pass\":%s}\n",
         kJobs, static_cast<unsigned long long>(st.completed),
         static_cast<unsigned long long>(st.cancelled),
         static_cast<unsigned long long>(st.deadline_expired),
-        static_cast<unsigned long long>(st.shed),
-        static_cast<unsigned long long>(st.retries),
-        static_cast<unsigned long long>(st.cache_hits), st.max_queue_depth,
-        mismatches, unexpected, cache_misses, pass ? "true" : "false");
+        static_cast<unsigned long long>(st.shed), st.max_queue_depth,
+        mismatches, unexpected, pass ? "true" : "false");
   } else {
     std::printf("service soak: %d jobs over %zu workloads\n", kJobs,
                 wls.size());
     for (const auto& [state, count] : by_state)
       std::printf("  %-18s %d\n", state.c_str(), count);
     std::printf(
-        "  retries %llu, cache hits %llu, max queue depth %zu\n"
-        "  report mismatches %d, unexpected outcomes %d, cache misses %d\n"
+        "  max queue depth %zu\n"
+        "  report mismatches %d, unexpected outcomes %d\n"
         "%s\n",
-        static_cast<unsigned long long>(st.retries),
-        static_cast<unsigned long long>(st.cache_hits), st.max_queue_depth,
-        mismatches, unexpected, cache_misses, pass ? "PASS" : "FAIL");
+        st.max_queue_depth, mismatches, unexpected, pass ? "PASS" : "FAIL");
   }
   return pass ? 0 : 1;
 }

@@ -92,10 +92,11 @@ if [[ $RUN_TESTS -eq 1 ]]; then
   }
   # ---- 3a'. service soak gate (run per flavor, below) --------------------
   # bench/service_soak pushes 76 concurrent jobs (all 19 workloads, mixed
-  # plain / chaos-retry / chaos-cancel / shed / deadline / client-cancel)
-  # through one pp::service::Server and exits nonzero on any hang (hard
-  # alarm), non-byte-identical clean report, undelivered partial, or
-  # cache-hit resubmission that re-profiled. Run in every flavor: the
+  # plain / chaos-truncate / chaos-cancel / shed / deadline / client-cancel)
+  # through one pp::service::Server with the default ServerOptions apart
+  # from executors and queue_capacity, and exits nonzero on any hang (hard
+  # alarm), clean or chaos-truncated report that is not byte-identical to
+  # its direct run, or undelivered partial. Run in every flavor: the
   # ASan/TSan builds turn latent lifetime/race bugs in the job machinery
   # into hard failures.
   soak_gate() {

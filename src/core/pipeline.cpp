@@ -113,8 +113,8 @@ ProfileResult Pipeline::run(const PipelineOptions& opts) {
 
   support::RunBudget budget = opts.budget;
   budget.arm();
-  u64 max_steps = opts.max_steps;
-  if (budget.vm_steps != 0) max_steps = std::min(max_steps, budget.vm_steps);
+  const u64 max_steps =
+      budget.vm_steps != 0 ? budget.vm_steps : vm::Machine::kDefaultMaxSteps;
 
   // Stage-1 boundary: a pre-cancelled job (or the chaos cancel-at-control
   // fault) profiles nothing — the result is just the diagnosis.
@@ -568,13 +568,10 @@ std::string full_report(const ProfileResult& r, const ReportOptions& ropts) {
 
   // Differential soundness oracle: run BEFORE rendering so a downgraded
   // parallel claim is reflected in the summaries it contradicts. Skipped
-  // — with a deterministic verdict line — when disabled (service overload
-  // downgrade) or when the job's token has fired (nothing left to spend
-  // verification effort on).
+  // — with a deterministic verdict line — when the job's token has fired
+  // (nothing left to spend verification effort on).
   std::string oracle_line = "skipped (module not retained)";
-  if (!ropts.run_oracle) {
-    oracle_line = "skipped (disabled by service overload downgrade)";
-  } else if (r.cancel != nullptr && r.cancel->cancelled()) {
+  if (r.cancel != nullptr && r.cancel->cancelled()) {
     oracle_line = std::string("skipped (job cancelled: ") +
                   r.cancel->reason_name() + ")";
   } else if (r.module != nullptr) {

@@ -30,11 +30,11 @@ namespace pp::core {
 struct PipelineOptions {
   std::string entry = "main";
   std::vector<i64> args;
-  u64 max_steps = 500'000'000;
   ddg::DdgOptions ddg;
   fold::FolderOptions fold;
-  /// Resource caps for the whole run (0 = unlimited). `vm_steps` tightens
-  /// `max_steps`; the shadow/pool/wall caps degrade stage 2 mid-replay.
+  /// Resource caps for the whole run (0 = unlimited). `vm_steps` caps both
+  /// VM replays (unset: the VM's own 500M-step limit); the shadow/pool/wall
+  /// caps degrade stage 2 mid-replay.
   /// Exhaustion never aborts: the result is flagged `truncated` and the
   /// affected statements fold as over-approximations.
   support::RunBudget budget;
@@ -58,7 +58,7 @@ struct PipelineOptions {
   bool verify_module = true;
   /// Ignored: every run is serial (DESIGN.md "Concurrency: jobs, not
   /// stages"). Kept only so existing callers that pin `threads = 1` still
-  /// compile; it changes nothing and is not part of any cache key.
+  /// compile; it changes nothing.
   unsigned threads = 1;
   /// Self-observability (pp::obs): stage spans, pipeline counters and the
   /// Chrome-trace / run-manifest exporters. Off by default — when off,
@@ -166,10 +166,6 @@ struct ReportOptions {
   /// stays byte-identical across runs (the --stable golden contract). Set
   /// false for human consumption of real times.
   bool stable_self_profile = true;
-  /// Run the differential soundness oracle (the default). pp::service
-  /// disables it for jobs downgraded under overload — the report then
-  /// carries a deterministic "skipped" verdict line.
-  bool run_oracle = true;
 };
 
 /// The full textual feedback bundle the paper ships as its supplementary

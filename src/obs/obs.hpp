@@ -118,7 +118,7 @@ class Session {
            Stability st = Stability::kStable);
   /// Set the named gauge to its final value.
   void set(const char* name, i64 value, Stability st = Stability::kStable);
-  /// Raise the named high-watermark gauge to at least `value`.
+  /// Raise the named peak gauge to at least `value` (a running maximum).
   void gauge_max(const char* name, i64 value,
                  Stability st = Stability::kTiming);
 

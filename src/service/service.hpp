@@ -3,28 +3,24 @@
 // bounded queue, runs them on a fixed set of executor threads — each
 // executor runs one job at a time, start to finish, and the run itself is
 // serial — and returns a Job handle the client waits on. This is the only
-// place in the profiler where threads run concurrently. Robustness is the
-// contract:
+// place in the profiler where threads run concurrently. One job is one
+// pipeline run: the report a job delivers is the report a direct
+// core::Pipeline::run + full_report of the same request gives. Robustness
+// is the contract:
 //
 //  * cancellation — every job owns a support::CancelToken plumbed through
 //    core::Pipeline::run; Job::cancel() or an expired deadline stops the
 //    job at its next checkpoint with a diagnosed partial report;
 //  * deadlines — JobRequest::deadline_ms arms the token's deadline and a
 //    watchdog thread fires tokens of jobs wedged between checkpoints;
-//  * retries — transient failure classes (chaos-injected faults,
-//    wall-budget exhaustion) are retried with exponential backoff up to
-//    JobRequest::max_attempts; retries of a chaos_transient job drop the
-//    chaos options, modelling a fault that does not recur;
-//  * admission control — a bounded queue sheds jobs when full; between
-//    the high and low watermarks new jobs are admitted DOWNGRADED
-//    (folder max_pieces collapsed to 1, soundness oracle disabled), with
-//    the downgrade reported deterministically in the outcome;
-//  * result cache — completed clean runs are cached by an FNV-1a
-//    fingerprint of module + workload + every option that can change the
-//    report, so identical resubmissions are served without re-profiling;
+//  * admission control — a bounded queue sheds jobs when full, with a
+//    deterministic outcome line;
 //  * observability — a service-level pp::obs session counts submissions,
-//    sheds, retries, cancels and queue depth; observed jobs additionally
-//    produce a per-job run manifest (JobOutcome::manifest).
+//    completions, sheds, cancels and queue depth; observed jobs
+//    additionally produce a per-job run manifest (JobOutcome::manifest).
+//
+// A truncated run (budget trip, chaos fault) delivers its diagnosed
+// partial report; a client that wants another try resubmits.
 #pragma once
 
 #include <condition_variable>
@@ -33,7 +29,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "core/pipeline.hpp"
@@ -49,15 +44,8 @@ struct JobRequest {
   core::PipelineOptions pipeline;
   /// Report rendering threshold (ReportOptions::min_fraction).
   double min_fraction = 0.05;
-  /// Whole-job deadline in milliseconds, retries included (0 = none).
+  /// Whole-job deadline in milliseconds, queueing included (0 = none).
   u64 deadline_ms = 0;
-  /// Total attempts for transient failures (1 = no retry).
-  int max_attempts = 1;
-  /// The job's chaos faults model a transient external failure: retry
-  /// attempts run with chaos stripped, so a retried job can complete
-  /// clean. Without this flag a chaos job is retried as-is (the fault is
-  /// deterministic and recurs — the service still stops at max_attempts).
-  bool chaos_transient = false;
 };
 
 enum class JobState : std::uint8_t {
@@ -73,14 +61,11 @@ const char* job_state_name(JobState s);
 /// Everything the service delivers for one job.
 struct JobOutcome {
   JobState state = JobState::kQueued;
-  bool from_cache = false;  ///< served from the result cache, not re-run
-  bool downgraded = false;  ///< admitted under overload with reduced fidelity
-  bool truncated = false;   ///< the delivered report is a partial profile
-  int attempts = 0;         ///< pipeline runs consumed (0: never ran)
-  std::string report;       ///< full_report text ("" for shed jobs)
+  bool truncated = false;      ///< the delivered report is a partial profile
+  std::string report;          ///< full_report text ("" for shed jobs)
   u64 report_fingerprint = 0;  ///< FNV-1a of `report` (0 when empty)
-  /// One deterministic line describing how the job ended — queue-full
-  /// sheds, overload downgrades and cancellations all surface here.
+  /// One deterministic line describing how the job ended — sheds,
+  /// truncations and cancellations all surface here.
   std::string outcome_line;
   /// Per-job pp::obs run manifest (observed jobs only; "" otherwise).
   std::string manifest;
@@ -105,8 +90,6 @@ class Job {
 
   JobRequest req_;
   support::CancelToken token_;
-  u64 fp_ = 0;               ///< cache fingerprint (set at admission)
-  bool downgraded_ = false;  ///< admitted while the server was overloaded
   mutable std::mutex mu_;
   std::condition_variable cv_;
   bool done_ = false;
@@ -119,17 +102,6 @@ struct ServerOptions {
   unsigned executors = 2;
   /// Admission bound: submissions finding this many QUEUED jobs are shed.
   std::size_t queue_capacity = 32;
-  /// Overload hysteresis: entering a queue depth >= high_watermark turns
-  /// downgrade mode on; it stays on until the queue drains below
-  /// low_watermark. Downgraded admissions run with fold.max_pieces = 1
-  /// (one over-approximate piece per stream) and the oracle disabled.
-  std::size_t high_watermark = 24;
-  std::size_t low_watermark = 8;
-  /// Serve identical (module, workload, options) resubmissions from cache.
-  bool cache = true;
-  /// Base backoff before retry attempt k is 2^(k-1) * this (interruptible
-  /// by cancel/deadline).
-  u64 retry_backoff_ms = 1;
   /// Observe every job (per-job obs session + manifest) — independent of
   /// the per-job PipelineOptions::observe flag, which also works.
   bool observe_jobs = false;
@@ -143,8 +115,8 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Admit a job. Never blocks on profiling work: cache hits and shed
-  /// rejections complete the returned handle immediately.
+  /// Admit a job. Never blocks on profiling work: shed rejections
+  /// complete the returned handle immediately.
   JobHandle submit(JobRequest req);
 
   /// Stop accepting jobs and wait for queued+running ones to finish.
@@ -153,14 +125,11 @@ class Server {
 
   /// Deterministic service counters (snapshot).
   struct Stats {
-    u64 submitted = 0;         ///< admitted jobs (cache hits + sheds excluded)
+    u64 submitted = 0;         ///< admitted jobs (sheds excluded)
     u64 completed = 0;         ///< jobs that reached kCompleted
     u64 cancelled = 0;
     u64 deadline_expired = 0;
     u64 shed = 0;
-    u64 downgraded = 0;
-    u64 retries = 0;           ///< extra attempts beyond the first
-    u64 cache_hits = 0;
     std::size_t queue_depth = 0;
     std::size_t max_queue_depth = 0;
   };
@@ -170,19 +139,7 @@ class Server {
   /// "service:job" span per executed job).
   const obs::Session& observability() const { return obs_; }
 
-  /// FNV-1a fingerprint of a job's module + workload + options — the
-  /// result-cache key. Every option that changes the report is included:
-  /// budgets, chaos, fold/ddg options and the transformation engine's
-  /// switch and knobs. Pure optimizations (path compaction) are not.
-  static u64 fingerprint(const JobRequest& req);
-
  private:
-  struct CacheEntry {
-    std::string report;
-    u64 report_fingerprint = 0;
-    int attempts = 0;
-  };
-
   void executor_loop();
   void watchdog_loop();
   void run_job(const JobHandle& job);
@@ -198,9 +155,7 @@ class Server {
   std::condition_variable watchdog_cv_;  ///< watchdog waits here
   std::deque<JobHandle> queue_;
   std::vector<JobHandle> live_;  ///< admitted, not yet terminal (watchdog)
-  std::unordered_map<u64, std::shared_ptr<const CacheEntry>> cache_;
   Stats stats_;
-  bool overloaded_ = false;
   bool stopping_ = false;
 
   std::vector<std::thread> executors_;

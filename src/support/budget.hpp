@@ -44,9 +44,6 @@ struct RunBudget {
   bool wall_exceeded() const {
     return wall_ms != 0 && armed() && elapsed_ms() >= wall_ms;
   }
-  bool steps_exceeded(u64 steps) const {
-    return vm_steps != 0 && steps > vm_steps;
-  }
   bool shadow_exceeded(std::size_t pages) const {
     return shadow_pages != 0 && pages > shadow_pages;
   }
@@ -117,15 +114,6 @@ class DiagnosticLog {
   }
   void error(Stage stage, std::string reason, int statement = -1) {
     add(Severity::kError, stage, std::move(reason), statement);
-  }
-
-  /// Append another log's records after this log's own, preserving the
-  /// donor's internal order.
-  void merge_from(DiagnosticLog&& other) {
-    records_.insert(records_.end(),
-                    std::make_move_iterator(other.records_.begin()),
-                    std::make_move_iterator(other.records_.end()));
-    other.records_.clear();
   }
 
   bool empty() const { return records_.empty(); }

@@ -113,8 +113,9 @@ class Machine {
   /// Run `entry` with the given arguments; throws pp::Error on traps
   /// (bad address, division by zero). Exhausting `max_steps` is NOT a
   /// trap: the run stops and returns a truncated RunResult.
+  static constexpr u64 kDefaultMaxSteps = 500'000'000;
   RunResult run(const std::string& entry, const std::vector<i64>& args = {},
-                u64 max_steps = 500'000'000);
+                u64 max_steps = kDefaultMaxSteps);
 
   /// Stats accumulated by the current/last run. Valid even after a trap
   /// unwound run() — the pipeline recovers partial accounting from here.

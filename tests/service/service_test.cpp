@@ -1,8 +1,7 @@
-// pp::service contract tests: jobs submitted to the Server come back with
-// the same byte-identical reports the library produces one-shot; cancels,
-// deadlines, sheds and overload downgrades all land as *diagnosed*
-// terminal outcomes, never hangs or throws; identical resubmissions are
-// served from the result cache without re-profiling.
+// pp::service contract tests: every job is one pipeline run and comes back
+// with the same byte-identical report the library produces one-shot, also
+// when the queue is saturated; cancels, deadlines, truncations and sheds
+// all land as *diagnosed* terminal outcomes, never hangs or throws.
 #include "service/service.hpp"
 
 #include <gtest/gtest.h>
@@ -38,9 +37,8 @@ TEST(Service, SubmittedJobMatchesSerialReport) {
   const JobOutcome& out = job->wait();
 
   EXPECT_EQ(out.state, JobState::kCompleted);
-  EXPECT_FALSE(out.from_cache);
   EXPECT_FALSE(out.truncated);
-  EXPECT_EQ(out.attempts, 1);
+  EXPECT_EQ(out.outcome_line, "completed clean");
   EXPECT_EQ(out.report, serial_report(wl.module));
   EXPECT_EQ(out.report_fingerprint, obs::fnv1a(out.report));
 
@@ -50,82 +48,72 @@ TEST(Service, SubmittedJobMatchesSerialReport) {
   EXPECT_EQ(st.shed, 0u);
 }
 
-TEST(Service, CacheHitServedWithoutReprofiling) {
-  workloads::Workload wl = workloads::make_rodinia("nw");
+// A saturated queue (one executor, every other job waiting) changes when
+// a job runs, never what it reports: each completed report is
+// byte-identical to a direct run of its workload.
+TEST(Service, SaturatedQueueDeliversFullFidelityReport) {
+  const char* kNames[] = {"hotspot", "backprop", "lud"};
+  std::vector<workloads::Workload> wls;
+  std::vector<std::string> reference;
+  for (const char* n : kNames) {
+    wls.push_back(workloads::make_rodinia(n));
+    reference.push_back(serial_report(wls.back().module));
+  }
+  ServerOptions sopts;
+  sopts.executors = 1;
+  Server server(sopts);
+
+  constexpr std::size_t kJobs = 30;  // fits the default queue_capacity
+  std::vector<JobHandle> jobs;
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    const workloads::Workload& wl = wls[i % wls.size()];
+    jobs.push_back(server.submit(request_for(wl.module, wl.name)));
+  }
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    const JobOutcome& out = jobs[i]->wait();
+    ASSERT_EQ(out.state, JobState::kCompleted) << out.outcome_line;
+    EXPECT_EQ(out.report, reference[i % wls.size()]) << "job " << i;
+  }
+  EXPECT_GE(server.stats().max_queue_depth, 25u);
+  EXPECT_EQ(server.stats().completed, kJobs);
+}
+
+// Source references in the report (`file:line`) come from Instr::line, so
+// two modules that differ only in debug lines have different reports, and
+// each job must deliver its own.
+TEST(Service, DebugLineChangeGetsItsOwnReport) {
+  workloads::Workload wl = workloads::make_rodinia("hotspot");
+  ir::Module shifted = wl.module;
+  for (ir::Function& f : shifted.functions)
+    for (ir::BasicBlock& bb : f.blocks)
+      for (ir::Instr& in : bb.instrs)
+        if (in.line != 0) in.line += 1000;
+  const std::string ref = serial_report(wl.module);
+  const std::string ref_shifted = serial_report(shifted);
+  ASSERT_NE(ref, ref_shifted);
+
   Server server;
-
-  JobHandle first = server.submit(request_for(wl.module, "nw"));
-  first->wait();
-  ASSERT_EQ(first->wait().state, JobState::kCompleted);
-
-  JobHandle second = server.submit(request_for(wl.module, "nw"));
+  JobHandle first = server.submit(request_for(wl.module, "hotspot"));
+  EXPECT_EQ(first->wait().report, ref);
+  JobHandle second = server.submit(request_for(shifted, "hotspot"));
   const JobOutcome& out = second->wait();
   EXPECT_EQ(out.state, JobState::kCompleted);
-  EXPECT_TRUE(out.from_cache);
-  EXPECT_EQ(out.attempts, 0);  // no pipeline run was paid for
-  EXPECT_EQ(out.report, first->wait().report);
-  EXPECT_NE(out.outcome_line.find("cache hit"), std::string::npos);
-
-  Server::Stats st = server.stats();
-  EXPECT_EQ(st.cache_hits, 1u);
-  EXPECT_EQ(st.completed, 1u);  // executed once, served twice
+  EXPECT_EQ(out.report, ref_shifted);
+  EXPECT_EQ(server.stats().completed, 2u);
 }
 
-TEST(Service, CacheKeyDistinguishesOptions) {
-  workloads::Workload wl = workloads::make_rodinia("nw");
-  JobRequest a = request_for(wl.module, "nw");
-
-  JobRequest c = a;
-  c.pipeline.fold.max_pieces = 8;
-  EXPECT_NE(Server::fingerprint(a), Server::fingerprint(c));
-  JobRequest d = a;
-  d.pipeline.args = {3};
-  EXPECT_NE(Server::fingerprint(a), Server::fingerprint(d));
-
-  workloads::Workload other = workloads::make_rodinia("pathfinder");
-  JobRequest e = request_for(other.module, "nw");
-  EXPECT_NE(Server::fingerprint(a), Server::fingerprint(e));
-
-  // The transformation engine's switch and every knob that changes its
-  // report section.
-  JobRequest t = a;
-  t.pipeline.apply_transforms = true;
-  EXPECT_NE(Server::fingerprint(a), Server::fingerprint(t));
-  JobRequest tile = t;
-  tile.pipeline.transform.tile = 8;
-  EXPECT_NE(Server::fingerprint(t), Server::fingerprint(tile));
-  JobRequest steps = t;
-  steps.pipeline.transform.max_steps = 1000;
-  EXPECT_NE(Server::fingerprint(t), Server::fingerprint(steps));
-  JobRequest no_oracle = t;
-  no_oracle.pipeline.transform.run_oracle = false;
-  EXPECT_NE(Server::fingerprint(t), Server::fingerprint(no_oracle));
-  JobRequest force = t;
-  force.pipeline.transform.force = true;
-  EXPECT_NE(Server::fingerprint(t), Server::fingerprint(force));
-  JobRequest cost = t;
-  cost.pipeline.transform.cost.miss_penalty = 1;
-  EXPECT_NE(Server::fingerprint(t), Server::fingerprint(cost));
-}
-
-// A plain run in the cache must not answer a transformation job: the
-// second job is re-profiled and carries the `-- transformation --` section
-// a direct run has.
-TEST(Service, ApplyTransformsJobIsNotServedFromPlainCache) {
+// A transformation job carries the `-- transformation --` section a
+// direct run has.
+TEST(Service, ApplyTransformsJobCarriesTransformationSection) {
   workloads::Workload wl = workloads::make_rodinia("backprop");
   Server server;
-  JobRequest plain = request_for(wl.module, "backprop");
-  EXPECT_EQ(server.submit(plain)->wait().state, JobState::kCompleted);
-
-  JobRequest transformed = plain;
+  JobRequest transformed = request_for(wl.module, "backprop");
   transformed.pipeline.apply_transforms = true;
   JobHandle job = server.submit(transformed);
   const JobOutcome& out = job->wait();
   EXPECT_EQ(out.state, JobState::kCompleted);
-  EXPECT_FALSE(out.from_cache);
   EXPECT_NE(out.report.find("-- transformation --"), std::string::npos);
   EXPECT_EQ(out.report, serial_report(wl.module, transformed.pipeline));
-  EXPECT_EQ(server.stats().cache_hits, 0u);
 }
 
 TEST(Service, ChaosCancelledJobDeliversDeterministicPartialReport) {
@@ -166,8 +154,9 @@ TEST(Service, DeadlineExpiresLongJob) {
   EXPECT_NE(out.outcome_line.find("deadline expired"), std::string::npos);
   EXPECT_EQ(server.stats().deadline_expired, 1u);
   // A report may or may not have been started; if present it is flagged.
-  if (!out.report.empty())
+  if (!out.report.empty()) {
     EXPECT_NE(out.report.find("PARTIAL PROFILE"), std::string::npos);
+  }
 }
 
 TEST(Service, ClientCancelStopsJobWithoutHanging) {
@@ -197,36 +186,12 @@ TEST(Service, ChaosQueueFullShedsDeterministically) {
   EXPECT_EQ(server.stats().submitted, 0u);  // sheds are not admissions
 }
 
-TEST(Service, OverloadDowngradeCollapsesFoldAndDisablesOracle) {
-  workloads::Workload wl = workloads::make_rodinia("pathfinder");
-  ServerOptions sopts;
-  sopts.executors = 1;
-  sopts.high_watermark = 1;  // overloaded from the first admission
-  sopts.low_watermark = 0;   // and never recovers
-  Server server(sopts);
-
-  JobHandle job = server.submit(request_for(wl.module, "pathfinder"));
-  const JobOutcome& out = job->wait();
-  EXPECT_EQ(out.state, JobState::kCompleted);
-  EXPECT_TRUE(out.downgraded);
-  EXPECT_NE(out.outcome_line.find("downgraded under overload"),
-            std::string::npos);
-  EXPECT_NE(out.report.find("skipped (disabled by service overload downgrade)"),
-            std::string::npos);
-  EXPECT_EQ(server.stats().downgraded, 1u);
-
-  // Downgraded results are lower fidelity: they must NOT enter the cache.
-  JobHandle again = server.submit(request_for(wl.module, "pathfinder"));
-  EXPECT_FALSE(again->wait().from_cache);
-}
-
 TEST(Service, QueueOverflowShedsWhenSaturated) {
   workloads::Workload slow = workloads::make_rodinia("cfd");
   workloads::Workload fast = workloads::make_rodinia("nw");
   ServerOptions sopts;
   sopts.executors = 1;
   sopts.queue_capacity = 2;
-  sopts.cache = false;  // identical fast jobs must all really queue
   Server server(sopts);
 
   // Occupy the single executor with a slow job, then overfill the queue.
@@ -254,41 +219,24 @@ TEST(Service, QueueOverflowShedsWhenSaturated) {
   EXPECT_EQ(server.stats().shed, shed);
 }
 
-TEST(Service, TransientChaosRetriedToCleanCompletion) {
+// A chaos truncation recurs on every run of the job, so the service runs
+// it once and delivers the diagnosed partial report a direct run gives.
+TEST(Service, ChaosTruncatedJobDeliversPartialReport) {
   workloads::Workload wl = workloads::make_rodinia("pathfinder");
   JobRequest req = request_for(wl.module, "pathfinder");
   req.pipeline.chaos.kind = vm::FaultKind::kTruncate;
   req.pipeline.chaos.seed = 7;
-  req.chaos_transient = true;  // the fault does not recur on retry
-  req.max_attempts = 3;
-
-  Server server;
-  JobHandle job = server.submit(req);
-  const JobOutcome& out = job->wait();
-
-  EXPECT_EQ(out.state, JobState::kCompleted);
-  EXPECT_FALSE(out.truncated);  // the retry ran clean
-  EXPECT_EQ(out.attempts, 2);
-  EXPECT_EQ(server.stats().retries, 1u);
-  EXPECT_EQ(out.report, serial_report(wl.module));
-}
-
-TEST(Service, PersistentChaosExhaustsRetriesWithPartialReport) {
-  workloads::Workload wl = workloads::make_rodinia("pathfinder");
-  JobRequest req = request_for(wl.module, "pathfinder");
-  req.pipeline.chaos.kind = vm::FaultKind::kTruncate;
-  req.pipeline.chaos.seed = 7;
-  req.max_attempts = 2;  // chaos_transient off: the fault recurs
 
   Server server;
   JobHandle job = server.submit(req);
   const JobOutcome& out = job->wait();
   EXPECT_EQ(out.state, JobState::kCompleted);
   EXPECT_TRUE(out.truncated);
-  EXPECT_EQ(out.attempts, 2);
-  EXPECT_NE(out.outcome_line.find("retries exhausted"), std::string::npos);
+  EXPECT_NE(out.outcome_line.find("diagnosed partial profile"),
+            std::string::npos);
   EXPECT_NE(out.report.find("PARTIAL PROFILE"), std::string::npos);
-  EXPECT_EQ(server.stats().retries, 1u);
+  EXPECT_EQ(out.report, serial_report(wl.module, req.pipeline));
+  EXPECT_EQ(server.stats().completed, 1u);
 }
 
 TEST(Service, ObservedJobCarriesRunManifest) {
@@ -312,7 +260,6 @@ TEST(Service, ShutdownDrainsQueuedJobs) {
   workloads::Workload wl = workloads::make_rodinia("nw");
   ServerOptions sopts;
   sopts.executors = 1;
-  sopts.cache = false;
   Server server(sopts);
   std::vector<JobHandle> jobs;
   for (int i = 0; i < 4; ++i)
@@ -331,7 +278,6 @@ TEST(Service, ShutdownCancelPendingStopsEverything) {
   workloads::Workload wl = workloads::make_rodinia("cfd");
   ServerOptions sopts;
   sopts.executors = 1;
-  sopts.cache = false;
   Server server(sopts);
   std::vector<JobHandle> jobs;
   for (int i = 0; i < 3; ++i)
