@@ -306,10 +306,8 @@ ProfileResult Pipeline::run(const PipelineOptions& opts) {
           "profile truncated — dependence information incomplete";
     } else {
       try {
-        transform::Options topts = opts.transform;
-        topts.cancel = opts.cancel;
         res.transform = transform::run(module_, res.program, res.control,
-                                       opts.entry, opts.args, topts);
+                                       opts.entry, opts.args, opts.cancel);
       } catch (const Error& e) {
         res.transform = transform::EngineReport{};
         res.transform.ran = true;
@@ -525,6 +523,12 @@ std::string full_report(const ProfileResult& r, const ReportOptions& ropts) {
      << static_cast<int>(feedback::percent_affine(r.program, false))
      << "%\n\n";
 
+  // The module's static dependence analysis, built once and shared by the
+  // two static sections below and the soundness oracle.
+  obs::Span static_span(ob, "report:static");
+  verify::exact::ModuleDeps deps;
+  if (r.module != nullptr) deps = verify::exact::analyze_module(*r.module);
+
   // The Exp. II contrast: what a purely static (Polly-style) analysis can
   // model of each function, next to what the dynamic profile recovered.
   os << "-- static baseline --\n";
@@ -533,7 +537,8 @@ std::string full_report(const ProfileResult& r, const ReportOptions& ropts) {
   } else {
     for (const auto& f : r.module->functions) {
       if (f.blocks.empty()) continue;
-      statican::FunctionModel fm = statican::model_function(*r.module, f);
+      const statican::FunctionModel& fm =
+          deps[static_cast<std::size_t>(f.id)]->model();
       std::size_t modeled = 0;
       for (const auto& a : fm.accesses)
         if (a.modeled) ++modeled;
@@ -556,9 +561,10 @@ std::string full_report(const ProfileResult& r, const ReportOptions& ropts) {
   if (r.module == nullptr) {
     os << "unavailable (module not retained)\n";
   } else {
-    os << verify::exact::precision_section(*r.module);
+    os << verify::exact::precision_section(*r.module, deps);
   }
   os << "\n";
+  static_span.end();
   os << "-- decorated schedule tree (ops share, source refs) --\n";
   os << feedback::render_decorated_tree(r.schedule_tree, r.program, r.module);
   os << "\n-- regions of interest --\n";
@@ -579,8 +585,8 @@ std::string full_report(const ProfileResult& r, const ReportOptions& ropts) {
     ptrs.reserve(metrics.size());
     for (auto& m : metrics) ptrs.push_back(&m);
     verify::OracleReport oracle =
-        verify::run_oracle(*r.module, r.program, ptrs, /*downgrade=*/true, ob,
-                           r.cancel);
+        verify::run_oracle(*r.module, r.program, deps, ptrs,
+                           /*downgrade=*/true, ob, r.cancel);
     oracle_line = oracle.verdict_line();
   }
 

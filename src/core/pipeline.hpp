@@ -75,16 +75,15 @@ struct PipelineOptions {
   /// their own for ad-hoc timeouts (CancelToken::set_deadline_in_ms).
   support::CancelToken* cancel = nullptr;
   /// Close the loop: after folding, run the transformation engine
-  /// (pp::transform) — apply every schedule the profile justifies to a
-  /// copy of the module, A/B-measure under the engine's cost model, and
-  /// enforce the output-identity contract. Forces
+  /// (pp::transform::run) — plan every schedule the profile justifies,
+  /// refuse the ones the differential oracle contradicts, apply each
+  /// survivor to a copy of the module, A/B-measure under the engine's
+  /// fixed cost model (4x4 tiles, a 1 KiB cache), and enforce the
+  /// output-identity contract. `cancel` stops it between plans. Forces
   /// DdgOptions::track_anti_output (the legality checks need WAR/WAW
   /// edges), which in turn disables path compaction for the run.
   /// full_report gains a `-- transformation --` section.
   bool apply_transforms = false;
-  /// Engine knobs (tile size, measurement cost model, oracle gate) used
-  /// when `apply_transforms` is set; `cancel` is plumbed from the run.
-  transform::Options transform;
 };
 
 /// Everything the profiler learned about one execution.

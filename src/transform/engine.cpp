@@ -9,6 +9,7 @@
 #include "ir/loop_nest.hpp"
 #include "verify/oracle.hpp"
 #include "verify/verifier.hpp"
+#include "vm/vm.hpp"
 
 namespace pp::transform {
 
@@ -22,6 +23,14 @@ const char* kind_name(Kind k) {
 }
 
 namespace {
+
+/// Tile size for both dimensions of a 2-D tiling.
+constexpr i64 kTile = 4;
+/// Cost model for the A/B measurement runs: a deliberately small cache
+/// (16 lines x 64 B, 2-way, 1 KiB) so the locality effects the
+/// transformations target show up at mini-Rodinia problem sizes. The
+/// profiling pipeline itself keeps the VM's default model.
+constexpr vm::CostModel kCost{16, 64, 2, 40};
 
 std::string fmt2(double v) {
   char b[32];
@@ -271,7 +280,7 @@ i64 trip_count(const fold::FoldedProgram& prog, const std::vector<int>& stmts,
 }
 
 void plan_pairs(const ir::Module& m, const fold::FoldedProgram& prog,
-                const cfg::ControlStructure& cs, const Options& opts,
+                const cfg::ControlStructure& cs, support::CancelToken* cancel,
                 const std::map<std::pair<int, int>, LoopStmts>& loop_stmts,
                 std::vector<Plan>* plans, std::vector<Refusal>* refusals) {
   for (const ir::Function& f : m.functions) {
@@ -322,8 +331,7 @@ void plan_pairs(const ir::Module& m, const fold::FoldedProgram& prog,
           // moves the conflict to the other access). Complete on its own:
           // the big inner stride is the eviction driver.
           if (si && so && (*si >= 64 || *si <= -64) && *so != 0 &&
-              *so * static_cast<i64>(opts.tile) <= 64 &&
-              *so * static_cast<i64>(opts.tile) >= -64)
+              *so * kTile <= 64 && *so * kTile >= -64)
             orient_conflict = true;
         }
         if (pc.deep_stmts.empty()) continue;
@@ -358,11 +366,10 @@ void plan_pairs(const ir::Module& m, const fold::FoldedProgram& prog,
                                   std::to_string(header_line(f, outer)) +
                                   "/@" + std::to_string(header_line(f, inner));
         bool want_interchange = cost_swapped < cost_now * 0.999;
-        bool want_tile = tile_reuse &&
-                         trip_count(prog, pc.deep_stmts, pc.d_outer) >=
-                             2 * opts.tile &&
-                         trip_count(prog, pc.deep_stmts, pc.d_inner) >=
-                             2 * opts.tile;
+        bool want_tile =
+            tile_reuse &&
+            trip_count(prog, pc.deep_stmts, pc.d_outer) >= 2 * kTile &&
+            trip_count(prog, pc.deep_stmts, pc.d_inner) >= 2 * kTile;
         if (!want_interchange && !want_tile) continue;
 
         SinkCheck sink = check_sinkable(m, prog, f.id, outer, inner);
@@ -377,7 +384,7 @@ void plan_pairs(const ir::Module& m, const fold::FoldedProgram& prog,
         region.name = site;
         region.stmts = pc.region;
         feedback::AnalyzeOptions aopts;
-        aopts.sched.cancel = opts.cancel;
+        aopts.sched.cancel = cancel;
         feedback::RegionMetrics mx = feedback::analyze_region(prog, region, aopts);
         std::string why;
         if (!bands_permit(mx, pc.d_outer, pc.d_inner, prog, &why)) {
@@ -411,12 +418,11 @@ void plan_pairs(const ir::Module& m, const fold::FoldedProgram& prog,
           p.func = f.id;
           p.outer_header = outer.header;
           p.inner_header = inner.header;
-          p.tile = opts.tile;
           p.predicted = 1.0;  // the stride model cannot see tile reuse
           p.parallel_outer = par;
           p.site = site;
-          p.desc = "tile " + std::to_string(opts.tile) + "x" +
-                   std::to_string(opts.tile) + " " + lines;
+          p.desc = "tile " + std::to_string(kTile) + "x" +
+                   std::to_string(kTile) + " " + lines;
           p.mx = mx;
           plans->push_back(std::move(p));
         }
@@ -565,10 +571,9 @@ bool fusion_deps_ok(const fold::FoldedProgram& prog,
 }
 
 void plan_fusion(const ir::Module& m, const fold::FoldedProgram& prog,
-                 const cfg::ControlStructure& cs, const Options& opts,
+                 const cfg::ControlStructure& cs,
                  const std::map<std::pair<int, int>, LoopStmts>& loop_stmts,
                  std::vector<Plan>* plans, std::vector<Refusal>* refusals) {
-  (void)opts;
   for (const ir::Function& f : m.functions) {
     auto fit = cs.forests.find(f.id);
     if (fit == cs.forests.end()) continue;
@@ -668,13 +673,13 @@ struct RunOut {
 };
 
 RunOut run_module(const ir::Module& m, const std::string& entry,
-                  const std::vector<i64>& args, const Options& opts) {
+                  const std::vector<i64>& args, support::CancelToken* cancel) {
   RunOut out;
   vm::Machine mach(m);
-  mach.set_cost_model(opts.cost);
-  mach.set_cancel(opts.cancel);
+  mach.set_cost_model(kCost);
+  mach.set_cancel(cancel);
   try {
-    vm::RunResult rr = mach.run(entry, args, opts.max_steps);
+    vm::RunResult rr = mach.run(entry, args);
     if (rr.truncated) {
       out.why = "run truncated: " + rr.truncate_reason;
       return out;
@@ -709,7 +714,7 @@ bool apply_plan(ir::Module& mc, const Plan& p, std::string* why) {
       }
       bool done = p.kind == Kind::kInterchange
                       ? ir::interchange(f, *o, *i)
-                      : ir::tile2(f, *o, *i, p.tile);
+                      : ir::tile2(f, *o, *i, kTile);
       if (!done) *why = "structural rewrite preconditions failed";
       return done;
     }
@@ -746,28 +751,15 @@ void finish_module(ir::Module& mc) {
 
 }  // namespace
 
-std::vector<Plan> plan(const ir::Module& m, const fold::FoldedProgram& prog,
-                       const cfg::ControlStructure& cs, const Options& opts) {
-  std::vector<Plan> plans;
-  std::vector<Refusal> refusals;  // surfaced again by apply_and_measure
-  std::map<std::pair<int, int>, LoopStmts> loop_stmts = map_loop_stmts(prog);
-  plan_pairs(m, prog, cs, opts, loop_stmts, &plans, &refusals);
-  plan_fusion(m, prog, cs, opts, loop_stmts, &plans, &refusals);
-  // Planning-time refusals travel as sentinel plans so a single report
-  // shows both populations; apply_and_measure re-derives the diagnostics.
-  (void)refusals;
-  return plans;
-}
-
 EngineReport apply_and_measure(const ir::Module& m,
                                const fold::FoldedProgram& prog,
                                const std::vector<Plan>& plans,
                                const std::string& entry,
                                const std::vector<i64>& args,
-                               const Options& opts) {
+                               support::CancelToken* cancel) {
   EngineReport rep;
   rep.ran = true;
-  RunOut base = run_module(m, entry, args, opts);
+  RunOut base = run_module(m, entry, args, cancel);
   if (!base.ok) {
     rep.skipped_reason = "baseline " + base.why;
     return rep;
@@ -782,14 +774,14 @@ EngineReport apply_and_measure(const ir::Module& m,
   std::vector<Measured> survivors;
 
   for (const Plan& p : plans) {
-    if (opts.cancel != nullptr && opts.cancel->cancelled()) {
-      rep.skipped_reason = std::string("cancelled (") +
-                           opts.cancel->reason_name() + ")";
+    if (cancel != nullptr && cancel->cancelled()) {
+      rep.skipped_reason =
+          std::string("cancelled (") + cancel->reason_name() + ")";
       break;
     }
     // Oracle gate: a schedule whose claims the must-evidence contradicts
     // is refused with a diagnostic, never applied.
-    if (!opts.force && opts.run_oracle && !p.mx.sched.groups.empty()) {
+    if (!p.mx.sched.groups.empty()) {
       feedback::RegionMetrics mx = p.mx;
       verify::ClaimReport claims =
           verify::check_parallel_claims(prog, mx, /*downgrade=*/true);
@@ -817,7 +809,7 @@ EngineReport apply_and_measure(const ir::Module& m,
                                vr.issues.front().str());
       continue;
     }
-    RunOut after = run_module(mc, entry, args, opts);
+    RunOut after = run_module(mc, entry, args, cancel);
     if (!after.ok) {
       rep.violations.push_back(p.site + "  " + p.desc +
                                ": transformed " + after.why);
@@ -877,7 +869,7 @@ EngineReport apply_and_measure(const ir::Module& m,
           "combined module failed verification: " + vr.issues.front().str());
       rep.combined_identical = false;
     } else {
-      RunOut after = run_module(combined, entry, args, opts);
+      RunOut after = run_module(combined, entry, args, cancel);
       if (!after.ok) {
         rep.violations.push_back("combined transformed " + after.why);
         rep.combined_identical = false;
@@ -899,15 +891,14 @@ EngineReport apply_and_measure(const ir::Module& m,
 
 EngineReport run(const ir::Module& m, const fold::FoldedProgram& prog,
                  const cfg::ControlStructure& cs, const std::string& entry,
-                 const std::vector<i64>& args, const Options& opts) {
-  // Planning-time refusals (sink/band/dependence) must reach the report:
-  // re-run the planners with a local refusal list and merge.
+                 const std::vector<i64>& args, support::CancelToken* cancel) {
+  // Planning-time refusals (sink/band/dependence) lead the report's list.
   std::vector<Plan> plans;
   std::vector<Refusal> refusals;
   std::map<std::pair<int, int>, LoopStmts> loop_stmts = map_loop_stmts(prog);
-  plan_pairs(m, prog, cs, opts, loop_stmts, &plans, &refusals);
-  plan_fusion(m, prog, cs, opts, loop_stmts, &plans, &refusals);
-  EngineReport rep = apply_and_measure(m, prog, plans, entry, args, opts);
+  plan_pairs(m, prog, cs, cancel, loop_stmts, &plans, &refusals);
+  plan_fusion(m, prog, cs, loop_stmts, &plans, &refusals);
+  EngineReport rep = apply_and_measure(m, prog, plans, entry, args, cancel);
   rep.refused.insert(rep.refused.begin(), refusals.begin(), refusals.end());
   return rep;
 }

@@ -33,7 +33,6 @@
 #include "fold/folded_ddg.hpp"
 #include "ir/ir.hpp"
 #include "support/cancel.hpp"
-#include "vm/vm.hpp"
 
 namespace pp::transform {
 
@@ -49,31 +48,12 @@ struct Plan {
   int func = -1;
   int outer_header = -1;
   int inner_header = -1;
-  i64 tile = 4;
   std::vector<int> chain;
   double predicted = 1.0;
   bool parallel_outer = false;
   std::string site;  ///< "file:line (function)"
   std::string desc;  ///< "interchange loops @7/@9"
   feedback::RegionMetrics mx;
-};
-
-struct Options {
-  /// Tile size for both dimensions of a 2-D tiling.
-  i64 tile = 4;
-  /// Cost model for the A/B measurement runs. Defaults to a deliberately
-  /// small cache (16 lines x 64 B, 2-way, 1 KiB) so the locality effects
-  /// the transformations target show up at mini-Rodinia problem sizes; the
-  /// profiling pipeline itself keeps the VM's default model.
-  vm::CostModel cost{16, 64, 2, 40};
-  u64 max_steps = 500'000'000;
-  /// Re-validate each plan's schedule claims through the differential
-  /// oracle before applying; a contradicted schedule is refused.
-  bool run_oracle = true;
-  /// Test hook: apply plans without the oracle gate, so the output-
-  /// identity check can be demonstrated catching an illegal rewrite.
-  bool force = false;
-  support::CancelToken* cancel = nullptr;
 };
 
 /// One transformation that was applied and measured.
@@ -112,29 +92,29 @@ struct EngineReport {
   bool ok() const { return violations.empty(); }
 };
 
-/// Plan every transformation the profile justifies: per-nest interchange /
-/// tiling candidates gated by the scheduler's bands, and fusion chains
-/// gated by the engine's polyhedral dependence check. Requires a profile
-/// folded with anti/output tracking (DdgOptions::track_anti_output) —
-/// without WAR/WAW edges the legality checks would be unsound.
-std::vector<Plan> plan(const ir::Module& m, const fold::FoldedProgram& prog,
-                       const cfg::ControlStructure& cs, const Options& opts);
-
 /// Apply each plan to its own copy of the module, verify the rewritten
 /// module (pp::verify::verify_module), A/B-run original vs transformed
-/// under the cost model, and enforce the output-identity contract. A final
-/// combined module stacks every surviving plan.
+/// under the engine's cost model, and enforce the output-identity contract.
+/// A plan whose schedule (`mx`) the differential oracle contradicts is
+/// refused before it is applied. A final combined module stacks every
+/// surviving plan. `cancel` (may be null) stops the loop between plans.
 EngineReport apply_and_measure(const ir::Module& m,
                                const fold::FoldedProgram& prog,
                                const std::vector<Plan>& plans,
                                const std::string& entry,
                                const std::vector<i64>& args,
-                               const Options& opts);
+                               support::CancelToken* cancel);
 
-/// plan() + apply_and_measure().
+/// Plan every transformation the profile justifies — per-nest interchange /
+/// tiling candidates gated by the scheduler's bands, and fusion chains
+/// gated by the engine's polyhedral dependence check — then
+/// apply_and_measure() them. Planning-time refusals lead the report's
+/// refusal list. Requires a profile folded with anti/output tracking
+/// (DdgOptions::track_anti_output): without WAR/WAW edges the legality
+/// checks would be unsound.
 EngineReport run(const ir::Module& m, const fold::FoldedProgram& prog,
                  const cfg::ControlStructure& cs, const std::string& entry,
-                 const std::vector<i64>& args, const Options& opts);
+                 const std::vector<i64>& args, support::CancelToken* cancel);
 
 /// Deterministic body of the report's `-- transformation --` section.
 std::string render_section(const EngineReport& r);

@@ -1,10 +1,9 @@
 #include "verify/exact.hpp"
 
-#include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "poly/polyhedron.hpp"
-#include "support/int_math.hpp"
 
 namespace pp::verify::exact {
 
@@ -43,8 +42,6 @@ std::vector<std::pair<int, i64>> coeff_list(const AccessInfo& a) {
 /// (so kInfeasible remains a theorem), they just widen kFeasible.
 struct PairSystem {
   poly::Polyhedron p;
-  std::vector<int> x_loops;
-  std::vector<int> y_loops;
   bool comparable = false;
 };
 
@@ -59,7 +56,6 @@ PairSystem pair_system(const AccessInfo& x, const AccessInfo& y,
   std::vector<i64> ec(dim, 0);
   std::size_t v = 0;
   for (const auto& [l, c] : cx) {
-    s.x_loops.push_back(l);
     ec[v] = c;
     const auto it = fm.bounds.find(l);
     if (it != fm.bounds.end() && it->second.known)
@@ -67,7 +63,6 @@ PairSystem pair_system(const AccessInfo& x, const AccessInfo& y,
     ++v;
   }
   for (const auto& [l, c] : cy) {
-    s.y_loops.push_back(l);
     ec[v] = -c;
     const auto it = fm.bounds.find(l);
     if (it != fm.bounds.end() && it->second.known)
@@ -78,20 +73,6 @@ PairSystem pair_system(const AccessInfo& x, const AccessInfo& y,
   s.p = std::move(p);
   s.comparable = true;
   return s;
-}
-
-poly::Feas feas_leq(const poly::Polyhedron& p, const poly::AffineExpr& e,
-                    i64 k) {
-  poly::Polyhedron q = p;
-  q.add_ge0(e * -1 + k);  // e <= k
-  return poly::integer_feasible(q);
-}
-
-poly::Feas feas_geq(const poly::Polyhedron& p, const poly::AffineExpr& e,
-                    i64 k) {
-  poly::Polyhedron q = p;
-  q.add_ge0(e + (-k));  // e >= k
-  return poly::integer_feasible(q);
 }
 
 PairVerdict verdict_of(const PairSystem& s) {
@@ -141,103 +122,6 @@ PairVerdict ExactDeps::pair_verdict(int src_block, int src_instr,
   return verdict_by_index(i, j);
 }
 
-std::optional<DepVector> ExactDeps::dep_vector(int src_block, int src_instr,
-                                               int dst_block,
-                                               int dst_instr) const {
-  const std::size_t i = index_of(src_block, src_instr);
-  const std::size_t j = index_of(dst_block, dst_instr);
-  const std::size_t n = model().accesses.size();
-  if (i >= n || j >= n) return std::nullopt;
-  const PairSystem s =
-      pair_system(model().accesses[i], model().accesses[j], model());
-  if (!s.comparable) return std::nullopt;
-  if (poly::integer_feasible(s.p) == poly::Feas::kInfeasible)
-    return std::nullopt;
-
-  DepVector dv;
-  const std::size_t dim = s.p.dim();
-  for (std::size_t vi = 0; vi < s.x_loops.size(); ++vi) {
-    const int loop = s.x_loops[vi];
-    const auto wit =
-        std::find(s.y_loops.begin(), s.y_loops.end(), loop);
-    if (wit == s.y_loops.end()) continue;
-    const std::size_t wi =
-        s.x_loops.size() +
-        static_cast<std::size_t>(wit - s.y_loops.begin());
-    // delta = dst IV - src IV for this shared loop.
-    std::vector<i64> dc(dim, 0);
-    dc[wi] = 1;
-    dc[vi] = -1;
-    const poly::AffineExpr delta(std::move(dc), 0);
-
-    auto feas_with = [&](int rel) {  // rel: +1 (>=1), 0 (==0), -1 (<=-1)
-      poly::Polyhedron q = s.p;
-      if (rel > 0)
-        q.add_ge0(delta + (-1));
-      else if (rel < 0)
-        q.add_ge0(delta * -1 + (-1));
-      else
-        q.add_eq0(delta);
-      return poly::integer_feasible(q);
-    };
-    const poly::Feas pos = feas_with(1);
-    const poly::Feas zer = feas_with(0);
-    const poly::Feas neg = feas_with(-1);
-    const bool unk = pos == poly::Feas::kUnknown ||
-                     zer == poly::Feas::kUnknown ||
-                     neg == poly::Feas::kUnknown;
-    const int nf = (pos == poly::Feas::kFeasible ? 1 : 0) +
-                   (zer == poly::Feas::kFeasible ? 1 : 0) +
-                   (neg == poly::Feas::kFeasible ? 1 : 0);
-    char dir = '*';
-    if (!unk && nf == 1) {
-      dir = pos == poly::Feas::kFeasible   ? '<'
-            : zer == poly::Feas::kFeasible ? '='
-                                           : '>';
-    }
-    // Exact integer extremes of delta: the rational optima only bracket
-    // them (the relaxation has slack wherever strides interact), so binary
-    // search the bracket with the integer test.
-    auto int_extreme = [&](bool want_min) -> std::optional<i64> {
-      const poly::BoundResult mn = s.p.minimize(delta);
-      const poly::BoundResult mx = s.p.maximize(delta);
-      if (mn.status != poly::LpStatus::kOptimal ||
-          mx.status != poly::LpStatus::kOptimal)
-        return std::nullopt;
-      i64 lo = narrow_i64(mn.value.ceil());
-      i64 hi = narrow_i64(mx.value.floor());
-      while (lo < hi) {
-        if (want_min) {
-          const i64 mid = narrow_i64(floor_div(i128{lo} + hi, 2));
-          switch (feas_leq(s.p, delta, mid)) {
-            case poly::Feas::kFeasible: hi = mid; break;
-            case poly::Feas::kInfeasible: lo = mid + 1; break;
-            case poly::Feas::kUnknown: return std::nullopt;
-          }
-        } else {
-          const i64 mid = narrow_i64(ceil_div(i128{lo} + hi, 2));
-          switch (feas_geq(s.p, delta, mid)) {
-            case poly::Feas::kFeasible: lo = mid; break;
-            case poly::Feas::kInfeasible: hi = mid - 1; break;
-            case poly::Feas::kUnknown: return std::nullopt;
-          }
-        }
-      }
-      return lo;
-    };
-    std::optional<i64> dist;
-    if (!unk) {
-      const std::optional<i64> dmin = int_extreme(true);
-      const std::optional<i64> dmax = int_extreme(false);
-      if (dmin && dmax && *dmin == *dmax) dist = *dmin;
-    }
-    dv.loops.push_back(loop);
-    dv.dirs.push_back(dir);
-    dv.dist.push_back(dist);
-  }
-  return dv;
-}
-
 statican::AccessClass ExactDeps::site_class(int block, int instr) const {
   const auto& acc = model().accesses;
   const std::size_t i = index_of(block, instr);
@@ -260,25 +144,42 @@ ExactDeps::Summary ExactDeps::summary() const {
     ++s.classes[static_cast<int>(site_class(a.block, a.instr))];
   for (std::size_t i = 0; i < acc.size(); ++i) {
     for (std::size_t j = i + 1; j < acc.size(); ++j) {
-      if (!acc[i].is_store && !acc[j].is_store) continue;
+      const AccessInfo& x = acc[i];
+      const AccessInfo& y = acc[j];
+      if (!x.is_store && !y.is_store) continue;
       ++s.pairs;
-      switch (verdict_by_index(i, j)) {
+      const PairVerdict v = verdict_by_index(i, j);
+      switch (v) {
         case PairVerdict::kIndependent: ++s.independent; break;
         case PairVerdict::kDependent: ++s.dependent; break;
         case PairVerdict::kUnknown: ++s.unknown; break;
       }
+      if (!may_.modeled(x.block, x.instr) || !may_.modeled(y.block, y.instr))
+        continue;
+      ++s.modeled_pairs;
+      const bool may = may_.may_alias(x, y);
+      if (!may && v == PairVerdict::kDependent)
+        s.may_exact_mismatches.emplace_back(i, j);
+      else if (may && v == PairVerdict::kIndependent)
+        ++s.refined;
     }
   }
   return s;
 }
 
-std::string precision_section(const ir::Module& m) {
+ModuleDeps analyze_module(const ir::Module& m) {
+  ModuleDeps deps(m.functions.size());
+  for (const ir::Function& f : m.functions)
+    if (!f.blocks.empty()) deps[static_cast<std::size_t>(f.id)].emplace(m, f);
+  return deps;
+}
+
+std::string precision_section(const ir::Module& m, const ModuleDeps& deps) {
   std::ostringstream os;
   for (const ir::Function& f : m.functions) {
-    if (f.blocks.empty()) continue;
-    const ExactDeps ex(m, f);
-    if (ex.model().accesses.empty()) continue;
-    const ExactDeps::Summary s = ex.summary();
+    const std::optional<ExactDeps>& ex = deps[static_cast<std::size_t>(f.id)];
+    if (!ex || ex->model().accesses.empty()) continue;
+    const ExactDeps::Summary s = ex->summary();
     os << "  " << f.name << ": " << s.classes[0] << " static-exact, "
        << s.classes[1] << " weakly-dynamic, " << s.classes[2]
        << " dynamic-required; " << s.pairs << " store pair(s): "

@@ -12,16 +12,18 @@
 // conservative.
 //
 // On top of the pair test sit
-//   * distance/direction vectors per shared loop (classic '<'/'='/'>'),
 //   * the three-way statement classification (statican::AccessClass): a
 //     kStaticExact candidate keeps the class only when EVERY store-involved
 //     pair it participates in is decided — otherwise it is downgraded to
 //     kWeaklyDynamic, and
 //   * the deterministic "-- static precision --" report section.
 //
-// Consumers: the soundness oracle's precision tier (dynamic ⊆ exact ⊆ may,
-// verify/oracle.hpp) and the report section. Nothing here changes what
-// stage 2 records: every memory access goes through shadow memory.
+// One report builds one ModuleDeps (one ExactDeps per function) and hands
+// it to every consumer: the report section and both oracle tiers that
+// read static verdicts (dynamic ⊆ exact ⊆ may, verify/oracle.hpp). Each
+// function is modeled once and each site pair Omega-tested at most once.
+// Nothing here changes what stage 2 records: every memory access goes
+// through shadow memory.
 #pragma once
 
 #include <optional>
@@ -48,17 +50,6 @@ enum class PairVerdict : std::uint8_t {
 
 const char* pair_verdict_name(PairVerdict v);
 
-/// Distance/direction vector of a dependence over the loops shared by the
-/// two accesses (ascending loop id — outermost first for builder-shaped
-/// nests). dirs[i] is '<', '=', '>' when the sign of (dst IV - src IV) is
-/// fixed over every dependent instance pair, '*' otherwise; dist[i] carries
-/// the exact distance when it is unique.
-struct DepVector {
-  std::vector<int> loops;
-  std::string dirs;
-  std::vector<std::optional<i64>> dist;
-};
-
 /// Exact dependence information for one function. Construction is cheap
 /// (one statican model); pair verdicts are Omega tests, memoized per pair.
 class ExactDeps {
@@ -74,24 +65,26 @@ class ExactDeps {
   PairVerdict pair_verdict(int src_block, int src_instr, int dst_block,
                            int dst_instr) const;
 
-  /// Distance/direction vector for a dependent (or possibly dependent)
-  /// pair; nullopt when the pair is not statically comparable or proven
-  /// independent.
-  std::optional<DepVector> dep_vector(int src_block, int src_instr,
-                                      int dst_block, int dst_instr) const;
-
   /// statican's classification refined by pairwise decidability: a
   /// kStaticExact candidate is downgraded to kWeaklyDynamic unless every
   /// store-involved pair with another memory site in the function is
   /// decided by the exact test.
   statican::AccessClass site_class(int block, int instr) const;
 
+  /// One sweep over the distinct store-involved site pairs, in program
+  /// order. The may-tier fields compare the two static analyses on the
+  /// pairs whose sites are both modeled (the oracle's precision tier).
   struct Summary {
     int classes[3] = {0, 0, 0};  ///< indexed by statican::AccessClass
     u64 pairs = 0;               ///< distinct store-involved site pairs
     u64 independent = 0;
     u64 dependent = 0;
     u64 unknown = 0;
+    u64 modeled_pairs = 0;  ///< pairs with both sites modeled
+    u64 refined = 0;  ///< may says may-alias, exact proves independent
+    /// Modeled pairs the may-tester proves disjoint but the exact test
+    /// finds dependent, as (src, dst) indices into model().accesses.
+    std::vector<std::pair<std::size_t, std::size_t>> may_exact_mismatches;
   };
   Summary summary() const;
 
@@ -104,9 +97,16 @@ class ExactDeps {
   mutable std::vector<bool> cached_;
 };
 
+/// The module's static dependence analysis: one ExactDeps per function,
+/// indexed by function id (nullopt for functions without a body). Built
+/// once per report; the verdict caches are filled by whichever consumer
+/// asks first, so the answers do not depend on consumer order.
+using ModuleDeps = std::vector<std::optional<ExactDeps>>;
+ModuleDeps analyze_module(const ir::Module& m);
+
 /// The deterministic "-- static precision --" report section: one line per
 /// function with memory accesses (class counts + pair verdict counts). A
 /// pure function of the module.
-std::string precision_section(const ir::Module& m);
+std::string precision_section(const ir::Module& m, const ModuleDeps& deps);
 
 }  // namespace pp::verify::exact

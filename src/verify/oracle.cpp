@@ -7,7 +7,6 @@
 #include <sstream>
 
 #include "verify/dataflow.hpp"
-#include "verify/exact.hpp"
 
 namespace pp::verify {
 
@@ -21,15 +20,16 @@ using poly::Polyhedron;
 namespace {
 
 /// Per-function machinery for the containment check, built lazily: most
-/// modules execute only a few of their functions.
+/// modules execute only a few of their functions. The static analysis is
+/// borrowed from the report's shared ModuleDeps.
 struct FuncOracle {
   BlockGraph graph;
   ReachingDefs reaching;
-  exact::ExactDeps ex;  ///< carries the MayDepSet (ex.may()) and the tier above
+  const exact::ExactDeps& ex;  ///< carries the MayDepSet (ex.may()) too
   std::set<ir::Reg> call_results;  ///< dsts of kCall (value pass-through)
 
-  FuncOracle(const ir::Module& m, const ir::Function& f)
-      : graph(f), reaching(f, graph), ex(m, f) {
+  FuncOracle(const ir::Function& f, const exact::ExactDeps& deps)
+      : graph(f), reaching(f, graph), ex(deps) {
     for (const auto& bb : f.blocks)
       for (const auto& in : bb.instrs)
         if (in.op == ir::Op::kCall && instr_writes(in))
@@ -66,14 +66,15 @@ bool reg_flow_plausible(const ir::Function& f, const FuncOracle& fo,
 }  // namespace
 
 CoverageReport check_dynamic_coverage(const ir::Module& m,
-                                      const fold::FoldedProgram& prog) {
+                                      const fold::FoldedProgram& prog,
+                                      const exact::ModuleDeps& deps) {
   CoverageReport rep;
   std::map<int, std::unique_ptr<FuncOracle>> cache;
   auto oracle_for = [&](int func) -> FuncOracle& {
+    const auto idx = static_cast<std::size_t>(func);
     auto& slot = cache[func];
     if (!slot)
-      slot = std::make_unique<FuncOracle>(
-          m, m.functions[static_cast<std::size_t>(func)]);
+      slot = std::make_unique<FuncOracle>(m.functions[idx], *deps[idx]);
     return *slot;
   };
 
@@ -162,43 +163,33 @@ std::string CoverageReport::str() const {
 // ---------------------------------------------------------------------------
 // Part (c): exact ⊆ may-dep — the static precision tier.
 
-PrecisionReport check_precision_tier(const ir::Module& m) {
+PrecisionReport check_precision_tier(const ir::Module& m,
+                                     const exact::ModuleDeps& deps) {
   PrecisionReport rep;
   // Sweep in program order: violation order is deterministic.
   for (const ir::Function& f : m.functions) {
-    if (f.blocks.empty()) continue;
-    const exact::ExactDeps ex(m, f);
-    const auto& acc = ex.model().accesses;
-    for (std::size_t i = 0; i < acc.size(); ++i) {
-      for (std::size_t j = i + 1; j < acc.size(); ++j) {
-        const statican::AccessInfo& x = acc[i];
-        const statican::AccessInfo& y = acc[j];
-        if (!x.is_store && !y.is_store) continue;
-        if (!ex.may().modeled(x.block, x.instr) ||
-            !ex.may().modeled(y.block, y.instr))
-          continue;
-        ++rep.pairs_checked;
-        const bool may = ex.may().may_alias(x, y);
-        const exact::PairVerdict v =
-            ex.pair_verdict(x.block, x.instr, y.block, y.instr);
-        if (!may && v == exact::PairVerdict::kDependent) {
-          PrecisionViolation pv;
-          pv.func = f.id;
-          pv.src_block = x.block;
-          pv.src_instr = x.instr;
-          pv.dst_block = y.block;
-          pv.dst_instr = y.instr;
-          std::ostringstream os;
-          os << f.name << " b" << x.block << ":i" << x.instr
-             << " vs b" << y.block << ":i" << y.instr
-             << ": may-tester proves the addresses disjoint but the exact "
-                "test finds an integer instance pair touching the same word";
-          pv.message = os.str();
-          rep.violations.push_back(std::move(pv));
-        } else if (may && v == exact::PairVerdict::kIndependent) {
-          ++rep.refined;
-        }
-      }
+    const std::optional<exact::ExactDeps>& ex =
+        deps[static_cast<std::size_t>(f.id)];
+    if (!ex) continue;
+    const exact::ExactDeps::Summary s = ex->summary();
+    rep.pairs_checked += s.modeled_pairs;
+    rep.refined += s.refined;
+    for (const auto& [i, j] : s.may_exact_mismatches) {
+      const statican::AccessInfo& x = ex->model().accesses[i];
+      const statican::AccessInfo& y = ex->model().accesses[j];
+      PrecisionViolation pv;
+      pv.func = f.id;
+      pv.src_block = x.block;
+      pv.src_instr = x.instr;
+      pv.dst_block = y.block;
+      pv.dst_instr = y.instr;
+      std::ostringstream os;
+      os << f.name << " b" << x.block << ":i" << x.instr << " vs b" << y.block
+         << ":i" << y.instr
+         << ": may-tester proves the addresses disjoint but the exact "
+            "test finds an integer instance pair touching the same word";
+      pv.message = os.str();
+      rep.violations.push_back(std::move(pv));
     }
   }
   return rep;
@@ -593,14 +584,15 @@ std::string OracleReport::verdict_line() const {
 }
 
 OracleReport run_oracle(const ir::Module& m, const fold::FoldedProgram& prog,
+                        const exact::ModuleDeps& deps,
                         const std::vector<feedback::RegionMetrics*>& regions,
                         bool downgrade, obs::Session* obs,
                         support::CancelToken* cancel) {
   obs::Span oracle_span(obs, "oracle:run");
   OracleReport r;
   if (cancel != nullptr && cancel->poll()) return r;
-  r.coverage = check_dynamic_coverage(m, prog);
-  r.precision = check_precision_tier(m);
+  r.coverage = check_dynamic_coverage(m, prog, deps);
+  r.precision = check_precision_tier(m, deps);
   // Each region's claim check touches only that region's metrics; reports
   // keep the (filtered) region order.
   std::vector<std::size_t> picked;

@@ -31,7 +31,7 @@
 #include "fold/folded_ddg.hpp"
 #include "obs/obs.hpp"
 #include "support/cancel.hpp"
-#include "verify/static_deps.hpp"
+#include "verify/exact.hpp"
 
 namespace pp::verify {
 
@@ -58,7 +58,8 @@ struct CoverageReport {
 };
 
 CoverageReport check_dynamic_coverage(const ir::Module& m,
-                                      const fold::FoldedProgram& prog);
+                                      const fold::FoldedProgram& prog,
+                                      const exact::ModuleDeps& deps);
 
 /// One exact-⊆-may nesting failure: the may-tester proved a site pair
 /// address-disjoint, yet the exact Omega test found an integer instance
@@ -83,7 +84,8 @@ struct PrecisionReport {
 
 /// Compare the may-dep tester and the exact tier over every modeled
 /// store-involved site pair of every function, in program order.
-PrecisionReport check_precision_tier(const ir::Module& m);
+PrecisionReport check_precision_tier(const ir::Module& m,
+                                     const exact::ModuleDeps& deps);
 
 /// One contradicted scheduler claim, with the offending dependence.
 struct ClaimWitness {
@@ -141,15 +143,18 @@ struct OracleReport {
   std::string verdict_line() const;
 };
 
-/// Claim reports come in region order. `obs` (optional) wraps the run in a span and counts regions/claims,
-/// enumeration-cap hits (`verify.cap_hits`) and, as kTiming counters, the
-/// enumerable pieces proved witness-free vs walked per instance
-/// (`oracle.pieces_proved` / `oracle.pieces_enumerated`).
+/// `deps` is the module's static analysis (exact::analyze_module), shared
+/// with the report's precision section. Claim reports come in region
+/// order. `obs` (optional) wraps the run in a span and counts
+/// regions/claims, enumeration-cap hits (`verify.cap_hits`) and, as
+/// kTiming counters, the enumerable pieces proved witness-free vs walked
+/// per instance (`oracle.pieces_proved` / `oracle.pieces_enumerated`).
 /// `cancel` (optional): a token fired before the run skips the coverage
 /// sweep entirely; one fired mid-run leaves the remaining regions'
 /// ClaimReports empty (zero claims, no witnesses) — an un-examined claim
 /// is never downgraded, so a cancelled oracle can't corrupt metrics.
 OracleReport run_oracle(const ir::Module& m, const fold::FoldedProgram& prog,
+                        const exact::ModuleDeps& deps,
                         const std::vector<feedback::RegionMetrics*>& regions,
                         bool downgrade = true,
                         obs::Session* obs = nullptr,

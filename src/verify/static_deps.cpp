@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <numeric>
+#include <vector>
 
 namespace pp::verify {
 
@@ -81,21 +82,6 @@ bool MayDepSet::may_depend(int src_block, int src_instr, int dst_block,
   if (x == nullptr || y == nullptr) return true;  // not memory: stay safe
   if (!x->is_store && !y->is_store) return false;  // load-load: no dep
   return may_alias(*x, *y);
-}
-
-std::vector<MayDepSet::Pair> MayDepSet::all_pairs() const {
-  std::vector<Pair> out;
-  for (std::size_t i = 0; i < model_.accesses.size(); ++i) {
-    for (std::size_t j = i; j < model_.accesses.size(); ++j) {
-      const AccessInfo& x = model_.accesses[i];
-      const AccessInfo& y = model_.accesses[j];
-      if (!x.modeled || !y.modeled) continue;
-      if (!x.is_store && !y.is_store) continue;
-      if (!may_alias(x, y)) continue;
-      out.push_back(Pair{x.block, x.instr, y.block, y.instr});
-    }
-  }
-  return out;
 }
 
 }  // namespace pp::verify

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <map>
-#include <vector>
 
 #include "statican/statican.hpp"
 
@@ -40,14 +39,6 @@ class MayDepSet {
   /// addresses never coincide. Unmodeled sites answer true.
   bool may_depend(int src_block, int src_instr, int dst_block,
                   int dst_instr) const;
-
-  /// Every modeled access pair (src before dst in program order, at least
-  /// one store) that may alias — the function's static may-dependence set.
-  struct Pair {
-    int src_block, src_instr;
-    int dst_block, dst_instr;
-  };
-  std::vector<Pair> all_pairs() const;
 
  private:
   statican::FunctionModel model_;

@@ -1,8 +1,9 @@
 // Transformation-engine soundness contract (src/transform): every applied
 // schedule must leave program output byte-identical; the report section
 // is deterministic; an oracle-contradicted schedule is refused with a
-// diagnostic; and when the oracle gate is forced off, an illegal rewrite
-// is *reported* as a soundness violation instead of silently trusted.
+// diagnostic; and an illegal rewrite that reaches the engine without a
+// schedule for the oracle to check is *reported* as a soundness violation
+// instead of silently trusted.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -118,9 +119,8 @@ TEST(TransformOracle, DoctoredParallelClaimIsRefusedNotApplied) {
   p.site = "serial.c:1 (main)";
   p.desc = "interchange loops @1/@1";
   p.mx = mx;
-  Options topts;
   EngineReport rep =
-      apply_and_measure(m, r.program, {p}, "main", {}, topts);
+      apply_and_measure(m, r.program, {p}, "main", {}, /*cancel=*/nullptr);
   ASSERT_EQ(rep.applied.size(), 0u);
   ASSERT_EQ(rep.refused.size(), 1u);
   EXPECT_NE(rep.refused[0].reason.find("oracle contradicted the schedule"),
@@ -129,7 +129,7 @@ TEST(TransformOracle, DoctoredParallelClaimIsRefusedNotApplied) {
   EXPECT_TRUE(rep.ok());
 }
 
-// ---- negative: forced illegal rewrite is reported, not dropped ---------
+// ---- negative: an illegal rewrite is reported, not dropped ------------
 
 // A[i][j] = A[i-1][j+1] + i: dependence distance (1,-1), so interchange
 // is illegal — the swapped order reads cells before they are written.
@@ -183,12 +183,11 @@ TEST(TransformForce, IllegalInterchangeReportedAsSoundnessViolation) {
   ASSERT_GE(p.outer_header, 0);
   p.site = "illegal.c:1 (main)";
   p.desc = "interchange loops @1/@1";
-
-  Options topts;
-  topts.force = true;  // bypass the oracle gate — the identity check must
-                       // catch the broken rewrite and say so
+  // No schedule (empty p.mx) means no claims for the oracle gate to check:
+  // the identity check must catch the broken rewrite and say so.
+  ASSERT_TRUE(p.mx.sched.groups.empty());
   EngineReport rep =
-      apply_and_measure(m, r.program, {p}, "main", {}, topts);
+      apply_and_measure(m, r.program, {p}, "main", {}, /*cancel=*/nullptr);
   ASSERT_EQ(rep.applied.size(), 1u);
   EXPECT_FALSE(rep.applied[0].output_identical);
   EXPECT_FALSE(rep.ok());

@@ -21,16 +21,12 @@ int last_instr(const Function& f, int block) {
 
 /// 2-D stencil with a fixed row stride:
 ///   for (i = 1..N) for (j = 1..N) A[i][j] = A[i-1][j] + A[i][j-1]
-/// The canonical interchange-blocking example: flow deps (1,0) and (0,1).
 /// Rows are kRow (> 2N) elements wide so the one-step-widened IV ranges
 /// cannot let distinct (di, dj) combinations reach the same byte offset.
 struct Stencil2D {
   static constexpr i64 kN = 8;
   static constexpr i64 kRow = 24;
   Module m;
-  int store_b = -1, store_i = -1;
-  int up_b = -1, up_i = -1;     // A[i-1][j]
-  int left_b = -1, left_i = -1; // A[i][j-1]
 
   Stencil2D() {
     const i64 g = m.add_global("A", (kN + 1) * kRow * 8);
@@ -43,79 +39,13 @@ struct Stencil2D {
       b.counted_loop(1, n, 1, [&](Reg j) {
         Reg p = b.add(base, b.add(b.muli(i, kRow * 8), b.muli(j, 8)));
         Reg up = b.load(p, -kRow * 8);
-        up_b = b.current_block();
-        up_i = last_instr(f, up_b);
         Reg left = b.load(p, -8);
-        left_b = b.current_block();
-        left_i = last_instr(f, left_b);
         b.store(p, b.add(up, left));
-        store_b = b.current_block();
-        store_i = last_instr(f, store_b);
       });
     });
     b.ret();
   }
 };
-
-TEST(DepVectorGolden, InterchangeStencilDistances) {
-  Stencil2D st;
-  const ExactDeps ex(st.m, st.m.functions[0]);
-
-  // Store A[i][j] feeds the A[i-1][j] read one outer iteration later.
-  const auto up = ex.dep_vector(st.store_b, st.store_i, st.up_b, st.up_i);
-  ASSERT_TRUE(up.has_value());
-  ASSERT_EQ(up->loops.size(), 2u);
-  EXPECT_EQ(up->dirs, "<=");
-  ASSERT_TRUE(up->dist[0].has_value());
-  ASSERT_TRUE(up->dist[1].has_value());
-  EXPECT_EQ(*up->dist[0], 1);
-  EXPECT_EQ(*up->dist[1], 0);
-
-  // ... and the A[i][j-1] read one inner iteration later.
-  const auto left =
-      ex.dep_vector(st.store_b, st.store_i, st.left_b, st.left_i);
-  ASSERT_TRUE(left.has_value());
-  EXPECT_EQ(left->dirs, "=<");
-  EXPECT_EQ(*left->dist[0], 0);
-  EXPECT_EQ(*left->dist[1], 1);
-}
-
-TEST(DepVectorGolden, DiagonalTileKernel) {
-  // for (i = 1..N) for (j = 1..N) A[i][j] = A[i-1][j-1]: one diagonal flow
-  // dep, distance (1,1) — the classic legal-to-tile shape. Wide rows for
-  // the same reason as in Stencil2D.
-  constexpr i64 kN = 8;
-  constexpr i64 kRow = 24;
-  Module m;
-  const i64 g = m.add_global("A", (kN + 1) * kRow * 8);
-  Function& f = m.add_function("main", 0);
-  Builder b(m, f);
-  b.set_block(b.make_block());
-  Reg base = b.const_(g);
-  Reg n = b.const_(kN);
-  int sb = -1, si = -1, lb = -1, li = -1;
-  b.counted_loop(1, n, 1, [&](Reg i) {
-    b.counted_loop(1, n, 1, [&](Reg j) {
-      Reg p = b.add(base, b.add(b.muli(i, kRow * 8), b.muli(j, 8)));
-      Reg d = b.load(p, -kRow * 8 - 8);
-      lb = b.current_block();
-      li = last_instr(f, lb);
-      b.store(p, d);
-      sb = b.current_block();
-      si = last_instr(f, sb);
-    });
-  });
-  b.ret();
-
-  const ExactDeps ex(m, f);
-  const auto dv = ex.dep_vector(sb, si, lb, li);
-  ASSERT_TRUE(dv.has_value());
-  EXPECT_EQ(dv->dirs, "<<");
-  ASSERT_TRUE(dv->dist[0].has_value());
-  ASSERT_TRUE(dv->dist[1].has_value());
-  EXPECT_EQ(*dv->dist[0], 1);
-  EXPECT_EQ(*dv->dist[1], 1);
-}
 
 /// a[2i] store, a[2i] load, a[2i+1] load — the stride pair the rational
 /// tester cannot separate but the integer test can.
@@ -211,13 +141,18 @@ TEST(SiteClasses, UndecidablePartnerDowngradesCandidates) {
 
 TEST(PrecisionSection, DeterministicOnAllRodiniaWorkloads) {
   Stencil2D st;
-  const std::string stencil = precision_section(st.m);
-  EXPECT_EQ(stencil, precision_section(st.m));
+  const ModuleDeps deps = analyze_module(st.m);
+  const std::string stencil = precision_section(st.m, deps);
+  // A second rendering reads the verdicts the first one cached.
+  EXPECT_EQ(stencil, precision_section(st.m, deps));
+  EXPECT_EQ(stencil, precision_section(st.m, analyze_module(st.m)));
   EXPECT_NE(stencil.find("static-exact"), std::string::npos);
   for (const std::string& name : workloads::rodinia_names()) {
     const workloads::Workload w = workloads::make_rodinia(name);
-    const std::string first = precision_section(w.module);
-    EXPECT_EQ(first, precision_section(w.module)) << name;
+    const std::string first =
+        precision_section(w.module, analyze_module(w.module));
+    EXPECT_EQ(first, precision_section(w.module, analyze_module(w.module)))
+        << name;
     // Non-vacuity: the per-function tally is rendered for every workload.
     EXPECT_NE(first.find("static-exact"), std::string::npos) << name;
   }

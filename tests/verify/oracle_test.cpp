@@ -58,7 +58,8 @@ TEST(Oracle, CleanProgramIsCovered) {
   core::Pipeline pipe(m);
   core::ProfileResult r = pipe.run();
   ASSERT_FALSE(r.truncated);
-  CoverageReport rep = check_dynamic_coverage(m, r.program);
+  CoverageReport rep =
+      check_dynamic_coverage(m, r.program, exact::analyze_module(m));
   EXPECT_TRUE(rep.ok()) << rep.str();
   EXPECT_GT(rep.checked, 0u);
   // The a[2i] store -> a[2i] load mem-flow edge is may-covered, so the
@@ -72,7 +73,7 @@ TEST(Oracle, PrecisionTierRefinesEvenOdd) {
   // exact tier must at least agree with every may verdict (zero mismatches)
   // and examine every modeled store-involved pair.
   Module m = even_odd_module();
-  PrecisionReport rep = check_precision_tier(m);
+  PrecisionReport rep = check_precision_tier(m, exact::analyze_module(m));
   EXPECT_TRUE(rep.ok()) << rep.str();
   EXPECT_GT(rep.pairs_checked, 0u);
 }
@@ -105,7 +106,8 @@ TEST(Oracle, DetectsStaticallyImpossibleMemoryEdge) {
     break;
   }
   ASSERT_TRUE(rerouted);
-  CoverageReport rep = check_dynamic_coverage(m, tampered);
+  CoverageReport rep =
+      check_dynamic_coverage(m, tampered, exact::analyze_module(m));
   EXPECT_FALSE(rep.ok());
   ASSERT_FALSE(rep.violations.empty());
   EXPECT_EQ(rep.violations[0].dst_stmt, odd_load);
@@ -130,7 +132,8 @@ TEST(Oracle, DetectsImpossibleRegisterFlow) {
     break;
   }
   ASSERT_TRUE(rerouted);
-  CoverageReport rep = check_dynamic_coverage(m, tampered);
+  CoverageReport rep =
+      check_dynamic_coverage(m, tampered, exact::analyze_module(m));
   EXPECT_FALSE(rep.ok()) << rep.str();
 }
 
@@ -402,7 +405,8 @@ TEST_P(RodiniaOracle, DynamicSubsetOfStaticAndClaimsHold) {
   std::vector<feedback::RegionMetrics*> ptrs;
   for (auto& mx : metrics) ptrs.push_back(&mx);
 
-  OracleReport rep = run_oracle(w.module, r.program, ptrs);
+  OracleReport rep =
+      run_oracle(w.module, r.program, exact::analyze_module(w.module), ptrs);
   EXPECT_TRUE(rep.coverage.ok()) << rep.coverage.str();
   EXPECT_GT(rep.coverage.checked, 0u);
   EXPECT_TRUE(rep.precision.ok()) << rep.precision.str();
@@ -410,6 +414,31 @@ TEST_P(RodiniaOracle, DynamicSubsetOfStaticAndClaimsHold) {
   EXPECT_TRUE(rep.ok());
   EXPECT_NE(rep.verdict_line().find("OK"), std::string::npos);
   EXPECT_NE(rep.verdict_line().find("exact precision ok"), std::string::npos);
+}
+
+// One report shares one static analysis between the precision section and
+// both oracle tiers; its verdict cache is filled by whichever consumer asks
+// first. Running the oracle tiers before the section (the reverse of
+// full_report's order) must give every consumer the answers it gets from
+// a fresh analysis of its own.
+TEST_P(RodiniaOracle, SharedAnalysisIsIndependentOfConsumerOrder) {
+  workloads::Workload w = workloads::make_rodinia(GetParam());
+  core::Pipeline pipe(w.module);
+  core::ProfileResult r = pipe.run();
+  const ir::Module& m = w.module;
+
+  const exact::ModuleDeps shared = exact::analyze_module(m);
+  const CoverageReport cov = check_dynamic_coverage(m, r.program, shared);
+  const PrecisionReport prec = check_precision_tier(m, shared);
+  const std::string section = exact::precision_section(m, shared);
+
+  EXPECT_EQ(section, exact::precision_section(m, exact::analyze_module(m)));
+  EXPECT_EQ(cov.str(),
+            check_dynamic_coverage(m, r.program, exact::analyze_module(m))
+                .str());
+  EXPECT_EQ(prec.str(),
+            check_precision_tier(m, exact::analyze_module(m)).str());
+  EXPECT_NE(section.find("store pair(s)"), std::string::npos);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBenchmarks, RodiniaOracle,

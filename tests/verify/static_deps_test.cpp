@@ -143,17 +143,10 @@ TEST(MayDepSet, UnmodeledAccessFallsBackToMayDepend) {
 TEST(MayDepSet, AllPairsContainsStoreLoadPair) {
   EvenOdd eo;
   MayDepSet deps(eo.m, eo.m.functions[0]);
-  bool store_even = false, store_odd = false;
-  for (const auto& p : deps.all_pairs()) {
-    if (p.src_block == eo.store_b && p.src_instr == eo.store_i &&
-        p.dst_block == eo.even_b && p.dst_instr == eo.even_i)
-      store_even = true;
-    if (p.src_block == eo.store_b && p.src_instr == eo.store_i &&
-        p.dst_block == eo.odd_b && p.dst_instr == eo.odd_i)
-      store_odd = true;
-  }
-  EXPECT_TRUE(store_even);   // may alias: in the set
-  EXPECT_FALSE(store_odd);   // proven disjoint: pruned
+  // may alias: in the set
+  EXPECT_TRUE(deps.may_depend(eo.store_b, eo.store_i, eo.even_b, eo.even_i));
+  // proven disjoint: pruned
+  EXPECT_FALSE(deps.may_depend(eo.store_b, eo.store_i, eo.odd_b, eo.odd_i));
 }
 
 }  // namespace
