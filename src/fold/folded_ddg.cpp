@@ -128,10 +128,17 @@ void taint_pieces(poly::PolySet& set) {
 
 }  // namespace
 
+FoldingSink::StmtStreams& FoldingSink::streams_of(int stmt_id) {
+  PP_CHECK(stmt_id >= 0, "folding sink: negative statement id");
+  const auto i = static_cast<std::size_t>(stmt_id);
+  if (i >= stmts_.size()) stmts_.resize(i + 1);
+  return stmts_[i];
+}
+
 void FoldingSink::on_instruction(const ddg::Statement& s,
                                  std::span<const i64> coords, bool has_value,
                                  i64 value, bool has_address, i64 address) {
-  auto& streams = stmts_[s.id];
+  auto& streams = streams_of(s.id);
   std::size_t d = coords.size();
   if (!streams.domain)
     streams.domain = std::make_unique<Folder>(d, 0, opts_);
@@ -176,7 +183,7 @@ void FoldingSink::on_instruction_run(const InstrRun& r) {
   if (r.n == 0) return;
   const ddg::Statement& s = *r.stmt;
   const bool fold_value = r.has_value && scev_candidate(s.op);
-  auto& streams = stmts_[s.id];
+  auto& streams = streams_of(s.id);
   const std::size_t d = r.coords.size();
   if (!streams.domain)
     streams.domain = std::make_unique<Folder>(d, 0, opts_);
@@ -267,8 +274,8 @@ FoldedProgram FoldingSink::finalize(const ddg::StatementTable& table) {
       // Drop the folded streams; the statement survives as a degraded
       // shell with its dynamic counters intact.
       degraded = true;
-    } else if (auto it = stmts_.find(meta.id); it != stmts_.end()) {
-      auto& streams = it->second;
+    } else if (static_cast<std::size_t>(meta.id) < stmts_.size()) {
+      auto& streams = stmts_[static_cast<std::size_t>(meta.id)];
       // Per-stream fault isolation: a folder fault loses this statement's
       // folds, not the whole program.
       try {
@@ -437,14 +444,33 @@ FoldedProgram FoldingSink::finalize(const ddg::StatementTable& table) {
     for (const auto& d : prog.deps)
       pieces += static_cast<i64>(d.relation.pieces().size());
     obs_->set("fold.pieces", pieces);
-    obs_->set("fold.stmt_streams",
-              static_cast<i64>(stmts_.size()));
+    i64 stmt_streams = 0;
+    u64 refits = 0, rat_fallbacks = 0;
+    auto tally = [&](const std::unique_ptr<Folder>& f) {
+      if (!f) return;
+      refits += f->refits();
+      rat_fallbacks += f->rat_fallbacks();
+    };
+    for (const auto& streams : stmts_) {
+      stmt_streams += streams.domain != nullptr;
+      tally(streams.domain);
+      tally(streams.value);
+      tally(streams.address);
+    }
+    for (const auto& [_, f] : deps_) tally(f);
+    obs_->set("fold.stmt_streams", stmt_streams);
     obs_->set("fold.dep_streams", static_cast<i64>(keys.size()));
     obs_->set("fold.dep_edges", static_cast<i64>(prog.deps.size()));
     obs_->set("fold.pruned_dep_edges",
               static_cast<i64>(prog.pruned_dep_edges));
     obs_->set("fold.degraded_statements",
               static_cast<i64>(prog.degraded_statements));
+    // Work the folder did, not a property of the folded program (stride
+    // runs on/off change it): kTiming keeps it out of stable reports.
+    obs_->set("fold.refits", static_cast<i64>(refits),
+              obs::Stability::kTiming);
+    obs_->set("fold.rat_fallbacks", static_cast<i64>(rat_fallbacks),
+              obs::Stability::kTiming);
   }
   return prog;
 }

@@ -153,8 +153,10 @@ class FoldingSink : public ddg::DdgSink {
     }
   };
 
+  StmtStreams& streams_of(int stmt_id);
+
   FolderOptions opts_;
-  std::map<int, StmtStreams> stmts_;
+  std::vector<StmtStreams> stmts_;  ///< indexed by statement id
   std::unordered_map<DepKey, std::unique_ptr<Folder>, DepKeyHash> deps_;
   std::set<int> degraded_;
   support::DiagnosticLog* diag_ = nullptr;

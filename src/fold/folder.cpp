@@ -137,6 +137,7 @@ bool Folder::in_hull(const Chunk& c, std::span<const i64> point) const {
       // fall through to the rational path
     }
   }
+  ++rat_fallbacks_;
   RatVec v(width);
   for (std::size_t i = 0; i < in_dim_; ++i) v[i] = Rat(point[i]);
   v[in_dim_] = Rat(1);
@@ -148,24 +149,10 @@ bool Folder::in_hull(const Chunk& c, std::span<const i64> point) const {
 
 bool Folder::predicts(const Chunk& c, std::span<const i64> point,
                       std::span<const i64> label) const {
-  if (!c.fit_int.empty()) {
-    // Integer fast path: pure 128-bit arithmetic, no gcd normalization.
-    for (std::size_t j = 0; j < label_dim_; ++j) {
-      i128 acc = c.fit_int[j][in_dim_];
-      for (std::size_t i = 0; i < in_dim_; ++i)
-        if (c.fit_int[j][i] != 0)
-          acc = add_checked(acc, mul_checked(c.fit_int[j][i], point[i]));
-      if (acc != label[j]) return false;
-    }
-    return true;
-  }
-  for (std::size_t j = 0; j < label_dim_; ++j) {
-    Rat acc = c.fit[j][in_dim_];
-    for (std::size_t i = 0; i < in_dim_; ++i)
-      if (!c.fit[j][i].is_zero()) acc += c.fit[j][i] * Rat(point[i]);
-    if (acc != Rat(label[j])) return false;
-  }
-  return true;
+  if (c.scaled)
+    if (std::optional<bool> v = c.scaled->predicts(point, label)) return *v;
+  ++rat_fallbacks_;
+  return predicts_rational(c.fit, point, label);
 }
 
 void Folder::extend_basis(Chunk& c, std::span<const i64> point,
@@ -198,44 +185,27 @@ void Folder::extend_basis(Chunk& c, std::span<const i64> point,
 }
 
 void Folder::refit(Chunk& c) {
-  // Solve [P 1] coeffs = a per label dimension over the basis rows. The
-  // rows are affinely independent by construction, so the system is always
-  // consistent (possibly underdetermined: free coefficients go to 0).
-  RatMatrix sys(c.basis_pts.size(), in_dim_ + 1);
-  for (std::size_t r = 0; r < c.basis_pts.size(); ++r) {
-    for (std::size_t i = 0; i < in_dim_; ++i)
-      sys.at(r, i) = Rat(c.basis_pts[r][i]);
-    sys.at(r, in_dim_) = Rat(1);
+  // Fit [P 1] coeffs = a over the basis rows. The rows are affinely
+  // independent by construction, so the system is always consistent
+  // (possibly underdetermined: free coefficients go to 0). The hull holds
+  // the rows' RREF; its pivots (each row's first nonzero) select the
+  // nonsingular square system the fraction-free kernel solves.
+  ++refits_;
+  piv_.clear();
+  for (std::size_t r = 0; r < c.hull.rows(); ++r) {
+    std::size_t col = 0;
+    while (col <= in_dim_ && c.hull.at(r, col).is_zero()) ++col;
+    PP_CHECK(col <= in_dim_, "hull row with no pivot");
+    piv_.push_back(col);
   }
-  c.fit.assign(label_dim_, RatVec(in_dim_ + 1, Rat(0)));
-  for (std::size_t j = 0; j < label_dim_; ++j) {
-    RatVec rhs(c.basis_pts.size());
-    for (std::size_t r = 0; r < c.basis_pts.size(); ++r)
-      rhs[r] = Rat(c.basis_labels[r][j]);
-    auto sol = sys.solve(rhs);
-    PP_CHECK(sol.has_value(), "refit on affinely independent basis failed");
-    c.fit[j] = *sol;
+  if (std::optional<LabelFit> fit = fit_fraction_free(
+          c.basis_pts, c.basis_labels, piv_, in_dim_, label_dim_)) {
+    c.fit = std::move(*fit);
+  } else {
+    ++rat_fallbacks_;
+    c.fit = fit_rational(c.basis_pts, c.basis_labels, in_dim_, label_dim_);
   }
-  // Precompute the integer fast path when every coefficient is integral.
-  c.fit_int.clear();
-  bool integral = true;
-  for (const auto& row : c.fit) {
-    for (const auto& coeff : row) {
-      if (!coeff.is_integer()) {
-        integral = false;
-        break;
-      }
-    }
-    if (!integral) break;
-  }
-  if (integral) {
-    c.fit_int.resize(label_dim_);
-    for (std::size_t j = 0; j < label_dim_; ++j) {
-      c.fit_int[j].resize(in_dim_ + 1);
-      for (std::size_t i = 0; i <= in_dim_; ++i)
-        c.fit_int[j][i] = c.fit[j][i].num();
-    }
-  }
+  c.scaled = ScaledFit::from(c.fit, in_dim_, label_dim_);
 }
 
 Folder::Chunk Folder::make_chunk(std::span<const i64> point,
@@ -330,29 +300,27 @@ void Folder::set_run_last(std::span<const i64> point,
 
 bool Folder::fit_maps_stride(const Chunk& c) const {
   if (label_dim_ == 0) return true;
+  if (c.scaled)
+    if (std::optional<bool> v = c.scaled->maps_stride(pstride_, lstride_))
+      return *v;
+  ++rat_fallbacks_;
   // Overflow in the stride image falls back to scalar routing (which is
   // always sound) instead of faulting a stream the point-at-a-time path
   // would have survived.
   try {
-    if (!c.fit_int.empty()) {
-      for (std::size_t j = 0; j < label_dim_; ++j) {
-        i128 acc = 0;
-        for (std::size_t i = 0; i < in_dim_; ++i)
-          if (c.fit_int[j][i] != 0)
-            acc = add_checked(acc, mul_checked(c.fit_int[j][i], pstride_[i]));
-        if (acc != lstride_[j]) return false;
-      }
-      return true;
-    }
-    for (std::size_t j = 0; j < label_dim_; ++j) {
-      Rat acc(0);
-      for (std::size_t i = 0; i < in_dim_; ++i)
-        if (!c.fit[j][i].is_zero()) acc += c.fit[j][i] * Rat(pstride_[i]);
-      if (acc != Rat(lstride_[j])) return false;
-    }
-    return true;
+    return maps_stride_rational(c.fit, pstride_, lstride_);
   } catch (const Error&) {
     return false;
+  }
+}
+
+void Folder::merge_bounds(std::vector<Bnd>& bnd, std::span<const i64> a,
+                          std::span<const i64> b) const {
+  for (std::size_t r = 0; r < rows_.size(); ++r) {
+    const i128 v1 = eval_row(rows_[r], a);
+    const i128 v2 = eval_row(rows_[r], b);
+    bnd[r].min = std::min(bnd[r].min, std::min(v1, v2));
+    bnd[r].max = std::max(bnd[r].max, std::max(v1, v2));
   }
 }
 
@@ -368,12 +336,7 @@ void Folder::bulk_absorb(Chunk& c, std::span<const i64> first,
   // template rows are linear, so their min/max over the run sit at the
   // endpoints.
   if (!in_hull(c, first)) extend_basis(c, first, first_label);
-  for (std::size_t r = 0; r < rows_.size(); ++r) {
-    i128 v1 = eval_row(rows_[r], first);
-    i128 v2 = eval_row(rows_[r], run_last_);
-    c.bnd[r].min = std::min(c.bnd[r].min, std::min(v1, v2));
-    c.bnd[r].max = std::max(c.bnd[r].max, std::max(v1, v2));
-  }
+  merge_bounds(c.bnd, first, run_last_);
   c.points += extra;
   c.last_use = end_seq;
 }
@@ -382,8 +345,44 @@ void Folder::flush_run() {
   if (run_len_ == 0) return;
   const u64 n = run_len_;
   run_len_ = 0;
+  if (collapsed_) {
+    // A collapsed folder's output is the template bounds of its points and
+    // their count (finish()); routing would only grow chunks nobody reads.
+    merge_bounds(collapse_bnd_, run_base_, run_last_);
+    collapse_observed_ += n;
+    run_stride_viol_ = false;
+    return;
+  }
   cur_pt_ = run_base_;
   cur_lab_ = run_lbase_;
+  // Advance to the next run point (always a genuinely observed i64 point,
+  // so the narrowing is exact).
+  auto step = [this] {
+    for (std::size_t i = 0; i < in_dim_; ++i)
+      cur_pt_[i] = static_cast<i64>(cur_pt_[i] + pstride_[i]);
+    for (std::size_t j = 0; j < label_dim_; ++j)
+      cur_lab_[j] = static_cast<i64>(cur_lab_[j] + lstride_[j]);
+  };
+  if (n >= 2 && !open_.empty()) {
+    // Routing asks the most recently used chunk first. When it predicts
+    // the base and its fit maps the stride, routing would give it the
+    // base and then bulk-absorb the rest: do both in one step. Only the
+    // base and the second point can extend its hull.
+    Chunk& c = *std::max_element(
+        open_.begin(), open_.end(),
+        [](const Chunk& a, const Chunk& b) { return a.last_use < b.last_use; });
+    if (predicts(c, run_base_, run_lbase_) && fit_maps_stride(c)) {
+      if (!in_hull(c, run_base_)) extend_basis(c, run_base_, run_lbase_);
+      step();
+      if (!in_hull(c, cur_pt_)) extend_basis(c, cur_pt_, cur_lab_);
+      merge_bounds(c.bnd, run_base_, run_last_);
+      c.points += n;
+      c.last_use = run_start_seq_ + n - 1;
+      if (run_stride_viol_) lex_ok_ = false;
+      run_stride_viol_ = false;
+      return;
+    }
+  }
   for (u64 k = 0; k < n; ++k) {
     std::size_t ci = route_point(cur_pt_, cur_lab_, run_start_seq_ + k);
     // A non-lex-positive stride violates monotonicity at every run point
@@ -391,12 +390,7 @@ void Folder::flush_run() {
     // forced by the base see the same lex state as point-at-a-time.
     if (k == 0 && run_stride_viol_) lex_ok_ = false;
     if (k + 1 >= n) break;
-    // Advance to the next run point (always a genuinely observed i64
-    // point, so the narrowing is exact).
-    for (std::size_t i = 0; i < in_dim_; ++i)
-      cur_pt_[i] = static_cast<i64>(cur_pt_[i] + pstride_[i]);
-    for (std::size_t j = 0; j < label_dim_; ++j)
-      cur_lab_[j] = static_cast<i64>(cur_lab_[j] + lstride_[j]);
+    step();
     if (fit_maps_stride(open_[ci])) {
       bulk_absorb(open_[ci], cur_pt_, cur_lab_, n - 1 - k,
                   run_start_seq_ + n - 1);
@@ -800,20 +794,20 @@ poly::Piece Folder::build_piece(const Chunk& chunk) const {
   std::vector<poly::AffineExpr> outs;
   outs.reserve(label_dim_);
   for (std::size_t j = 0; j < label_dim_ && label_ok; ++j) {
+    const Rat* row = chunk.fit.data() + j * (in_dim_ + 1);
     std::vector<i64> coeffs(in_dim_);
     for (std::size_t i = 0; i < in_dim_; ++i) {
-      if (!representable(chunk.fit[j][i])) {
+      if (!representable(row[i])) {
         label_ok = false;
         break;
       }
-      coeffs[i] = narrow_i64(chunk.fit[j][i].num());
+      coeffs[i] = narrow_i64(row[i].num());
     }
-    if (!label_ok || !representable(chunk.fit[j][in_dim_])) {
+    if (!label_ok || !representable(row[in_dim_])) {
       label_ok = false;
       break;
     }
-    outs.emplace_back(std::move(coeffs),
-                      narrow_i64(chunk.fit[j][in_dim_].num()));
+    outs.emplace_back(std::move(coeffs), narrow_i64(row[in_dim_].num()));
   }
   if (!label_ok) outs.assign(label_dim_, poly::AffineExpr(in_dim_));
 

@@ -11,11 +11,12 @@
 //    points give the tightest template polyhedron containing them.
 //    Rectangular, triangular and ±1-skewed loop nests fold exactly;
 //    anything else becomes a certified over-approximation.
-//  * Labels are fitted by exact rational interpolation over an affinely
-//    independent basis of seen points. Every point is verified against a
-//    fit; points that extend the affine hull extend the basis (a fit
-//    restricted to the old hull never changes, so earlier verifications
-//    remain valid).
+//  * Labels are fitted by exact interpolation over an affinely
+//    independent basis of seen points, integer-first (label_fit.hpp: a
+//    fraction-free solve and scaled-integer tests, pp::Rat only on i128
+//    overflow). Every point is verified against a fit; points that extend
+//    the affine hull extend the basis (a fit restricted to the old hull
+//    never changes, so earlier verifications remain valid).
 //  * The folder keeps SEVERAL pieces open simultaneously and routes each
 //    incoming point to the piece whose affine function predicts its label
 //    (piecewise streams — loop-exit compares, boundary statements —
@@ -26,15 +27,17 @@
 //  * Regular streams never reach the per-point machinery: the folder
 //    recognizes arithmetic runs — constant point-stride with constant
 //    label-stride — and absorbs a whole run with O(1) chunk updates
-//    (endpoint-only template bounds, at most one hull extension), which
+//    (endpoint-only template bounds, at most two hull extensions), which
 //    is equivalent to routing the run point by point (see DESIGN.md,
-//    "Folding").
+//    "Folding"). Once the piece cap has collapsed the folder, runs only
+//    widen the collapse bounds.
 //  * Exactness of a piece = (#lattice points of the domain == #points
 //    routed to it) AND the label fit is affine with integer coefficients.
 #pragma once
 
 #include <optional>
 
+#include "fold/label_fit.hpp"
 #include "poly/poly_set.hpp"
 
 namespace pp::fold {
@@ -87,6 +90,10 @@ class Folder {
   std::size_t in_dim() const { return in_dim_; }
   std::size_t label_dim() const { return label_dim_; }
   u64 points_seen() const { return total_points_; }
+  /// Label refits, and exact-kernel calls (refit, fit and hull tests)
+  /// answered on pp::Rat because an i128 intermediate overflowed.
+  u64 refits() const { return refits_; }
+  u64 rat_fallbacks() const { return rat_fallbacks_; }
 
  private:
   /// One template expression, x_i (j < 0) or x_i + cj·x_j (cj = ±1) —
@@ -117,8 +124,8 @@ class Folder {
     /// every basis extension; empty = scaling overflowed, use `hull`.
     std::vector<std::vector<i128>> hull_int;
     std::vector<std::size_t> hull_piv;        ///< pivot column per int row
-    std::vector<RatVec> fit;                  ///< per label dim: coeffs+const
-    std::vector<std::vector<i128>> fit_int;   ///< integer fast path
+    LabelFit fit;                    ///< label_dim × (coeffs, constant)
+    std::optional<ScaledFit> scaled;  ///< integer image of `fit`, if any
   };
 
   Chunk make_chunk(std::span<const i64> point, std::span<const i64> label,
@@ -149,6 +156,9 @@ class Folder {
                    std::span<const i64> first_label, u64 extra, u64 end_seq);
 
   i128 eval_row(const TRow& t, std::span<const i64> pt) const;
+  /// Widen `bnd` to cover points `a` and `b` (a run's endpoints).
+  void merge_bounds(std::vector<Bnd>& bnd, std::span<const i64> a,
+                    std::span<const i64> b) const;
   /// Emit the non-implied template constraints of `bnd`; bounds that do
   /// not fit int64 are dropped (sound over-approximation) with `clamped`
   /// set so the caller forfeits exactness.
@@ -170,6 +180,7 @@ class Folder {
   std::vector<Chunk> open_;
   std::vector<std::size_t> route_order_;  ///< routing scratch (recency sort)
   mutable std::vector<i128> hullv_;       ///< in_hull reduction scratch
+  std::vector<std::size_t> piv_;          ///< refit scratch: hull pivots
   void rebuild_hull_int(Chunk& c) const;
   u64 seq_ = 0;
   bool lex_ok_ = true;
@@ -193,6 +204,8 @@ class Folder {
 
   poly::PolySet result_{0};
   u64 total_points_ = 0;
+  u64 refits_ = 0;
+  mutable u64 rat_fallbacks_ = 0;
   bool collapsed_ = false;  ///< max_pieces exceeded
 
   // Running template bounds over every closed chunk: once the piece cap

@@ -37,8 +37,8 @@ inline i128 mul_checked(i128 a, i128 b) {
   return r;
 }
 
-/// Greatest common divisor (always non-negative; gcd(0,0) == 0).
-inline i128 gcd(i128 a, i128 b) {
+/// Euclid's loop on 128-bit values (the reference for gcd()'s 64-bit path).
+inline i128 gcd_i128(i128 a, i128 b) {
   if (a < 0) a = -a;
   if (b < 0) b = -b;
   while (b != 0) {
@@ -47,6 +47,31 @@ inline i128 gcd(i128 a, i128 b) {
     b = t;
   }
   return a;
+}
+
+/// Euclid's loop on 64-bit magnitudes.
+inline u64 gcd_u64(u64 a, u64 b) {
+  while (b != 0) {
+    u64 t = a % b;
+    a = b;
+    b = t;
+  }
+  return a;
+}
+
+/// Greatest common divisor (always non-negative; gcd(0,0) == 0). Runs the
+/// 128-bit loop only while an operand needs more than 64 bits: a 128-bit
+/// remainder is a library call, a 64-bit one a single instruction.
+inline i128 gcd(i128 a, i128 b) {
+  if (a < 0) a = -a;
+  if (b < 0) b = -b;
+  while (static_cast<unsigned __int128>(a | b) > UINT64_MAX) {
+    if (b == 0) return a;
+    i128 t = a % b;
+    a = b;
+    b = t;
+  }
+  return static_cast<i128>(gcd_u64(static_cast<u64>(a), static_cast<u64>(b)));
 }
 
 /// Least common multiple (always non-negative) with overflow checking.

@@ -8,6 +8,7 @@ void Rat::normalize() {
     num_ = -num_;
     den_ = -den_;
   }
+  if (den_ == 1) return;  // was -1: gcd(n, 1) == 1
   if (num_ == 0) {
     den_ = 1;
     return;
@@ -17,7 +18,7 @@ void Rat::normalize() {
   den_ /= g;
 }
 
-Rat Rat::operator+(const Rat& o) const {
+Rat Rat::add_general(const Rat& o) const {
   // Cross-reduce first to keep intermediates small: a/b + c/d with
   // g = gcd(b, d) computes over b/g and d/g.
   i128 g = gcd(den_, o.den_);
@@ -28,9 +29,7 @@ Rat Rat::operator+(const Rat& o) const {
   return Rat(n, d);
 }
 
-Rat Rat::operator-(const Rat& o) const { return *this + (-o); }
-
-Rat Rat::operator*(const Rat& o) const {
+Rat Rat::mul_general(const Rat& o) const {
   // Cross-cancel before multiplying to limit growth.
   i128 g1 = gcd(num_, o.den_);
   i128 g2 = gcd(o.num_, den_);
@@ -44,7 +43,7 @@ Rat Rat::operator/(const Rat& o) const {
   return *this * Rat(o.den_, o.num_);
 }
 
-int Rat::cmp(const Rat& o) const {
+int Rat::cmp_general(const Rat& o) const {
   // Compare a/b ? c/d via a*d ? c*b (denominators positive).
   i128 l = mul_checked(num_, o.den_);
   i128 r = mul_checked(o.num_, den_);

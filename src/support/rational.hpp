@@ -20,7 +20,9 @@ class Rat {
   Rat(i128 n) : num_(n), den_(1) {}  // NOLINT(google-explicit-constructor)
   Rat(i64 n) : num_(n), den_(1) {}   // NOLINT(google-explicit-constructor)
   Rat(int n) : num_(n), den_(1) {}   // NOLINT(google-explicit-constructor)
-  Rat(i128 n, i128 d) : num_(n), den_(d) { normalize(); }
+  Rat(i128 n, i128 d) : num_(n), den_(d) {
+    if (den_ != 1) normalize();
+  }
 
   i128 num() const { return num_; }
   i128 den() const { return den_; }
@@ -31,9 +33,20 @@ class Rat {
   int sign() const { return num_ < 0 ? -1 : (num_ > 0 ? 1 : 0); }
 
   Rat operator-() const { return Rat(unchecked{}, -num_, den_); }
-  Rat operator+(const Rat& o) const;
-  Rat operator-(const Rat& o) const;
-  Rat operator*(const Rat& o) const;
+  // Integer operands (both denominators 1) take an inline path: the
+  // general one would compute gcds that are all 1 and the same checked
+  // operation, so results and overflow throws are identical.
+  Rat operator+(const Rat& o) const {
+    if (den_ == 1 && o.den_ == 1)
+      return Rat(unchecked{}, add_checked(num_, o.num_), 1);
+    return add_general(o);
+  }
+  Rat operator-(const Rat& o) const { return *this + (-o); }
+  Rat operator*(const Rat& o) const {
+    if (den_ == 1 && o.den_ == 1)
+      return Rat(unchecked{}, mul_checked(num_, o.num_), 1);
+    return mul_general(o);
+  }
   Rat operator/(const Rat& o) const;
   Rat& operator+=(const Rat& o) { return *this = *this + o; }
   Rat& operator-=(const Rat& o) { return *this = *this - o; }
@@ -57,6 +70,13 @@ class Rat {
   /// "7/3" or "4" when integral.
   std::string str() const;
 
+  /// The general (gcd-reducing) kernels behind +, * and the comparisons,
+  /// for any denominators; public as the reference the integer paths are
+  /// tested against.
+  Rat add_general(const Rat& o) const;
+  Rat mul_general(const Rat& o) const;
+  int cmp_general(const Rat& o) const;
+
   /// Lossy conversion for reporting/metrics only — never used in the exact
   /// kernels.
   double to_double() const {
@@ -67,7 +87,11 @@ class Rat {
   struct unchecked {};
   Rat(unchecked, i128 n, i128 d) : num_(n), den_(d) {}
   void normalize();
-  int cmp(const Rat& o) const;
+  int cmp(const Rat& o) const {
+    if (den_ == 1 && o.den_ == 1)
+      return num_ < o.num_ ? -1 : (num_ > o.num_ ? 1 : 0);
+    return cmp_general(o);
+  }
 
   i128 num_;
   i128 den_;

@@ -54,6 +54,16 @@ TEST(SelfProfile, CountersAgreeWithResultAccounting) {
   EXPECT_EQ(cs.at("vm.instructions").value,
             static_cast<i64>(r.stats.instructions));
   EXPECT_GT(cs.at("fold.pieces").value, 0);
+  // One statement stream per statement that folded a domain.
+  i64 streams = 0;
+  for (const auto& st : r.program.statements) streams += !st.domain.empty();
+  EXPECT_EQ(cs.at("fold.stmt_streams").value, streams);
+  // Refit and Rat-fallback totals are cost counters: kept out of the
+  // stable report section.
+  EXPECT_GT(cs.at("fold.refits").value, 0);
+  EXPECT_GE(cs.at("fold.rat_fallbacks").value, 0);
+  EXPECT_EQ(cs.at("fold.refits").stability, obs::Stability::kTiming);
+  EXPECT_EQ(cs.at("fold.rat_fallbacks").stability, obs::Stability::kTiming);
 }
 
 TEST(SelfProfile, ChromeTraceAndManifestExport) {

@@ -1,7 +1,10 @@
 #include "fold/folder.hpp"
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <limits>
+#include <optional>
 #include <gtest/gtest.h>
 
 namespace pp::fold {
@@ -306,6 +309,202 @@ TEST(FolderAddRunEdge, MixedScalarAndBulkStreams) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FolderAddRun, ::testing::Range(0, 40));
+
+// The integer-first label-fit kernels against their rational references
+// (label_fit.hpp): the fraction-free refit against RatMatrix::solve, the
+// scaled-integer fit and stride tests against the Rat verdicts.
+class LabelFitKernels : public ::testing::TestWithParam<int> {
+ protected:
+  u64 state_ = static_cast<u64>(GetParam()) * 0x9e3779b97f4a7c15ull + 5;
+  u64 mix() {  // splitmix64
+    u64 z = (state_ += 0x9e3779b97f4a7c15ull);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+  }
+  i64 small(i64 span) {
+    return static_cast<i64>(mix() % static_cast<u64>(2 * span + 1)) - span;
+  }
+  /// Coordinates: loop-counter sized, or 2^40-sized on some seeds.
+  i64 coord() { return GetParam() % 4 == 3 ? small(i64{1} << 40) : small(20); }
+  /// Labels: small affine-looking values, or double bit patterns.
+  i64 label() {
+    if (mix() % 3 == 0) {
+      double d = static_cast<double>(small(1000000)) / 7.0;
+      i64 bits;
+      std::memcpy(&bits, &d, sizeof bits);
+      return bits;
+    }
+    return small(50);
+  }
+
+  /// A random affinely independent basis of 1..in_dim+1 points. The
+  /// rational independence check throws pp::Error when 2^40 coordinates
+  /// overflow it; callers skip that trial.
+  std::vector<std::vector<i64>> basis(std::size_t in_dim) {
+    const std::size_t k = 1 + mix() % (in_dim + 1);
+    std::vector<std::vector<i64>> pts;
+    RatMatrix rows(0, in_dim + 1);
+    while (pts.size() < k) {
+      std::vector<i64> p(in_dim);
+      RatVec r(in_dim + 1, Rat(1));
+      for (std::size_t i = 0; i < in_dim; ++i) r[i] = Rat(p[i] = coord());
+      if (rows.rows() > 0 && rows.row_space_contains(r)) continue;
+      rows.push_row(r);
+      pts.push_back(std::move(p));
+    }
+    return pts;
+  }
+};
+
+/// Pivot columns of the RREF of [pts 1]: column c is a pivot iff it
+/// raises the rank of the column prefix.
+std::vector<std::size_t> rref_pivots(const std::vector<std::vector<i64>>& pts,
+                                     std::size_t in_dim) {
+  std::vector<std::size_t> piv;
+  std::size_t rank = 0;
+  for (std::size_t c = 0; c <= in_dim; ++c) {
+    RatMatrix prefix(pts.size(), c + 1);
+    for (std::size_t r = 0; r < pts.size(); ++r)
+      for (std::size_t i = 0; i <= c; ++i)
+        prefix.at(r, i) = i == in_dim ? Rat(1) : Rat(pts[r][i]);
+    const std::size_t next = prefix.rank();
+    if (next > rank) piv.push_back(c);
+    rank = next;
+  }
+  return piv;
+}
+
+template <class F>
+auto outcome(F f) -> std::optional<decltype(f())> {
+  try {
+    return f();
+  } catch (const Error&) {
+    return std::nullopt;
+  }
+}
+
+TEST_P(LabelFitKernels, FractionFreeFitEqualsRationalSolve) {
+  const bool big = GetParam() % 4 == 3;
+  int agreed = 0, fell_back = 0;
+  for (std::size_t in_dim = 1; in_dim <= 5; ++in_dim) {
+    for (int trial = 0; trial < 20; ++trial) {
+      const std::size_t label_dim = 1 + mix() % 3;
+      auto basis_pts = outcome([&] { return basis(in_dim); });
+      if (!basis_pts) continue;
+      const auto& pts = *basis_pts;
+      std::vector<std::vector<i64>> labels(pts.size());
+      for (auto& l : labels)
+        for (std::size_t j = 0; j < label_dim; ++j) l.push_back(label());
+      auto pivots = outcome([&] { return rref_pivots(pts, in_dim); });
+      if (!pivots) continue;
+      auto piv = *pivots;
+      ASSERT_EQ(piv.size(), pts.size());
+      // The kernel takes the pivots in the hull's row order: shuffle.
+      std::reverse(piv.begin(), piv.end());
+      auto ref = outcome(
+          [&] { return fit_rational(pts, labels, in_dim, label_dim); });
+      auto ff = fit_fraction_free(pts, labels, piv, in_dim, label_dim);
+      if (!ff) {
+        ++fell_back;
+        continue;
+      }
+      // Where the rational path overflows and the integer one does not,
+      // the integer fit is still exact: it reproduces every basis label.
+      if (ref) {
+        EXPECT_EQ(*ff, *ref);
+        ++agreed;
+      }
+      for (std::size_t r = 0; r < pts.size(); ++r) {
+        auto v = outcome(
+            [&] { return predicts_rational(*ff, pts[r], labels[r]); });
+        if (v) {
+          EXPECT_TRUE(*v);
+        }
+      }
+    }
+  }
+  // Seeds with 2^40 coordinates overflow i128 and take the fallback.
+  EXPECT_GT(big ? fell_back : agreed, big ? 0 : 50);
+}
+
+TEST_P(LabelFitKernels, ScaledVerdictsEqualRationalVerdicts) {
+  int decided = 0, truths = 0;
+  for (std::size_t in_dim = 1; in_dim <= 5; ++in_dim) {
+    for (int trial = 0; trial < 20; ++trial) {
+      const std::size_t label_dim = 1 + mix() % 3;
+      auto basis_pts = outcome([&] { return basis(in_dim); });
+      if (!basis_pts) continue;
+      const auto& pts = *basis_pts;
+      std::vector<std::vector<i64>> labels(pts.size());
+      for (auto& l : labels)
+        for (std::size_t j = 0; j < label_dim; ++j) l.push_back(label());
+      auto fit = outcome(
+          [&] { return fit_rational(pts, labels, in_dim, label_dim); });
+      if (!fit) continue;
+      auto scaled = ScaledFit::from(*fit, in_dim, label_dim);
+      if (!scaled) continue;
+      // Probes: the basis points (always predicted), the affine
+      // combination 2·p0 − p_last (predicted when its label is), and
+      // random points and labels (almost never).
+      std::vector<std::pair<std::vector<i64>, std::vector<i64>>> probes;
+      for (std::size_t r = 0; r < pts.size(); ++r)
+        probes.emplace_back(pts[r], labels[r]);
+      std::vector<i64> p(in_dim), l(label_dim);
+      for (std::size_t i = 0; i < in_dim; ++i)
+        p[i] = 2 * pts[0][i] - pts.back()[i];
+      for (std::size_t j = 0; j < label_dim; ++j)
+        l[j] = static_cast<i64>(2 * static_cast<u64>(labels[0][j]) -
+                                static_cast<u64>(labels.back()[j]));
+      probes.emplace_back(p, l);
+      for (std::size_t i = 0; i < in_dim; ++i) p[i] = coord();
+      for (std::size_t j = 0; j < label_dim; ++j) l[j] = label();
+      probes.emplace_back(p, l);
+      for (const auto& [pt, lab] : probes) {
+        auto fast = scaled->predicts(pt, lab);
+        auto ref = outcome([&] { return predicts_rational(*fit, pt, lab); });
+        if (fast && ref) {
+          EXPECT_EQ(*fast, *ref);
+          ++decided;
+          truths += *fast;
+        }
+      }
+      // Stride test: the difference of two basis points maps to the
+      // difference of their labels; a perturbed label stride does not.
+      std::vector<i128> ps(in_dim), ls(label_dim);
+      for (std::size_t i = 0; i < in_dim; ++i)
+        ps[i] = static_cast<i128>(pts.back()[i]) - pts[0][i];
+      for (std::size_t j = 0; j < label_dim; ++j)
+        ls[j] = static_cast<i128>(labels.back()[j]) - labels[0][j];
+      for (int perturb = 0; perturb < 2; ++perturb) {
+        ls[0] += perturb;
+        auto fast = scaled->maps_stride(ps, ls);
+        auto ref = outcome([&] { return maps_stride_rational(*fit, ps, ls); });
+        if (fast && ref) {
+          EXPECT_EQ(*fast, *ref);
+        }
+        if (fast) {
+          EXPECT_EQ(*fast, perturb == 0);
+        }
+      }
+    }
+  }
+  EXPECT_GT(decided, GetParam() % 4 == 3 ? 10 : 100);
+  EXPECT_GT(truths, GetParam() % 4 == 3 ? 5 : 50);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LabelFitKernels, ::testing::Range(0, 12));
+
+TEST(Folder, CountsRefitsWithoutRationalFallbacksOnAffineStreams) {
+  Folder f(2, 1);
+  for (i64 i = 0; i < 5; ++i)
+    for (i64 j = 0; j < 7; ++j) add2(f, i, j, {3 * i - j + 4});
+  // One refit per basis point: the first opens the chunk, and the fit
+  // misses the two points that then extend the hull, (0,1) and (1,0).
+  EXPECT_EQ(f.refits(), 3u);
+  EXPECT_EQ(f.rat_fallbacks(), 0u);
+  f.finish();
+}
 
 }  // namespace
 }  // namespace pp::fold

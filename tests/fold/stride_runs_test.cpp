@@ -115,6 +115,36 @@ TEST(StrideRuns, CollapseTrippingStreamMatchesPointAtATime) {
   expect_equivalent(pts, labels, 1, 1, opts);
 }
 
+TEST(StrideRuns, CollapsedRunsMatchPointAtATime) {
+  // Runs that keep arriving after the piece cap tripped: a collapsed
+  // folder merges each run's endpoints into its bounds instead of routing
+  // it. Rows alternate direction so the octagon rows' extremes come from
+  // both run ends.
+  FolderOptions opts;
+  opts.max_pieces = 3;
+  std::vector<std::vector<i64>> pts, labels;
+  for (i64 i = 0; i < 40; ++i) {
+    for (i64 j = 0; j < 25; ++j) {
+      const i64 col = i % 2 == 0 ? j : 24 - j;
+      pts.push_back({i, col});
+      labels.push_back({(i * 7919) % 1000 + col * (i % 5), i - col});
+    }
+  }
+  expect_equivalent(pts, labels, 2, 2, opts);
+}
+
+TEST(StrideRuns, OneStepRunAbsorptionExtendsHullAtSecondPoint) {
+  // The chunk of (0,0),(1,0) spans the line y = 0 and fits the constant
+  // 5. The run from (3,0) lies on that line at its base but leaves it at
+  // its second point, so absorbing the run in one step must still add
+  // (3,1) to the basis; otherwise (4,7) would look off the hull and be
+  // refitted into the chunk instead of opening its own.
+  std::vector<std::vector<i64>> pts = {{0, 0}, {1, 0}, {3, 0},
+                                       {3, 1}, {3, 2}, {4, 7}};
+  std::vector<std::vector<i64>> labels = {{5}, {5}, {5}, {5}, {5}, {9}};
+  expect_equivalent(pts, labels, 2, 1);
+}
+
 TEST(StrideRuns, FinishMidRunMatchesPointAtATime) {
   FolderOptions on, off;
   on.stride_runs = true;

@@ -1,5 +1,7 @@
 #include "support/rational.hpp"
 
+#include <optional>
+
 #include <gtest/gtest.h>
 
 namespace pp {
@@ -88,6 +90,78 @@ TEST(Rational, FieldAxiomsSweep) {
       }
     }
   }
+}
+
+// Splitmix64: deterministic operands for the differential sweeps below.
+u64 mix(u64& state) {
+  u64 z = (state += 0x9e3779b97f4a7c15ull);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
+// A nonzero-magnitude mix: small values, 64-bit values, and values within
+// a few units of ±(2^127 - 1) so the checked operations overflow.
+i128 operand(u64& state) {
+  const i128 top =
+      static_cast<i128>((static_cast<unsigned __int128>(1) << 127) - 1);
+  const u64 r = mix(state);
+  const bool neg = (r & 1) != 0;
+  i128 v = 0;
+  switch ((r >> 1) % 4) {
+    case 0: v = static_cast<i128>(mix(state) % 1000); break;
+    case 1: v = static_cast<i128>(mix(state) >> 1); break;
+    case 2:
+      v = (static_cast<i128>(mix(state) >> 2) << 62) | (mix(state) >> 2);
+      break;
+    default: v = top - static_cast<i128>(mix(state) % 8); break;
+  }
+  return neg ? -v : v;
+}
+
+// The value an operation produced, or nullopt when it threw.
+template <class F>
+std::optional<Rat> outcome(F f) {
+  try {
+    return f();
+  } catch (const Error&) {
+    return std::nullopt;
+  }
+}
+
+TEST(RationalIntegerPath, AgreesWithGeneralPathIncludingOverflow) {
+  u64 state = 7;
+  int threw = 0;
+  for (int t = 0; t < 20000; ++t) {
+    const Rat a(operand(state)), b(operand(state));
+    const auto sum = outcome([&] { return a + b; });
+    EXPECT_EQ(sum, outcome([&] { return a.add_general(b); }));
+    const auto prod = outcome([&] { return a * b; });
+    EXPECT_EQ(prod, outcome([&] { return a.mul_general(b); }));
+    EXPECT_EQ(outcome([&] { return a - b; }),
+              outcome([&] { return a.add_general(-b); }));
+    EXPECT_EQ(a < b, a.cmp_general(b) < 0);
+    EXPECT_EQ(a == b, a.cmp_general(b) == 0);
+    threw += !sum.has_value() + !prod.has_value();
+  }
+  // Both the in-range and the overflowing halves were exercised.
+  EXPECT_GT(threw, 1000);
+  EXPECT_LT(threw, 30000);
+}
+
+TEST(RationalIntegerPath, NormalizeSkipsOnlyRedundantGcds) {
+  u64 state = 11;
+  for (int t = 0; t < 5000; ++t) {
+    const i128 n = static_cast<i128>(mix(state) >> 1) * ((t & 1) ? -1 : 1);
+    const i128 k = static_cast<i128>(mix(state) % 1000 + 1);
+    // Denominator 1 or -1 skips the gcd; a scaled copy takes it.
+    const Rat one(n, 1), minus(-n, -1), scaled(n * k, k);
+    EXPECT_EQ(one, scaled);
+    EXPECT_EQ(minus, scaled);
+    EXPECT_EQ(one.den(), 1);
+    EXPECT_EQ(one.num(), n);
+  }
+  EXPECT_THROW(Rat(1, 0), Error);
 }
 
 TEST(Rational, ToDouble) {
