@@ -445,11 +445,13 @@ FoldedProgram FoldingSink::finalize(const ddg::StatementTable& table) {
       pieces += static_cast<i64>(d.relation.pieces().size());
     obs_->set("fold.pieces", pieces);
     i64 stmt_streams = 0;
-    u64 refits = 0, rat_fallbacks = 0;
+    u64 refits = 0, rat_fallbacks = 0, run_flushes = 0, flushed_points = 0;
     auto tally = [&](const std::unique_ptr<Folder>& f) {
       if (!f) return;
       refits += f->refits();
       rat_fallbacks += f->rat_fallbacks();
+      run_flushes += f->run_flushes();
+      flushed_points += f->flushed_points();
     };
     for (const auto& streams : stmts_) {
       stmt_streams += streams.domain != nullptr;
@@ -470,6 +472,10 @@ FoldedProgram FoldingSink::finalize(const ddg::StatementTable& table) {
     obs_->set("fold.refits", static_cast<i64>(refits),
               obs::Stability::kTiming);
     obs_->set("fold.rat_fallbacks", static_cast<i64>(rat_fallbacks),
+              obs::Stability::kTiming);
+    obs_->set("fold.run_flushes", static_cast<i64>(run_flushes),
+              obs::Stability::kTiming);
+    obs_->set("fold.flushed_points", static_cast<i64>(flushed_points),
               obs::Stability::kTiming);
   }
   return prog;

@@ -6,26 +6,18 @@ namespace pp::fold {
 
 namespace {
 
-// Reduce [point 1] against RREF hull rows in place.
-void hull_reduce(const RatMatrix& hull, RatVec& v) {
-  std::size_t width = v.size();
-  for (std::size_t r = 0; r < hull.rows(); ++r) {
-    for (std::size_t c = 0; c < width; ++c) {
-      if (!hull.at(r, c).is_zero()) {
-        if (!v[c].is_zero()) {
-          Rat f = v[c];
-          for (std::size_t k = c; k < width; ++k) v[k] -= f * hull.at(r, k);
-        }
-        break;
-      }
-    }
-  }
-}
-
 // point >_lex prev (strict).
 bool lex_greater(std::span<const i64> point, const std::vector<i64>& prev) {
   for (std::size_t i = 0; i < prev.size(); ++i)
     if (point[i] != prev[i]) return point[i] > prev[i];
+  return false;
+}
+
+// The first nonzero component is positive (stride >_lex 0).
+template <class V>
+bool lex_positive(const V& stride) {
+  for (const auto& x : stride)
+    if (x != 0) return x > 0;
   return false;
 }
 
@@ -58,93 +50,14 @@ i128 Folder::eval_row(const TRow& t, std::span<const i64> pt) const {
   return v;
 }
 
-void Folder::rebuild_hull_int(Chunk& c) const {
-  // Scale each RREF row to integers (row × lcm of its denominators) so
-  // membership tests run fraction-free. The test only needs zero/nonzero
-  // of the reduced vector, so uniform row scaling is harmless. Any
-  // overflow while scaling abandons the fast path for this chunk.
-  //
-  // The rows are stored sorted by pivot column: in_hull's reduction
-  // rescales only the suffix v[pivot..], which keeps the accumulated
-  // per-component scale uniform across each elimination's suffix ONLY
-  // when pivots are visited in increasing order. Reducing with a
-  // smaller-pivot row after a larger-pivot one would combine
-  // differently-scaled components and corrupt the zero/nonzero verdict
-  // (extend_basis appends rows in discovery order, so decreasing pivots
-  // do occur).
-  c.hull_int.clear();
-  c.hull_piv.clear();
-  try {
-    const std::size_t width = in_dim_ + 1;
-    for (std::size_t r = 0; r < c.hull.rows(); ++r) {
-      i128 l = 1;
-      for (std::size_t k = 0; k < width; ++k)
-        l = lcm(l, c.hull.at(r, k).den());
-      std::vector<i128> row(width);
-      std::size_t piv = width;
-      for (std::size_t k = 0; k < width; ++k) {
-        const Rat& x = c.hull.at(r, k);
-        row[k] = mul_checked(x.num(), l / x.den());
-        if (piv == width && row[k] != 0) piv = k;
-      }
-      PP_CHECK(piv < width, "hull row with no pivot");
-      c.hull_int.push_back(std::move(row));
-      c.hull_piv.push_back(piv);
-    }
-    for (std::size_t a = 1; a < c.hull_int.size(); ++a) {
-      // Insertion sort by pivot: row counts are tiny (≤ in_dim_ + 1).
-      std::size_t b = a;
-      while (b > 0 && c.hull_piv[b - 1] > c.hull_piv[b]) {
-        std::swap(c.hull_piv[b - 1], c.hull_piv[b]);
-        std::swap(c.hull_int[b - 1], c.hull_int[b]);
-        --b;
-      }
-    }
-  } catch (const Error&) {
-    c.hull_int.clear();
-    c.hull_piv.clear();
-  }
-}
-
 bool Folder::in_hull(const Chunk& c, std::span<const i64> point) const {
   // Full-rank basis: the affine hull is the whole space (the common case
   // once a loop nest has warmed up).
-  if (c.hull.rows() == in_dim_ + 1) return true;
-  const std::size_t width = in_dim_ + 1;
-  if (c.hull_int.size() == c.hull.rows()) {
-    // Fraction-free fast path: reduce [point 1] against the scaled rows.
-    // Eliminating pivot column p of row R rescales v by R[p]; scale never
-    // affects the zero/nonzero verdict. Overflow (rare, needs huge
-    // coordinates) falls through to the exact rational path.
-    try {
-      hullv_.resize(width);
-      for (std::size_t i = 0; i < in_dim_; ++i) hullv_[i] = point[i];
-      hullv_[in_dim_] = 1;
-      for (std::size_t r = 0; r < c.hull_int.size(); ++r) {
-        const std::size_t p = c.hull_piv[r];
-        const i128 f = hullv_[p];
-        if (f == 0) continue;
-        const std::vector<i128>& row = c.hull_int[r];
-        const i128 s = row[p];
-        for (std::size_t k = p; k < width; ++k)
-          hullv_[k] = sub_checked(mul_checked(s, hullv_[k]),
-                                  mul_checked(f, row[k]));
-      }
-      for (const i128& x : hullv_)
-        if (x != 0) return false;
-      return true;
-    } catch (const Error&) {
-      // fall through to the rational path
-    }
-  }
+  if (c.basis_pts.size() == in_dim_ + 1) return true;
+  if (!c.rat_hull)
+    if (std::optional<bool> v = c.hull.contains(point)) return *v;
   ++rat_fallbacks_;
-  RatVec v(width);
-  for (std::size_t i = 0; i < in_dim_; ++i) v[i] = Rat(point[i]);
-  v[in_dim_] = Rat(1);
-  hull_reduce(c.hull, v);
-  for (const auto& x : v)
-    if (!x.is_zero()) return false;
-  return true;
+  return in_hull_rational(c.basis_pts, point);
 }
 
 bool Folder::predicts(const Chunk& c, std::span<const i64> point,
@@ -159,47 +72,21 @@ void Folder::extend_basis(Chunk& c, std::span<const i64> point,
                           std::span<const i64> label) {
   c.basis_pts.emplace_back(point.begin(), point.end());
   c.basis_labels.emplace_back(label.begin(), label.end());
-  RatVec v(in_dim_ + 1);
-  for (std::size_t i = 0; i < in_dim_; ++i) v[i] = Rat(point[i]);
-  v[in_dim_] = Rat(1);
-  hull_reduce(c.hull, v);
-  std::size_t pivot = in_dim_ + 1;
-  for (std::size_t col = 0; col <= in_dim_; ++col) {
-    if (!v[col].is_zero()) {
-      pivot = col;
-      break;
-    }
-  }
-  PP_CHECK(pivot <= in_dim_, "extend_basis: point already in hull");
-  Rat inv = Rat(1) / v[pivot];
-  for (std::size_t k = pivot; k <= in_dim_; ++k) v[k] *= inv;
-  // Back-eliminate to keep RREF.
-  for (std::size_t r = 0; r < c.hull.rows(); ++r) {
-    Rat f = c.hull.at(r, pivot);
-    if (f.is_zero()) continue;
-    for (std::size_t k = pivot; k <= in_dim_; ++k)
-      c.hull.at(r, k) -= f * v[k];
-  }
-  c.hull.push_row(v);
-  rebuild_hull_int(c);
+  if (!c.rat_hull && !c.hull.extend(point)) c.rat_hull = true;
 }
 
 void Folder::refit(Chunk& c) {
   // Fit [P 1] coeffs = a over the basis rows. The rows are affinely
   // independent by construction, so the system is always consistent
-  // (possibly underdetermined: free coefficients go to 0). The hull holds
-  // the rows' RREF; its pivots (each row's first nonzero) select the
-  // nonsingular square system the fraction-free kernel solves.
+  // (possibly underdetermined: free coefficients go to 0). The hull's
+  // pivots select the nonsingular square system the fraction-free kernel
+  // solves.
   ++refits_;
-  piv_.clear();
-  for (std::size_t r = 0; r < c.hull.rows(); ++r) {
-    std::size_t col = 0;
-    while (col <= in_dim_ && c.hull.at(r, col).is_zero()) ++col;
-    PP_CHECK(col <= in_dim_, "hull row with no pivot");
-    piv_.push_back(col);
-  }
-  if (std::optional<LabelFit> fit = fit_fraction_free(
-          c.basis_pts, c.basis_labels, piv_, in_dim_, label_dim_)) {
+  std::optional<LabelFit> fit;
+  if (!c.rat_hull)
+    fit = fit_fraction_free(c.basis_pts, c.basis_labels, c.hull.pivots(),
+                            in_dim_, label_dim_);
+  if (fit) {
     c.fit = std::move(*fit);
   } else {
     ++rat_fallbacks_;
@@ -219,7 +106,6 @@ Folder::Chunk Folder::make_chunk(std::span<const i64> point,
     i128 v = eval_row(rows_[r], point);
     c.bnd[r] = {v, v};
   }
-  c.hull = RatMatrix(0, in_dim_ + 1);
   extend_basis(c, point, label);
   refit(c);
   return c;
@@ -298,6 +184,16 @@ void Folder::set_run_last(std::span<const i64> point,
   run_llast_.assign(label.begin(), label.end());
 }
 
+bool Folder::continues_run(std::span<const i64> point,
+                           std::span<const i64> label) const {
+  for (std::size_t i = 0; i < in_dim_; ++i)
+    if (static_cast<i128>(point[i]) - run_last_[i] != pstride_[i]) return false;
+  for (std::size_t j = 0; j < label_dim_; ++j)
+    if (static_cast<i128>(label[j]) - run_llast_[j] != lstride_[j])
+      return false;
+  return true;
+}
+
 bool Folder::fit_maps_stride(const Chunk& c) const {
   if (label_dim_ == 0) return true;
   if (c.scaled)
@@ -345,6 +241,8 @@ void Folder::flush_run() {
   if (run_len_ == 0) return;
   const u64 n = run_len_;
   run_len_ = 0;
+  ++run_flushes_;
+  flushed_points_ += n;
   if (collapsed_) {
     // A collapsed folder's output is the template bounds of its points and
     // their count (finish()); routing would only grow chunks nobody reads.
@@ -403,24 +301,28 @@ void Folder::flush_run() {
 void Folder::add(std::span<const i64> point, std::span<const i64> label) {
   PP_CHECK(point.size() == in_dim_, "folder: point arity mismatch");
   PP_CHECK(label.size() == label_dim_, "folder: label arity mismatch");
+  if (opts_.stride_runs) {
+    append(point, label, {}, {}, 1);
+    return;
+  }
+  // Reference point-at-a-time path (ablation knob): lexicographic check in
+  // place against the previous point, then the routing steps.
   ++total_points_;
   ++seq_;
+  if (have_prev_ && !lex_greater(point, run_last_)) lex_ok_ = false;
+  run_last_.assign(point.begin(), point.end());
+  have_prev_ = true;
+  route_point(point, label, seq_);
+}
 
-  if (!opts_.stride_runs) {
-    // Reference point-at-a-time path (ablation knob): lexicographic check
-    // in place against the previous point, then the routing steps.
-    if (have_prev_ && !lex_greater(point, run_last_)) lex_ok_ = false;
-    run_last_.assign(point.begin(), point.end());
-    have_prev_ = true;
-    route_point(point, label, seq_);
-    return;
-  }
-
+void Folder::append(std::span<const i64> point, std::span<const i64> label,
+                    std::span<const i64> pstride,
+                    std::span<const i64> lstride, u64 n) {
+  total_points_ += n;
+  ++seq_;
   if (run_len_ == 0) {
     start_run(point, label);
-    return;
-  }
-  if (run_len_ == 1) {
+  } else if (run_len_ == 1) {
     // Any second point establishes the stride.
     pstride_.resize(in_dim_);
     lstride_.resize(label_dim_);
@@ -432,42 +334,46 @@ void Folder::add(std::span<const i64> point, std::span<const i64> label) {
     // coordinates within a context; a violation (or duplicate) makes the
     // distinct-point count unreliable, so exactness is forfeited. Within
     // a run the per-point check reduces to the stride's lex sign.
-    bool positive = false;
-    for (std::size_t i = 0; i < in_dim_; ++i) {
-      if (pstride_[i] != 0) {
-        positive = pstride_[i] > 0;
-        break;
-      }
-    }
-    run_stride_viol_ = !positive;
+    run_stride_viol_ = !lex_positive(pstride_);
     set_run_last(point, label);
     run_len_ = 2;
-    return;
-  }
-  // Run extension: constant point- AND label-stride.
-  bool same = true;
-  for (std::size_t i = 0; i < in_dim_; ++i) {
-    if (static_cast<i128>(point[i]) - run_last_[i] != pstride_[i]) {
-      same = false;
-      break;
-    }
-  }
-  if (same) {
-    for (std::size_t j = 0; j < label_dim_; ++j) {
-      if (static_cast<i128>(label[j]) - run_llast_[j] != lstride_[j]) {
-        same = false;
-        break;
-      }
-    }
-  }
-  if (same) {
+  } else if (continues_run(point, label)) {
     set_run_last(point, label);
     ++run_len_;
-    return;
+  } else {
+    flush_run();
+    if (!lex_greater(point, run_last_)) lex_ok_ = false;
+    start_run(point, label);
   }
-  flush_run();
-  if (!lex_greater(point, run_last_)) lex_ok_ = false;
-  start_run(point, label);
+  if (n == 1) return;
+  // The other n − 1 points each differ from their predecessor by the
+  // given strides; run_last_ holds the first point.
+  if (run_len_ >= 2 &&
+      !(std::equal(pstride.begin(), pstride.end(), pstride_.begin()) &&
+        std::equal(lstride.begin(), lstride.end(), lstride_.begin()))) {
+    // The second point breaks the pending run and starts the next one;
+    // its lexicographic check against the first is the stride's sign.
+    flush_run();
+    if (!lex_positive(pstride)) lex_ok_ = false;
+    ++seq_;
+    --n;
+    for (std::size_t i = 0; i < in_dim_; ++i) run_last_[i] += pstride[i];
+    for (std::size_t j = 0; j < label_dim_; ++j) run_llast_[j] += lstride[j];
+    start_run(run_last_, run_llast_);
+    if (n == 1) return;
+  }
+  if (run_len_ == 1) {  // the run starting at run_last_ takes the strides
+    pstride_.assign(pstride.begin(), pstride.end());
+    lstride_.assign(lstride.begin(), lstride.end());
+    run_stride_viol_ = !lex_positive(pstride);
+  }
+  run_len_ += n - 1;
+  seq_ += n - 1;
+  const i128 steps = static_cast<i128>(n - 1);
+  for (std::size_t i = 0; i < in_dim_; ++i)
+    run_last_[i] = static_cast<i64>(run_last_[i] + pstride[i] * steps);
+  for (std::size_t j = 0; j < label_dim_; ++j)
+    run_llast_[j] = static_cast<i64>(run_llast_[j] + lstride[j] * steps);
 }
 
 void Folder::add_run(std::span<const i64> point, std::span<const i64> label,
@@ -478,10 +384,6 @@ void Folder::add_run(std::span<const i64> point, std::span<const i64> label,
   PP_CHECK(label.size() == label_dim_ && lstride.size() == label_dim_,
            "folder: run label arity mismatch");
   if (n == 0) return;
-  if (n == 1) {  // stride meaningless for one point — plain scalar add
-    add(point, label);
-    return;
-  }
   // Equivalence with n scalar add() calls needs each consecutive i128
   // difference to equal the stride exactly, i.e. no 64-bit wrap among the
   // run points. Coordinates move monotonically, so endpoint checks
@@ -496,108 +398,8 @@ void Folder::add_run(std::span<const i64> point, std::span<const i64> label,
   };
   if (opts_.stride_runs && in_range(point, pstride) &&
       in_range(label, lstride)) {
-    // O(d) fast paths: the whole call either extends the pending run or
-    // becomes the new pending run — state identical to the scalar loop
-    // (which would only bump counters and the run tail point by point),
-    // without touching any chunk.
-    arun_pt_.resize(in_dim_);
-    arun_lab_.resize(label_dim_);
-    for (std::size_t i = 0; i < in_dim_; ++i)
-      arun_pt_[i] = static_cast<i64>(
-          static_cast<i128>(point[i]) +
-          static_cast<i128>(pstride[i]) * static_cast<i128>(n - 1));
-    for (std::size_t j = 0; j < label_dim_; ++j)
-      arun_lab_[j] = static_cast<i64>(
-          static_cast<i128>(label[j]) +
-          static_cast<i128>(lstride[j]) * static_cast<i128>(n - 1));
-    auto strides_match = [&] {
-      for (std::size_t i = 0; i < in_dim_; ++i)
-        if (pstride_[i] != pstride[i]) return false;
-      for (std::size_t j = 0; j < label_dim_; ++j)
-        if (lstride_[j] != lstride[j]) return false;
-      return true;
-    };
-    auto continues_pending = [&] {
-      for (std::size_t i = 0; i < in_dim_; ++i)
-        if (static_cast<i128>(point[i]) - run_last_[i] != pstride_[i])
-          return false;
-      for (std::size_t j = 0; j < label_dim_; ++j)
-        if (static_cast<i128>(label[j]) - run_llast_[j] != lstride_[j])
-          return false;
-      return true;
-    };
-    auto install_strides = [&] {
-      pstride_.resize(in_dim_);
-      lstride_.resize(label_dim_);
-      for (std::size_t i = 0; i < in_dim_; ++i) pstride_[i] = pstride[i];
-      for (std::size_t j = 0; j < label_dim_; ++j) lstride_[j] = lstride[j];
-      bool positive = false;
-      for (std::size_t i = 0; i < in_dim_; ++i) {
-        if (pstride_[i] != 0) {
-          positive = pstride_[i] > 0;
-          break;
-        }
-      }
-      run_stride_viol_ = !positive;
-    };
-    if (run_len_ >= 2 && strides_match() && continues_pending()) {
-      // Pure extension of the pending run.
-      total_points_ += n;
-      seq_ += n;
-      run_len_ += n;
-      set_run_last(arun_pt_, arun_lab_);
-      return;
-    }
-    if (run_len_ == 1) {
-      // The pending single point has no stride yet; when this run's base
-      // continues it at the run's own stride, they merge into one run
-      // (exactly what the scalar loop's stride-establishing add would do).
-      bool cont = true;
-      for (std::size_t i = 0; cont && i < in_dim_; ++i)
-        cont = static_cast<i128>(point[i]) - run_last_[i] == pstride[i];
-      for (std::size_t j = 0; cont && j < label_dim_; ++j)
-        cont = static_cast<i128>(label[j]) - run_llast_[j] == lstride[j];
-      if (cont) {
-        install_strides();
-        total_points_ += n;
-        seq_ += n;
-        run_len_ = 1 + n;
-        set_run_last(arun_pt_, arun_lab_);
-        return;
-      }
-    }
-    if (run_len_ == 0) {
-      // Fresh stream (or right after finish()): the run becomes the
-      // pending run wholesale; no lexicographic reference exists yet.
-      run_base_.assign(point.begin(), point.end());
-      run_lbase_.assign(label.begin(), label.end());
-      install_strides();
-      total_points_ += n;
-      seq_ += n;
-      run_start_seq_ = seq_ - n + 1;
-      run_len_ = n;
-      set_run_last(arun_pt_, arun_lab_);
-      return;
-    }
-    if (run_len_ >= 2) {
-      // The run breaks the pending one: flush it, apply the cross-run
-      // lexicographic check against its tail, and install this run as the
-      // new pending run.
-      flush_run();
-      if (!lex_greater(point, run_last_)) lex_ok_ = false;
-      run_base_.assign(point.begin(), point.end());
-      run_lbase_.assign(label.begin(), label.end());
-      install_strides();
-      total_points_ += n;
-      seq_ += n;
-      run_start_seq_ = seq_ - n + 1;
-      run_len_ = n;
-      set_run_last(arun_pt_, arun_lab_);
-      return;
-    }
-    // run_len_ == 1 and the base does not continue it: fall through to
-    // the scalar loop (the pending point still needs its stride decided
-    // by add()'s break-or-establish logic).
+    append(point, label, pstride, lstride, n);
+    return;
   }
   auto wrap_add = [](i64 a, i64 b) {
     return static_cast<i64>(static_cast<u64>(a) + static_cast<u64>(b));

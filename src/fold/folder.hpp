@@ -12,11 +12,13 @@
 //    Rectangular, triangular and ±1-skewed loop nests fold exactly;
 //    anything else becomes a certified over-approximation.
 //  * Labels are fitted by exact interpolation over an affinely
-//    independent basis of seen points, integer-first (label_fit.hpp: a
-//    fraction-free solve and scaled-integer tests, pp::Rat only on i128
-//    overflow). Every point is verified against a fit; points that extend
-//    the affine hull extend the basis (a fit restricted to the old hull
-//    never changes, so earlier verifications remain valid).
+//    independent basis of seen points, integer-first (label_fit.hpp: the
+//    basis's affine hull as fraction-free echelon rows, a fraction-free
+//    solve over their pivots and scaled-integer tests; pp::Rat, from the
+//    basis points, only on i128 overflow). Every point is verified against
+//    a fit; points that extend the affine hull extend the basis (a fit
+//    restricted to the old hull never changes, so earlier verifications
+//    remain valid).
 //  * The folder keeps SEVERAL pieces open simultaneously and routes each
 //    incoming point to the piece whose affine function predicts its label
 //    (piecewise streams — loop-exit compares, boundary statements —
@@ -29,8 +31,9 @@
 //    label-stride — and absorbs a whole run with O(1) chunk updates
 //    (endpoint-only template bounds, at most two hull extensions), which
 //    is equivalent to routing the run point by point (see DESIGN.md,
-//    "Folding"). Once the piece cap has collapsed the folder, runs only
-//    widen the collapse bounds.
+//    "Folding"). add() and add_run() share one pending-run state machine
+//    (append), which takes n points in O(d). Once the piece cap has
+//    collapsed the folder, runs only widen the collapse bounds.
 //  * Exactness of a piece = (#lattice points of the domain == #points
 //    routed to it) AND the label fit is affine with integer coefficients.
 #pragma once
@@ -76,9 +79,8 @@ class Folder {
   /// the previous one by adding `pstride`/`lstride` with 64-bit wrapping
   /// (so a caller replaying observed values reproduces them exactly even
   /// across overflow). Equivalent to `n` scalar add() calls by
-  /// construction: the call falls back to scalar routing until the
-  /// pending-run state can absorb the remainder as a single O(1) stride
-  /// extension (constant strides matching the pending run, no wrap left).
+  /// construction: a run that does not wrap makes the pending-run
+  /// transitions of those calls in O(d); a wrapping one replays them.
   void add_run(std::span<const i64> point, std::span<const i64> label,
                std::span<const i64> pstride, std::span<const i64> lstride,
                u64 n);
@@ -94,6 +96,9 @@ class Folder {
   /// answered on pp::Rat because an i128 intermediate overflowed.
   u64 refits() const { return refits_; }
   u64 rat_fallbacks() const { return rat_fallbacks_; }
+  /// Pending runs replayed into the chunks, and the points they held.
+  u64 run_flushes() const { return run_flushes_; }
+  u64 flushed_points() const { return flushed_points_; }
 
  private:
   /// One template expression, x_i (j < 0) or x_i + cj·x_j (cj = ±1) —
@@ -117,13 +122,10 @@ class Folder {
     std::vector<Bnd> bnd;  ///< per template row, in `rows_` order
     std::vector<std::vector<i64>> basis_pts;
     std::vector<std::vector<i64>> basis_labels;
-    RatMatrix hull;     ///< RREF rows of [I 1] over the basis
-    /// Integer image of `hull` (each row scaled by its denominators' lcm,
-    /// pivot column first): lets the hot in_hull membership test run
-    /// fraction-free on i128 instead of allocating rationals. Rebuilt on
-    /// every basis extension; empty = scaling overflowed, use `hull`.
-    std::vector<std::vector<i128>> hull_int;
-    std::vector<std::size_t> hull_piv;        ///< pivot column per int row
+    EchelonHull hull;   ///< affine hull of `basis_pts`, fraction-free
+    /// `hull` overflowed i128: membership and refits run on pp::Rat from
+    /// `basis_pts` (in_hull_rational, fit_rational) from then on.
+    bool rat_hull = false;
     LabelFit fit;                    ///< label_dim × (coeffs, constant)
     std::optional<ScaledFit> scaled;  ///< integer image of `fit`, if any
   };
@@ -144,8 +146,18 @@ class Folder {
   /// returns the index in `open_` of the chunk that got the point.
   std::size_t route_point(std::span<const i64> point,
                           std::span<const i64> label, u64 at_seq);
+  /// The pending-run transitions of n scalar add()s of the points
+  /// point + k·stride (k < n, no 64-bit wrap): the first point extends,
+  /// establishes or breaks the pending run; the rest extend it, or break
+  /// it once, at the second point. The strides are unread when n == 1.
+  void append(std::span<const i64> point, std::span<const i64> label,
+              std::span<const i64> pstride, std::span<const i64> lstride,
+              u64 n);
   void start_run(std::span<const i64> point, std::span<const i64> label);
   void set_run_last(std::span<const i64> point, std::span<const i64> label);
+  /// point − run_last_ and label − run_llast_ equal the pending strides.
+  bool continues_run(std::span<const i64> point,
+                     std::span<const i64> label) const;
   /// Replay the pending run; switches to bulk absorption as soon as the
   /// receiving chunk's fit maps the stride.
   void flush_run();
@@ -179,9 +191,6 @@ class Folder {
 
   std::vector<Chunk> open_;
   std::vector<std::size_t> route_order_;  ///< routing scratch (recency sort)
-  mutable std::vector<i128> hullv_;       ///< in_hull reduction scratch
-  std::vector<std::size_t> piv_;          ///< refit scratch: hull pivots
-  void rebuild_hull_int(Chunk& c) const;
   u64 seq_ = 0;
   bool lex_ok_ = true;
 
@@ -198,14 +207,14 @@ class Folder {
   std::vector<i64> run_lbase_, run_llast_;
   std::vector<i128> pstride_, lstride_;
   std::vector<i64> cur_pt_, cur_lab_;  ///< flush_run scratch
-  std::vector<i64> arun_pt_, arun_lab_;  ///< add_run scratch (add() may
-                                         ///< trigger flush_run, which owns
-                                         ///< cur_pt_/cur_lab_)
+  std::vector<i64> arun_pt_, arun_lab_;  ///< add_run's wrapping replay
 
   poly::PolySet result_{0};
   u64 total_points_ = 0;
   u64 refits_ = 0;
   mutable u64 rat_fallbacks_ = 0;
+  u64 run_flushes_ = 0;
+  u64 flushed_points_ = 0;
   bool collapsed_ = false;  ///< max_pieces exceeded
 
   // Running template bounds over every closed chunk: once the piece cap

@@ -6,6 +6,10 @@ namespace pp::fold {
 
 namespace {
 
+// The one i128 whose negation overflows.
+constexpr i128 kMin = static_cast<i128>(static_cast<unsigned __int128>(1)
+                                        << 127);
+
 // acc + a·b on i128; false on overflow.
 bool mul_add(i128& acc, i128 a, i128 b) {
   i128 t;
@@ -97,8 +101,6 @@ std::optional<LabelFit> fit_fraction_free(
   }
   // Rat negates a negative denominator (and with it the numerator):
   // leave the one unrepresentable negation to the rational path.
-  constexpr i128 kMin = static_cast<i128>(static_cast<unsigned __int128>(1)
-                                          << 127);
   if (prev == kMin) return std::nullopt;
   const std::size_t width = in_dim + 1;
   LabelFit fit(label_dim * width);
@@ -110,6 +112,70 @@ std::optional<LabelFit> fit_fraction_free(
     }
   }
   return fit;
+}
+
+bool in_hull_rational(const std::vector<std::vector<i64>>& pts,
+                      std::span<const i64> point) {
+  const std::size_t width = point.size() + 1;
+  RatMatrix rows(0, width);
+  RatVec r(width, Rat(1));
+  for (const auto& p : pts) {
+    for (std::size_t i = 0; i + 1 < width; ++i) r[i] = Rat(p[i]);
+    rows.push_row(r);
+  }
+  for (std::size_t i = 0; i + 1 < width; ++i) r[i] = Rat(point[i]);
+  return rows.rows() > 0 && rows.row_space_contains(r);
+}
+
+bool EchelonHull::reduce(std::span<const i64> point, bool whole) const {
+  v_.resize(width_);
+  for (std::size_t i = 0; i + 1 < width_; ++i) v_[i] = point[i];
+  v_[width_ - 1] = 1;
+  for (std::size_t r = 0; r < piv_.size(); ++r) {
+    const std::size_t p = piv_[r];
+    const i128 f = v_[p];
+    if (f == 0) continue;
+    const i128* row = rows_.data() + r * width_;
+    const i128 s = row[p];
+    for (std::size_t k = whole ? 0 : p; k < width_; ++k) {
+      i128 a, b;
+      if (__builtin_mul_overflow(s, v_[k], &a) ||
+          __builtin_mul_overflow(f, row[k], &b) ||
+          __builtin_sub_overflow(a, b, &v_[k]))
+        return false;
+    }
+  }
+  return true;
+}
+
+std::optional<bool> EchelonHull::contains(std::span<const i64> point) const {
+  if (width_ == 0) return false;  // empty hull
+  if (!reduce(point, /*whole=*/false)) return std::nullopt;
+  for (const i128& x : v_)
+    if (x != 0) return false;
+  return true;
+}
+
+bool EchelonHull::extend(std::span<const i64> point) {
+  width_ = point.size() + 1;
+  if (!reduce(point, /*whole=*/true)) return false;
+  // Divide out the content so rows stay primitive (and small); gcd
+  // negates its operands.
+  i128 g = 0;
+  std::size_t p = width_;
+  for (std::size_t k = 0; k < width_; ++k) {
+    if (v_[k] == kMin) return false;
+    if (v_[k] != 0 && p == width_) p = k;
+    g = gcd(g, v_[k]);
+  }
+  PP_CHECK(p < width_, "extend: point already in hull");
+  for (i128& x : v_) x /= g;
+  const std::size_t at = static_cast<std::size_t>(
+      std::upper_bound(piv_.begin(), piv_.end(), p) - piv_.begin());
+  piv_.insert(piv_.begin() + static_cast<std::ptrdiff_t>(at), p);
+  rows_.insert(rows_.begin() + static_cast<std::ptrdiff_t>(at * width_),
+               v_.begin(), v_.end());
+  return true;
 }
 
 bool predicts_rational(const LabelFit& fit, std::span<const i64> point,

@@ -1,8 +1,8 @@
 // Exact label-fit kernels of the folder (see folder.hpp and DESIGN.md,
 // "Affine label fitting"). A piece's label function is the affine map
-// interpolating its basis points; these kernels compute it and test it
-// against new points on integers first, and fall back to pp::Rat only when
-// a 128-bit intermediate overflows.
+// interpolating its basis points; these kernels keep the basis's affine
+// hull, compute the map and test it against new points on integers first,
+// and fall back to pp::Rat only when a 128-bit intermediate overflows.
 #pragma once
 
 #include <optional>
@@ -28,8 +28,8 @@ LabelFit fit_rational(const std::vector<std::vector<i64>>& pts,
 
 /// The same fit by one fraction-free Bareiss–Jordan elimination on i128
 /// over the pivot columns of the basis rows' reduced row echelon form
-/// (`pivots`, in any order; column in_dim is the constant), shared by all
-/// label dimensions. Each coefficient is then one normalized
+/// (`pivots`, in any order, e.g. EchelonHull::pivots(); column in_dim is
+/// the constant), shared by all label dimensions. Each coefficient is then one normalized
 /// Rat(numerator, determinant). The RREF is unique, so these are the
 /// pivots RatMatrix::solve picks and the result equals fit_rational().
 /// nullopt when an i128 intermediate overflows (or when the pivot columns
@@ -39,6 +39,38 @@ std::optional<LabelFit> fit_fraction_free(
     const std::vector<std::vector<i64>>& labels,
     std::span<const std::size_t> pivots, std::size_t in_dim,
     std::size_t label_dim);
+
+/// Reference membership test: [point 1] lies in the row space of the
+/// [p 1] rows of `pts`, by RatMatrix::row_space_contains. Throws pp::Error
+/// when a rational intermediate overflows.
+bool in_hull_rational(const std::vector<std::vector<i64>>& pts,
+                      std::span<const i64> point);
+
+/// The affine hull of a point set as a fraction-free echelon basis of its
+/// [p 1] rows: primitive i128 rows with distinct pivots (first nonzero
+/// columns), sorted by pivot. Echelon pivots equal the RREF's, so
+/// pivots() is what fit_fraction_free() takes.
+class EchelonHull {
+ public:
+  std::span<const std::size_t> pivots() const { return piv_; }
+
+  /// Whether [point 1] lies in the hull; nullopt on i128 overflow.
+  std::optional<bool> contains(std::span<const i64> point) const;
+  /// Add [point 1], which must lie off the hull. false on i128 overflow;
+  /// the hull is then unusable.
+  bool extend(std::span<const i64> point);
+
+ private:
+  /// Reduce v_ = [point 1] by every row in pivot order (false on
+  /// overflow): R[p]·v − v[p]·R over v[p..], where the scale stays uniform
+  /// (enough for a zero test), or over all of v when `whole`.
+  bool reduce(std::span<const i64> point, bool whole) const;
+
+  std::size_t width_ = 0;        ///< in_dim + 1, set by the first extend
+  std::vector<i128> rows_;       ///< rank × width_, row-major
+  std::vector<std::size_t> piv_;
+  mutable std::vector<i128> v_;  ///< reduction scratch
+};
 
 /// Rational verdict: fit(point) == label in every label dimension.
 bool predicts_rational(const LabelFit& fit, std::span<const i64> point,

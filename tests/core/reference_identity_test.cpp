@@ -25,6 +25,8 @@ class ReferenceIdentity : public testing::TestWithParam<std::string> {};
 // With observe on, the report grows a "-- self profile --" section whose
 // stable rendering (times elided, kStable counters only) is reproducible
 // run to run — and except for that section, matches the unobserved report.
+// The observed counters also show that no workload needs the folder's
+// rational fallback.
 TEST_P(ReferenceIdentity, ObservedStableReportIsByteIdenticalToo) {
   workloads::Workload wl = workloads::make_rodinia(GetParam());
   core::PipelineOptions observed;
@@ -34,6 +36,14 @@ TEST_P(ReferenceIdentity, ObservedStableReportIsByteIdenticalToo) {
   EXPECT_EQ(first, report(wl.module, observed));
   const std::string plain = report(wl.module);
   EXPECT_EQ(first.substr(0, plain.size()), plain);
+  // The folder's exact kernels answer every workload on integers: none
+  // falls back to pp::Rat, plain or with the transformation engine on.
+  for (bool transforms : {false, true}) {
+    observed.apply_transforms = transforms;
+    core::ProfileResult r = core::Pipeline(wl.module).run(observed);
+    EXPECT_EQ(r.obs->counters().at("fold.rat_fallbacks").value, 0)
+        << "apply_transforms=" << transforms;
+  }
 }
 
 // Hot-path trace compaction is a pure optimization: the report with

@@ -58,12 +58,16 @@ TEST(SelfProfile, CountersAgreeWithResultAccounting) {
   i64 streams = 0;
   for (const auto& st : r.program.statements) streams += !st.domain.empty();
   EXPECT_EQ(cs.at("fold.stmt_streams").value, streams);
-  // Refit and Rat-fallback totals are cost counters: kept out of the
-  // stable report section.
+  // Refit, Rat-fallback and run-flush totals are cost counters: kept out
+  // of the stable report section. A flush holds at least one point.
   EXPECT_GT(cs.at("fold.refits").value, 0);
   EXPECT_GE(cs.at("fold.rat_fallbacks").value, 0);
-  EXPECT_EQ(cs.at("fold.refits").stability, obs::Stability::kTiming);
-  EXPECT_EQ(cs.at("fold.rat_fallbacks").stability, obs::Stability::kTiming);
+  EXPECT_GT(cs.at("fold.run_flushes").value, 0);
+  EXPECT_GE(cs.at("fold.flushed_points").value,
+            cs.at("fold.run_flushes").value);
+  for (const char* name : {"fold.refits", "fold.rat_fallbacks",
+                           "fold.run_flushes", "fold.flushed_points"})
+    EXPECT_EQ(cs.at(name).stability, obs::Stability::kTiming) << name;
 }
 
 TEST(SelfProfile, ChromeTraceAndManifestExport) {

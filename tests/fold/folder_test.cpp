@@ -270,6 +270,93 @@ TEST_P(FolderAddRun, EquivalentToScalarAddsUnderAnyChunking) {
   poly::PolySet a = scalar.finish();
   poly::PolySet c = bulk.finish();
   EXPECT_EQ(a.str(), c.str());
+  // Same pending-run transitions, whatever the chunking.
+  EXPECT_EQ(scalar.run_flushes(), bulk.run_flushes());
+  EXPECT_EQ(scalar.flushed_points(), bulk.flushed_points());
+}
+
+// One add_run call; n == 1 doubles as a scalar add.
+struct RunOp {
+  std::vector<i64> pt, lab, ps, ls;
+  u64 n;
+};
+
+std::string describe(const PolySet& s) {
+  std::string out = s.str();
+  for (const auto& p : s.pieces())
+    out += " #" + std::to_string(p.observed_points) +
+           (p.label_exact ? "" : "~");
+  return out;
+}
+
+// Feeds `ops` through add_run, through the n scalar add()s each call
+// stands for (64-bit wrapping), and through the point-at-a-time reference
+// folder. All three results agree, and after every call the first two
+// have flushed the same pending runs: add_run makes exactly the scalar
+// adds' transitions (the results alone cannot tell how points were
+// grouped into runs).
+void expect_scalar_transitions(std::size_t in_dim, std::size_t label_dim,
+                               const std::vector<RunOp>& ops) {
+  FolderOptions point_at_a_time;
+  point_at_a_time.stride_runs = false;
+  Folder bulk(in_dim, label_dim), scalar(in_dim, label_dim),
+      ref(in_dim, label_dim, point_at_a_time);
+  auto wrap_add = [](i64 a, i64 b) {
+    return static_cast<i64>(static_cast<u64>(a) + static_cast<u64>(b));
+  };
+  for (const RunOp& op : ops) {
+    bulk.add_run(op.pt, op.lab, op.ps, op.ls, op.n);
+    std::vector<i64> p = op.pt, l = op.lab;
+    for (u64 k = 0; k < op.n; ++k) {
+      scalar.add(p, l);
+      ref.add(p, l);
+      for (std::size_t i = 0; i < in_dim; ++i) p[i] = wrap_add(p[i], op.ps[i]);
+      for (std::size_t j = 0; j < label_dim; ++j)
+        l[j] = wrap_add(l[j], op.ls[j]);
+    }
+    EXPECT_EQ(bulk.run_flushes(), scalar.run_flushes());
+    EXPECT_EQ(bulk.flushed_points(), scalar.flushed_points());
+  }
+  EXPECT_EQ(bulk.points_seen(), scalar.points_seen());
+  const std::string want = describe(ref.finish());
+  EXPECT_EQ(describe(scalar.finish()), want);
+  EXPECT_EQ(describe(bulk.finish()), want);
+  EXPECT_EQ(bulk.run_flushes(), scalar.run_flushes());
+  EXPECT_EQ(bulk.flushed_points(), scalar.flushed_points());
+}
+
+TEST(FolderAddRunEdge, BaseContinuingThePendingRunAtANewStride) {
+  // (0,0..2) is pending at stride (0,1); the run's base (0,3) continues
+  // it, and its second point (0,5) breaks it: the base belongs to the
+  // pending run, as with scalar adds.
+  expect_scalar_transitions(
+      2, 1,
+      {{{0, 0}, {0}, {0, 1}, {1}, 3},
+       {{0, 3}, {3}, {0, 2}, {2}, 4},
+       {{0, 11}, {11}, {0, 1}, {1}, 2},
+       {{1, 0}, {4}, {0, 1}, {1}, 5},
+       {{1, 5}, {9}, {0, 3}, {-1}, 3}});
+}
+
+TEST(FolderAddRunEdge, TwoPointBackwardRunAfterASinglePendingPoint) {
+  // The base 2 sets the stride of the pending 0; 1 breaks it with a
+  // backward step and is left pending alone. 0..4 with label 2x+1 is one
+  // box piece, and only that step makes it inexact.
+  expect_scalar_transitions(1, 1,
+                            {{{0}, {1}, {0}, {0}, 1},
+                             {{2}, {5}, {-1}, {-2}, 2},
+                             {{3}, {7}, {1}, {2}, 2}});
+}
+
+TEST(FolderAddRunEdge, WrappingRunReplaysScalarAdds) {
+  // The label passes INT64_MAX mid-run: 64-bit wrap, replayed point by
+  // point, between two runs that do not wrap.
+  const i64 top = std::numeric_limits<i64>::max();
+  expect_scalar_transitions(
+      2, 1,
+      {{{0, 0}, {top - 20}, {0, 1}, {5}, 3},
+       {{0, 3}, {top - 5}, {0, 1}, {5}, 6},
+       {{1, 0}, {7}, {0, 1}, {5}, 4}});
 }
 
 TEST(FolderAddRunEdge, SinglePointRunEqualsAdd) {
@@ -325,8 +412,15 @@ class LabelFitKernels : public ::testing::TestWithParam<int> {
   i64 small(i64 span) {
     return static_cast<i64>(mix() % static_cast<u64>(2 * span + 1)) - span;
   }
-  /// Coordinates: loop-counter sized, or 2^40-sized on some seeds.
-  i64 coord() { return GetParam() % 4 == 3 ? small(i64{1} << 40) : small(20); }
+  /// Coordinates: loop-counter sized, or 2^40-sized on some seeds; with
+  /// `huge_`, a third of them within 2^10 of ±2^62 on those seeds.
+  bool huge_ = false;
+  i64 coord() {
+    if (GetParam() % 4 != 3) return small(20);
+    if (huge_ && mix() % 3 == 0)
+      return (mix() % 2 ? 1 : -1) * ((i64{1} << 62) + small(1024));
+    return small(i64{1} << 40);
+  }
   /// Labels: small affine-looking values, or double bit patterns.
   i64 label() {
     if (mix() % 3 == 0) {
@@ -493,7 +587,103 @@ TEST_P(LabelFitKernels, ScaledVerdictsEqualRationalVerdicts) {
   EXPECT_GT(truths, GetParam() % 4 == 3 ? 5 : 50);
 }
 
+// The integer hull against the rational one: pivots against the RREF's,
+// membership against RatMatrix::row_space_contains. Where the integer
+// hull overflows, a folder fed the same basis answers on Rat instead.
+TEST_P(LabelFitKernels, EchelonHullEqualsRationalHull) {
+  huge_ = true;
+  int decided = 0, inside = 0, fell_back = 0, folded_on_rat = 0;
+  for (std::size_t in_dim = 1; in_dim <= 5; ++in_dim) {
+    for (int trial = 0; trial < 20; ++trial) {
+      auto basis_pts = outcome([&] { return basis(in_dim); });
+      if (!basis_pts) continue;
+      const auto& pts = *basis_pts;
+      EchelonHull hull;
+      bool built = true;
+      for (const auto& p : pts) built = built && hull.extend(p);
+      if (!built) {
+        ++fell_back;
+        continue;
+      }
+      auto piv = outcome([&] { return rref_pivots(pts, in_dim); });
+      if (piv) {
+        EXPECT_EQ(std::vector<std::size_t>(hull.pivots().begin(),
+                                           hull.pivots().end()),
+                  *piv);
+      }
+      // Probes: the basis points and the affine combination
+      // p0 + p_last − p_mid (inside), and a random point (almost never).
+      std::vector<std::vector<i64>> probes = pts;
+      std::vector<i64> p(in_dim);
+      bool fits = true;
+      for (std::size_t i = 0; i < in_dim; ++i) {
+        const i128 c = static_cast<i128>(pts[0][i]) + pts.back()[i] -
+                       pts[pts.size() / 2][i];
+        fits = fits && c >= INT64_MIN && c <= INT64_MAX;
+        p[i] = static_cast<i64>(c);
+      }
+      if (fits) probes.push_back(p);
+      for (std::size_t i = 0; i < in_dim; ++i) p[i] = coord();
+      probes.push_back(p);
+      for (const auto& q : probes) {
+        auto fast = hull.contains(q);
+        auto ref = outcome([&] { return in_hull_rational(pts, q); });
+        if (fast && ref) {
+          EXPECT_EQ(*fast, *ref);
+          ++decided;
+          inside += *fast;
+        }
+        if (!fast) ++fell_back;
+        if (fast || !ref) continue;
+        // A folder fed the basis (distinct labels: each point misses the
+        // fit and extends the one chunk's hull) and then this probe asks
+        // the hull, which answers on Rat.
+        Folder f(in_dim, 1);
+        auto pieces = outcome([&] {
+          for (std::size_t r = 0; r < pts.size(); ++r)
+            f.add(pts[r], std::vector<i64>{static_cast<i64>(r * r)});
+          f.add(q, std::vector<i64>{-1});
+          return f.finish().pieces().size();
+        });
+        if (pieces) {
+          EXPECT_GT(f.rat_fallbacks(), 0u);
+          ++folded_on_rat;
+        }
+      }
+    }
+  }
+  EXPECT_GT(decided, GetParam() % 4 == 3 ? 10 : 100);
+  EXPECT_GT(inside, GetParam() % 4 == 3 ? 5 : 100);
+  if (GetParam() % 4 == 3) {
+    EXPECT_GT(fell_back, 0);
+  } else {
+    EXPECT_EQ(fell_back + folded_on_rat, 0);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, LabelFitKernels, ::testing::Range(0, 12));
+
+TEST(Folder, HugeCoordinatesAnswerHullTestsOnRat) {
+  // Within 2^11 of ±2^62: reducing a third point against the two-row
+  // integer hull overflows i128, the rational test does not.
+  const i64 p0[2] = {4611686018427388704, -4611686018427387360};
+  const i64 p1[2] = {4611686018427387383, -4611686018427387175};
+  const i64 q[2] = {2 * p1[0] - p0[0], 2 * p1[1] - p0[1]};  // on the line
+  EchelonHull hull;
+  ASSERT_TRUE(hull.extend(p0) && hull.extend(p1));
+  EXPECT_FALSE(hull.contains(q).has_value());
+  const std::vector<std::vector<i64>> basis = {{p0[0], p0[1]},
+                                               {p1[0], p1[1]}};
+  EXPECT_TRUE(in_hull_rational(basis, q));
+  // The fit through (p0, 0) and (p1, 1) predicts 2 at q: label 5 misses
+  // it, and q, inside the hull, opens a second piece.
+  Folder f(2, 1);
+  f.add(p0, std::vector<i64>{0});
+  f.add(p1, std::vector<i64>{1});
+  f.add(q, std::vector<i64>{5});
+  EXPECT_EQ(f.finish().pieces().size(), 2u);
+  EXPECT_GT(f.rat_fallbacks(), 0u);
+}
 
 TEST(Folder, CountsRefitsWithoutRationalFallbacksOnAffineStreams) {
   Folder f(2, 1);
