@@ -1,4 +1,5 @@
-// pp::verify overhead: what the always-on pipeline-entry verifier costs,
+// pp::verify overhead: what the always-on pipeline-entry verifier costs
+// (including the static analysis it builds for the report),
 // and what the differential soundness oracle costs on top of a profile,
 // measured on the largest mini-Rodinia module (by static instruction
 // count). The verifier runs before EVERY pipeline invocation, so its cost
@@ -51,8 +52,8 @@ void print_overhead() {
     metrics.push_back(r.analyze(region));
   std::vector<feedback::RegionMetrics*> ptrs;
   for (auto& m : metrics) ptrs.push_back(&m);
-  verify::OracleReport rep = verify::run_oracle(
-      w.module, r.program, verify::exact::analyze_module(w.module), ptrs);
+  verify::OracleReport rep =
+      verify::run_oracle(w.module, r.program, *r.static_deps, ptrs);
   std::printf("%s\n\n", rep.verdict_line().c_str());
 }
 
@@ -66,14 +67,12 @@ void BM_VerifyModule(benchmark::State& state) {
 BENCHMARK(BM_VerifyModule)->Unit(benchmark::kMicrosecond);
 
 void BM_VerifyStructuralOnly(benchmark::State& state) {
-  // Without the statican-backed alignment pass: the lower bound a
-  // latency-sensitive embedder can opt down to.
+  // The pp_ir structural rules alone (ir::verify), which every VM
+  // construction pays: no def-before-use, no static analysis.
   workloads::Workload w = largest_workload();
-  verify::VerifyOptions opts;
-  opts.check_alignment = false;
   for (auto _ : state) {
-    verify::VerifyReport rep = verify::verify_module(w.module, opts);
-    benchmark::DoNotOptimize(rep.issues.size());
+    ir::verify(w.module);
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_VerifyStructuralOnly)->Unit(benchmark::kMicrosecond);
@@ -84,9 +83,10 @@ void BM_CoverageOracle(benchmark::State& state) {
   core::ProfileResult r = pipe.run();
   for (auto _ : state) {
     // A fresh static analysis per iteration: the containment check pays
-    // for the models and the Omega verdicts it asks for.
+    // for the verifier that builds the models and for the Omega verdicts
+    // it asks for.
     verify::CoverageReport rep = verify::check_dynamic_coverage(
-        w.module, r.program, verify::exact::analyze_module(w.module));
+        w.module, r.program, verify::verify_module(w.module).deps);
     benchmark::DoNotOptimize(rep.checked);
   }
 }

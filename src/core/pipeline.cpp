@@ -7,7 +7,6 @@
 #include <sstream>
 
 #include "statican/statican.hpp"
-#include "verify/exact.hpp"
 #include "verify/oracle.hpp"
 #include "verify/verifier.hpp"
 #include "vm/event_validator.hpp"
@@ -73,21 +72,22 @@ ProfileResult Pipeline::run(const PipelineOptions& opts) {
 
   // IR verification BEFORE any replay: an ill-formed module is rejected
   // with the full structured issue list instead of trapping (or worse,
-  // silently misbehaving) somewhere mid-profile.
-  if (opts.verify_module) {
+  // silently misbehaving) somewhere mid-profile. An accepted module keeps
+  // the static analysis the verifier built for the report.
+  {
     obs::Span verify_span(ob, "stage:verify");
     verify::VerifyReport vr = verify::verify_module(module_);
     if (!vr.ok()) {
       res.truncated = true;
       vr.to_log(res.diagnostics);
-      res.diagnostics.error(
-          support::Stage::kVerify,
-          "module rejected by the IR verifier (" +
-              std::to_string(vr.issues.size()) +
-              " issue(s)) — nothing profiled; set "
-              "PipelineOptions::verify_module=false to bypass");
+      res.diagnostics.error(support::Stage::kVerify,
+                            "module rejected by the IR verifier (" +
+                                std::to_string(vr.issues.size()) +
+                                " issue(s)) — nothing profiled");
       return res;
     }
+    res.static_deps = std::make_shared<const verify::exact::ModuleDeps>(
+        std::move(vr.deps));
   }
 
   // Setup validation BEFORE any replay: a bad entry must not cost a full
@@ -523,22 +523,24 @@ std::string full_report(const ProfileResult& r, const ReportOptions& ropts) {
      << static_cast<int>(feedback::percent_affine(r.program, false))
      << "%\n\n";
 
-  // The module's static dependence analysis, built once and shared by the
-  // two static sections below and the soundness oracle.
+  // The static sections and the oracle share the analysis the verify stage
+  // built; the span attributes the lazy Omega work they trigger.
   obs::Span static_span(ob, "report:static");
-  verify::exact::ModuleDeps deps;
-  if (r.module != nullptr) deps = verify::exact::analyze_module(*r.module);
+  const verify::exact::ModuleDeps* deps =
+      r.module != nullptr ? r.static_deps.get() : nullptr;
+  constexpr const char* kNoAnalysis = "no verified module";
 
   // The Exp. II contrast: what a purely static (Polly-style) analysis can
   // model of each function, next to what the dynamic profile recovered.
   os << "-- static baseline --\n";
-  if (r.module == nullptr) {
-    os << "unavailable (module not retained)\n";
+  if (deps == nullptr) {
+    os << "unavailable (" << kNoAnalysis << ")\n";
   } else {
     for (const auto& f : r.module->functions) {
-      if (f.blocks.empty()) continue;
-      const statican::FunctionModel& fm =
-          deps[static_cast<std::size_t>(f.id)]->model();
+      const std::optional<verify::exact::ExactDeps>& ex =
+          (*deps)[static_cast<std::size_t>(f.id)];
+      if (!ex) continue;
+      const statican::FunctionModel& fm = ex->model();
       std::size_t modeled = 0;
       for (const auto& a : fm.accesses)
         if (a.modeled) ++modeled;
@@ -558,11 +560,10 @@ std::string full_report(const ProfileResult& r, const ReportOptions& ropts) {
   // verdicts and the three-way statement classification. A pure function
   // of the module.
   os << "-- static precision --\n";
-  if (r.module == nullptr) {
-    os << "unavailable (module not retained)\n";
-  } else {
-    os << verify::exact::precision_section(*r.module, deps);
-  }
+  if (deps == nullptr)
+    os << "unavailable (" << kNoAnalysis << ")\n";
+  else
+    os << verify::exact::precision_section(*r.module, *deps);
   os << "\n";
   static_span.end();
   os << "-- decorated schedule tree (ops share, source refs) --\n";
@@ -576,16 +577,16 @@ std::string full_report(const ProfileResult& r, const ReportOptions& ropts) {
   // parallel claim is reflected in the summaries it contradicts. Skipped
   // — with a deterministic verdict line — when the job's token has fired
   // (nothing left to spend verification effort on).
-  std::string oracle_line = "skipped (module not retained)";
+  std::string oracle_line = std::string("skipped (") + kNoAnalysis + ")";
   if (r.cancel != nullptr && r.cancel->cancelled()) {
     oracle_line = std::string("skipped (job cancelled: ") +
                   r.cancel->reason_name() + ")";
-  } else if (r.module != nullptr) {
+  } else if (deps != nullptr) {
     std::vector<feedback::RegionMetrics*> ptrs;
     ptrs.reserve(metrics.size());
     for (auto& m : metrics) ptrs.push_back(&m);
     verify::OracleReport oracle =
-        verify::run_oracle(*r.module, r.program, deps, ptrs,
+        verify::run_oracle(*r.module, r.program, *deps, ptrs,
                            /*downgrade=*/true, ob, r.cancel);
     oracle_line = oracle.verdict_line();
   }

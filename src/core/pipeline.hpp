@@ -23,6 +23,7 @@
 #include "support/budget.hpp"
 #include "support/cancel.hpp"
 #include "transform/engine.hpp"
+#include "verify/exact.hpp"
 #include "vm/chaos.hpp"
 
 namespace pp::core {
@@ -51,11 +52,6 @@ struct PipelineOptions {
   /// replay observable (anti/output tracking, shadow/pool/wall budget
   /// caps).
   bool path_compaction = true;
-  /// Run the pp::verify module verifier before any replay (the default).
-  /// An ill-formed module is rejected with structured diagnostics instead
-  /// of trapping mid-execution. Opt out for deliberately malformed inputs
-  /// (e.g. profiling how far a broken module gets).
-  bool verify_module = true;
   /// Ignored: every run is serial (DESIGN.md "Concurrency: jobs, not
   /// stages"). Kept only so existing callers that pin `threads = 1` still
   /// compile; it changes nothing.
@@ -122,6 +118,13 @@ struct ProfileResult {
   /// section from it; chrome_trace_json / manifest_json export the run.
   std::shared_ptr<obs::Session> obs;
 
+  /// The module's static dependence analysis (one ExactDeps per function),
+  /// built by the verify stage and read by full_report's static sections
+  /// and soundness oracle. Null when the verifier rejected the module.
+  /// Its pair verdicts are memoized on first use, so one result must not
+  /// be rendered from two threads at once.
+  std::shared_ptr<const verify::exact::ModuleDeps> static_deps;
+
   /// Transformation-engine results (PipelineOptions::apply_transforms).
   /// `transform.ran` is false when the phase was off or skipped;
   /// full_report renders it as the `-- transformation --` section.
@@ -168,9 +171,13 @@ struct ReportOptions {
 };
 
 /// The full textual feedback bundle the paper ships as its supplementary
-/// document: program-level statistics, the decorated schedule tree, and
-/// per-region metrics + post-transformation ASTs for every hot region.
-/// With r.obs set, ends with a "-- self profile --" section.
+/// document: program-level statistics, the static baseline and precision
+/// sections, the decorated schedule tree, per-region metrics +
+/// post-transformation ASTs for every hot region, and the soundness
+/// oracle's verdict. The static sections and the oracle read
+/// r.static_deps; without it (module rejected or not retained) they print
+/// a fixed "unavailable"/"skipped" line. With r.obs set, ends with a
+/// "-- self profile --" section.
 std::string full_report(const ProfileResult& r, double min_fraction = 0.05);
 std::string full_report(const ProfileResult& r, const ReportOptions& opts);
 
@@ -181,11 +188,13 @@ class Pipeline {
 
   /// Runs the program twice (Instrumentation I then II) and folds.
   ///
-  /// Degrade-don't-die: run() never lets a pp::Error escape. A VM trap, a
-  /// malformed event stream or an exhausted budget truncates the trace at
-  /// the last well-formed event and yields a ProfileResult with the
-  /// stages completed so far, `truncated` set, and the reasons in
-  /// `diagnostics`.
+  /// Degrade-don't-die: run() never lets a pp::Error escape. A module the
+  /// IR verifier rejects is never executed: the result is empty,
+  /// `truncated`, and carries every verifier issue plus a "module rejected"
+  /// error in `diagnostics`. A VM trap, a malformed event stream or an
+  /// exhausted budget truncates the trace at the last well-formed event
+  /// and yields a ProfileResult with the stages completed so far,
+  /// `truncated` set, and the reasons in `diagnostics`.
   ProfileResult run(const PipelineOptions& opts = {});
 
  private:

@@ -321,9 +321,7 @@ void DdgBuilder::on_instr(const vm::InstrEvent& ev) {
       pending_ret_ = frame.regs[static_cast<std::size_t>(in.a)];
     else
       pending_ret_ = Occurrence{};
-  } else if (in.op != ir::Op::kCall && in.op != ir::Op::kStore &&
-             in.op != ir::Op::kBr && in.op != ir::Op::kBrCond &&
-             in.dst != ir::kNoReg) {
+  } else if (in.op != ir::Op::kCall && ir::writes_reg(in)) {
     frame.regs[static_cast<std::size_t>(in.dst)] = occ;
   }
 }
@@ -334,10 +332,7 @@ namespace {
 /// the bookkeeping at the end of on_instr; kCall/kRet never appear in
 /// templates).
 bool slot_writes_reg(const vm::PathSlot& sl) {
-  const ir::Op op = sl.instr->op;
-  return op != ir::Op::kCall && op != ir::Op::kStore && op != ir::Op::kBr &&
-         op != ir::Op::kBrCond && op != ir::Op::kRet &&
-         sl.instr->dst != ir::kNoReg;
+  return sl.instr->op != ir::Op::kCall && ir::writes_reg(*sl.instr);
 }
 
 }  // namespace

@@ -152,9 +152,6 @@ class DdgBuilder : public vm::Observer, private vm::PathHost {
   const support::CoordPool& coord_pool() const { return pool_; }
   const ShadowMemory& shadow() const { return shadow_; }
 
-  /// True when trace compaction is live for this run (requested by the
-  /// options and not vetoed by an incompatible configuration).
-  bool compaction_active() const { return pc_ != nullptr; }
   /// Path-cache counters, or nullptr when compaction is inactive.
   const vm::PathCacheStats* path_stats() const {
     return pc_ != nullptr ? &pc_->stats() : nullptr;

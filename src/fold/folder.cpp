@@ -6,6 +6,10 @@ namespace pp::fold {
 
 namespace {
 
+// Lattice-point budget for the exactness check; domains bigger than this
+// are conservatively marked over-approximate.
+constexpr u64 kCountCap = u64{1} << 22;
+
 // point >_lex prev (strict).
 bool lex_greater(std::span<const i64> point, const std::vector<i64>& prev) {
   for (std::size_t i = 0; i < prev.size(); ++i)
@@ -508,7 +512,7 @@ std::optional<u64> Folder::count_octagon_2d(const std::vector<Bnd>& bnd) const {
   std::sort(cuts, cuts + ncuts);
   ncuts = static_cast<std::size_t>(std::unique(cuts, cuts + ncuts) - cuts);
 
-  const i128 cap = static_cast<i128>(opts_.count_cap);
+  const i128 cap = static_cast<i128>(kCountCap);
   i128 total = 0;
   for (std::size_t t = 0; t < ncuts; ++t) {
     const i128 s = cuts[t];
@@ -556,7 +560,7 @@ std::optional<u64> Folder::count_octagon_2d(const std::vector<Bnd>& bnd) const {
 
 std::optional<u64> Folder::count_chunk(const Chunk& c, bool is_box,
                                        const poly::Polyhedron& dom) const {
-  const i128 cap = static_cast<i128>(opts_.count_cap);
+  const i128 cap = static_cast<i128>(kCountCap);
   if (is_box) {
     // Closed-form box volume, capped like enumeration.
     i128 count = 1;
@@ -571,7 +575,7 @@ std::optional<u64> Folder::count_chunk(const Chunk& c, bool is_box,
   // observed count — the caller only counts when the stream was strictly
   // lex-increasing, so its points are distinct members of the domain and
   // lattice_count > points already settles the verdict as inexact.
-  return dom.count_points(std::min<u64>(opts_.count_cap, c.points));
+  return dom.count_points(std::min<u64>(kCountCap, c.points));
 }
 
 poly::Piece Folder::build_piece(const Chunk& chunk) const {

@@ -46,9 +46,6 @@
 namespace pp::fold {
 
 struct FolderOptions {
-  /// Lattice-point budget for the exactness check; domains bigger than
-  /// this are conservatively marked over-approximate.
-  u64 count_cap = 1u << 22;
   /// Upper bound on finalized pieces; once exceeded, everything collapses
   /// into one over-approximate piece (scalability guard, cf. paper §5).
   std::size_t max_pieces = 64;

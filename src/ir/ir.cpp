@@ -2,7 +2,6 @@
 
 #include <sstream>
 #include <cstdio>
-#include <unordered_set>
 
 namespace pp::ir {
 
@@ -63,6 +62,30 @@ bool op_is_fp(Op op) {
 
 bool op_is_memory(Op op) { return op == Op::kLoad || op == Op::kStore; }
 
+std::vector<Reg> read_regs(const Instr& in) {
+  switch (in.op) {
+    case Op::kConst:
+    case Op::kFConst:
+    case Op::kBr:
+      return {};
+    case Op::kMov:
+    case Op::kAddI:
+    case Op::kMulI:
+    case Op::kI2F:
+    case Op::kF2I:
+    case Op::kLoad:
+    case Op::kBrCond:
+      return {in.a};
+    case Op::kCall:
+      return in.args;
+    case Op::kRet:
+      return in.a == kNoReg ? std::vector<Reg>{} : std::vector<Reg>{in.a};
+    default:
+      // Two-operand arithmetic, compares, FP arithmetic, stores.
+      return {in.a, in.b};
+  }
+}
+
 Function& Module::add_function(const std::string& name, int num_args,
                                const std::string& source_file) {
   Function f;
@@ -104,105 +127,6 @@ const Global* Module::find_global(const std::string& name) const {
   for (const auto& g : globals)
     if (g.name == name) return &g;
   return nullptr;
-}
-
-namespace {
-
-void verify_function(const Module& m, const Function& f) {
-  auto fail = [&](const std::string& why) {
-    fatal("verify: function '" + f.name + "': " + why);
-  };
-  if (f.blocks.empty()) fail("has no blocks");
-  auto check_reg = [&](Reg r, const char* what) {
-    if (r < 0 || r >= f.num_regs)
-      fail(std::string("bad ") + what + " register r" + std::to_string(r));
-  };
-  auto check_bb = [&](i64 id) {
-    if (id < 0 || id >= static_cast<i64>(f.blocks.size()))
-      fail("branch to nonexistent block " + std::to_string(id));
-  };
-  for (std::size_t bi = 0; bi < f.blocks.size(); ++bi) {
-    const BasicBlock& bb = f.blocks[bi];
-    if (bb.id != static_cast<int>(bi)) fail("block id out of order");
-    if (bb.instrs.empty()) fail("block '" + bb.label + "' is empty");
-    for (std::size_t ii = 0; ii < bb.instrs.size(); ++ii) {
-      const Instr& in = bb.instrs[ii];
-      bool last = ii + 1 == bb.instrs.size();
-      if (op_is_terminator(in.op) != last)
-        fail("terminator placement in block '" + bb.label + "'");
-      switch (in.op) {
-        case Op::kConst:
-        case Op::kFConst:
-          check_reg(in.dst, "dst");
-          break;
-        case Op::kMov:
-        case Op::kI2F:
-        case Op::kF2I:
-          check_reg(in.dst, "dst");
-          check_reg(in.a, "src");
-          break;
-        case Op::kAddI:
-        case Op::kMulI:
-          check_reg(in.dst, "dst");
-          check_reg(in.a, "src");
-          break;
-        case Op::kAdd: case Op::kSub: case Op::kMul: case Op::kDiv:
-        case Op::kRem: case Op::kAnd: case Op::kOr: case Op::kXor:
-        case Op::kShl: case Op::kShr:
-        case Op::kCmpEq: case Op::kCmpNe: case Op::kCmpLt:
-        case Op::kCmpLe: case Op::kCmpGt: case Op::kCmpGe:
-        case Op::kFAdd: case Op::kFSub: case Op::kFMul: case Op::kFDiv:
-          check_reg(in.dst, "dst");
-          check_reg(in.a, "lhs");
-          check_reg(in.b, "rhs");
-          break;
-        case Op::kLoad:
-          check_reg(in.dst, "dst");
-          check_reg(in.a, "addr");
-          break;
-        case Op::kStore:
-          check_reg(in.a, "addr");
-          check_reg(in.b, "value");
-          break;
-        case Op::kBr:
-          check_bb(in.imm);
-          break;
-        case Op::kBrCond:
-          check_reg(in.a, "cond");
-          check_bb(in.imm);
-          check_bb(in.imm2);
-          break;
-        case Op::kCall: {
-          if (in.imm < 0 || in.imm >= static_cast<i64>(m.functions.size()))
-            fail("call to nonexistent function " + std::to_string(in.imm));
-          const Function& callee = m.functions[static_cast<std::size_t>(in.imm)];
-          if (static_cast<int>(in.args.size()) != callee.num_args)
-            fail("call to '" + callee.name + "' with " +
-                 std::to_string(in.args.size()) + " args, expected " +
-                 std::to_string(callee.num_args));
-          for (Reg r : in.args) check_reg(r, "call arg");
-          if (in.dst != kNoReg) check_reg(in.dst, "call dst");
-          break;
-        }
-        case Op::kRet:
-          if (in.a != kNoReg) check_reg(in.a, "ret value");
-          break;
-      }
-    }
-  }
-}
-
-}  // namespace
-
-void verify(const Module& m) {
-  std::unordered_set<std::string> names;
-  for (std::size_t i = 0; i < m.functions.size(); ++i) {
-    const Function& f = m.functions[i];
-    if (f.id != static_cast<int>(i)) fatal("verify: function id out of order");
-    if (!names.insert(f.name).second)
-      fatal("verify: duplicate function name '" + f.name + "'");
-    verify_function(m, f);
-  }
 }
 
 namespace {

@@ -120,9 +120,32 @@ struct Module {
   const Global* find_global(const std::string& name) const;
 };
 
-/// Structural validation: register/block/function indices in range, blocks
-/// non-empty and properly terminated, no terminators mid-block. Throws
-/// pp::Error with a description of the first problem found.
+/// Operand roles: the one rule for which registers an instruction touches.
+/// read_regs lists the registers it reads, in operand order (a call's
+/// arguments count as reads). Required operands are listed even when unset
+/// (kNoReg), so the structural rules flag them; `ret`'s optional value is
+/// listed only when present.
+std::vector<Reg> read_regs(const Instr& in);
+/// Does the instruction write its `dst`? Always for value-producing ops (an
+/// unset dst is then out of range), for `call` only when it has a result,
+/// never for stores, branches and returns. Inline: stage 2 asks per event.
+inline bool writes_reg(const Instr& in) {
+  switch (in.op) {
+    case Op::kStore:
+    case Op::kBr:
+    case Op::kBrCond:
+    case Op::kRet:
+      return false;
+    case Op::kCall:
+      return in.dst != kNoReg;
+    default:
+      return true;
+  }
+}
+
+/// Throws pp::Error describing the first violation of the module's
+/// structural rules (ir/wellformed.hpp). The VM constructor and the parser
+/// call it; verify::verify_module reports every violation instead.
 void verify(const Module& m);
 
 /// Human-readable disassembly of a function / module.

@@ -7,44 +7,8 @@ namespace pp::ir {
 
 namespace {
 
-// Registers read by an instruction (operand roles differ per opcode).
-void instr_reads(const Instr& in, std::vector<Reg>& out) {
-  out.clear();
-  switch (in.op) {
-    case Op::kConst:
-    case Op::kFConst:
-    case Op::kBr:
-      return;
-    case Op::kLoad:
-    case Op::kMov:
-    case Op::kAddI:
-    case Op::kMulI:
-    case Op::kI2F:
-    case Op::kF2I:
-    case Op::kBrCond:
-      if (in.a != kNoReg) out.push_back(in.a);
-      return;
-    case Op::kRet:
-      if (in.a != kNoReg) out.push_back(in.a);
-      return;
-    case Op::kStore:
-      if (in.a != kNoReg) out.push_back(in.a);
-      if (in.b != kNoReg) out.push_back(in.b);
-      return;
-    case Op::kCall:
-      for (Reg r : in.args) out.push_back(r);
-      return;
-    default:
-      if (in.a != kNoReg) out.push_back(in.a);
-      if (in.b != kNoReg) out.push_back(in.b);
-      return;
-  }
-}
-
 bool reads_reg(const Instr& in, Reg r) {
-  std::vector<Reg> rs;
-  instr_reads(in, rs);
-  return std::find(rs.begin(), rs.end(), r) != rs.end();
+  return std::ranges::count(read_regs(in), r) != 0;
 }
 
 // Terminator targets of a block (empty for kRet).
@@ -405,14 +369,13 @@ bool fuse(Function& f, const CountedLoop& a, const CountedLoop& b) {
   // untouched by loop a (they will run before it instead of after).
   BasicBlock& bph = f.block(b.preheader);
   std::vector<Instr> extras;
-  std::vector<Reg> reads;
   for (std::size_t i = 0; i + 1 < bph.instrs.size(); ++i) {
     const Instr& e = bph.instrs[i];
     if (static_cast<int>(i) == b.init_index) continue;
     if (op_is_memory(e.op) || e.op == Op::kCall || op_is_terminator(e.op))
       return false;
     if (e.dst == kNoReg || e.dst == b.iv) return false;
-    instr_reads(e, reads);
+    const std::vector<Reg> reads = read_regs(e);
     for (Reg r : reads)
       if (r == b.iv) return false;
     for (int id : a_region) {

@@ -72,12 +72,8 @@ int innermost_loop(const Analysis& a, int bb) {
 // Collect definitions of each register.
 void collect_defs(Analysis& a) {
   for (const auto& bb : a.func.blocks) {
-    for (const auto& in : bb.instrs) {
-      bool writes = in.dst != ir::kNoReg && in.op != Op::kStore &&
-                    in.op != Op::kBr && in.op != Op::kBrCond &&
-                    in.op != Op::kRet;
-      if (writes) a.defs[in.dst].push_back(&in);
-    }
+    for (const auto& in : bb.instrs)
+      if (ir::writes_reg(in)) a.defs[in.dst].push_back(&in);
   }
 }
 

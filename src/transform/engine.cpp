@@ -107,21 +107,6 @@ int header_line(const ir::Function& f, const ir::CountedLoop& l) {
 // the inner interior, and its operands are stable across inner iterations.
 // ---------------------------------------------------------------------------
 
-bool reads_register(const ir::Instr& in, ir::Reg r) {
-  switch (in.op) {
-    case ir::Op::kConst:
-    case ir::Op::kFConst:
-    case ir::Op::kBr:
-      return false;
-    case ir::Op::kStore:
-      return in.a == r || in.b == r;
-    case ir::Op::kCall:
-      return std::find(in.args.begin(), in.args.end(), r) != in.args.end();
-    default:
-      return in.a == r || in.b == r;
-  }
-}
-
 struct SinkCheck {
   bool ok = false;
   std::string why;
@@ -171,7 +156,7 @@ SinkCheck check_sinkable(const ir::Module& m, const fold::FoldedProgram& prog,
     // Result must not steer loop control or be redefined in the nest.
     for (int cb : control) {
       for (const ir::Instr& in : f.block(cb).instrs) {
-        if (reads_register(in, e.dst)) {
+        if (std::ranges::count(ir::read_regs(in), e.dst) != 0) {
           r.why = cb == outer.latch
                       ? "body-entry value consumed after the inner loop "
                         "(reduction register — needs array expansion)"
@@ -192,8 +177,7 @@ SinkCheck check_sinkable(const ir::Module& m, const fold::FoldedProgram& prog,
     }
     // Operands must be inner-iteration invariant (the outer iv is fine:
     // it is exactly the value the instruction varied with before).
-    for (ir::Reg q : {e.a, e.b}) {
-      if (q == ir::kNoReg) continue;
+    for (ir::Reg q : ir::read_regs(e)) {
       if (q == inner.iv) {
         r.why = "sunk instruction reads the inner induction variable";
         return r;

@@ -192,44 +192,6 @@ DataflowResult solve_dataflow(const BlockGraph& g, const DataflowProblem& p) {
   return r;
 }
 
-std::vector<Reg> instr_uses(const Instr& in) {
-  switch (in.op) {
-    case Op::kConst:
-    case Op::kFConst:
-    case Op::kBr:
-      return {};
-    case Op::kMov:
-    case Op::kAddI:
-    case Op::kMulI:
-    case Op::kI2F:
-    case Op::kF2I:
-    case Op::kLoad:
-    case Op::kBrCond:
-      return {in.a};
-    case Op::kStore:
-      return {in.a, in.b};
-    case Op::kCall:
-      return in.args;
-    case Op::kRet:
-      return in.a == ir::kNoReg ? std::vector<Reg>{} : std::vector<Reg>{in.a};
-    default:
-      // Two-operand arithmetic, compares, FP arithmetic.
-      return {in.a, in.b};
-  }
-}
-
-bool instr_writes(const Instr& in) {
-  switch (in.op) {
-    case Op::kStore:
-    case Op::kBr:
-    case Op::kBrCond:
-    case Op::kRet:
-      return false;
-    default:
-      return in.dst != ir::kNoReg;
-  }
-}
-
 namespace {
 
 // Shared gen/kill assembly for the register problems.
@@ -246,7 +208,7 @@ ReachingDefs::ReachingDefs(const ir::Function& f, const BlockGraph& g)
     defs_.push_back(DefSite{0, -1, a});
   for (const auto& bb : f.blocks) {
     for (std::size_t i = 0; i < bb.instrs.size(); ++i) {
-      if (!instr_writes(bb.instrs[i])) continue;
+      if (!ir::writes_reg(bb.instrs[i])) continue;
       by_site_[{bb.id, static_cast<int>(i)}] = defs_.size();
       defs_.push_back(DefSite{bb.id, static_cast<int>(i), bb.instrs[i].dst});
     }
@@ -295,7 +257,7 @@ bool ReachingDefs::reaches(std::size_t d, int use_block, int use_instr) const {
   // part of IN[entry] via the boundary value.)
   for (int i = use_instr - 1; i >= 0; --i) {
     const Instr& in = instrs[static_cast<std::size_t>(i)];
-    if (instr_writes(in) && in.dst == ds.reg)
+    if (ir::writes_reg(in) && in.dst == ds.reg)
       return ds.block == use_block && ds.instr == i;
   }
   return sol_.in[static_cast<std::size_t>(use_block)].test(d);
@@ -321,10 +283,10 @@ Liveness::Liveness(const ir::Function& f, const BlockGraph& g) {
     auto bi = static_cast<std::size_t>(bb.id);
     BitVec defined(p.bits);
     for (const auto& in : bb.instrs) {
-      for (Reg r : instr_uses(in))
+      for (Reg r : ir::read_regs(in))
         if (r >= 0 && !defined.test(static_cast<std::size_t>(r)))
           p.gen[bi].set(static_cast<std::size_t>(r));
-      if (instr_writes(in)) {
+      if (ir::writes_reg(in)) {
         defined.set(static_cast<std::size_t>(in.dst));
         p.kill[bi].set(static_cast<std::size_t>(in.dst));
       }
@@ -357,7 +319,7 @@ MustDefined::MustDefined(const ir::Function& f, const BlockGraph& g)
   for (const auto& bb : f.blocks) {
     auto bi = static_cast<std::size_t>(bb.id);
     for (const auto& in : bb.instrs)
-      if (instr_writes(in)) p.gen[bi].set(static_cast<std::size_t>(in.dst));
+      if (ir::writes_reg(in)) p.gen[bi].set(static_cast<std::size_t>(in.dst));
   }
   sol_ = solve_dataflow(g, p);
 }
@@ -369,7 +331,7 @@ bool MustDefined::defined_before(int block, int instr, Reg r) const {
   const auto& instrs = func_.blocks[static_cast<std::size_t>(block)].instrs;
   for (int i = 0; i < instr; ++i) {
     const Instr& in = instrs[static_cast<std::size_t>(i)];
-    if (instr_writes(in) && in.dst == r) return true;
+    if (ir::writes_reg(in) && in.dst == r) return true;
   }
   return sol_.in[static_cast<std::size_t>(block)].test(
       static_cast<std::size_t>(r));

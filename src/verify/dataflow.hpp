@@ -6,9 +6,10 @@
 // must-defined registers (must/forward, the dominance-based def-before-use
 // check).
 //
-// Everything here assumes the function already passed the STRUCTURAL half
-// of the verifier (non-empty blocks, single trailing terminator, branch
-// targets in range); run verify_module first on untrusted IR.
+// Everything here assumes the function already obeys the structural rules
+// (ir/wellformed.hpp: non-empty blocks, single trailing terminator, branch
+// targets and registers in range); run verify_module first on untrusted IR.
+// Operand roles come from ir::read_regs / ir::writes_reg.
 #pragma once
 
 #include <cstddef>
@@ -100,13 +101,6 @@ struct DataflowResult {
 
 /// Round-robin iteration over (reverse) postorder to a fixpoint.
 DataflowResult solve_dataflow(const BlockGraph& g, const DataflowProblem& p);
-
-/// Registers READ by an instruction at runtime: a/b operand slots per
-/// opcode, call arguments (pass-through values), and the returned register.
-std::vector<ir::Reg> instr_uses(const ir::Instr& in);
-/// Does the instruction write its `dst` register? (Stores, branches and
-/// returns do not; calls with a result do.)
-bool instr_writes(const ir::Instr& in);
 
 /// One definition site. `instr == -1` marks the entry pseudo-definition of
 /// an argument register.

@@ -167,13 +167,6 @@ ExactDeps::Summary ExactDeps::summary() const {
   return s;
 }
 
-ModuleDeps analyze_module(const ir::Module& m) {
-  ModuleDeps deps(m.functions.size());
-  for (const ir::Function& f : m.functions)
-    if (!f.blocks.empty()) deps[static_cast<std::size_t>(f.id)].emplace(m, f);
-  return deps;
-}
-
 std::string precision_section(const ir::Module& m, const ModuleDeps& deps) {
   std::ostringstream os;
   for (const ir::Function& f : m.functions) {

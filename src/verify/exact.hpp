@@ -18,9 +18,10 @@
 //     kWeaklyDynamic, and
 //   * the deterministic "-- static precision --" report section.
 //
-// One report builds one ModuleDeps (one ExactDeps per function) and hands
-// it to every consumer: the report section and both oracle tiers that
-// read static verdicts (dynamic ⊆ exact ⊆ may, verify/oracle.hpp). Each
+// One run builds one ModuleDeps (one ExactDeps per function): the module
+// verifier's alignment pass builds it, and the pipeline hands it to every
+// consumer — the report's static sections and both oracle tiers that read
+// static verdicts (dynamic ⊆ exact ⊆ may, verify/oracle.hpp). Each
 // function is modeled once and each site pair Omega-tested at most once.
 // Nothing here changes what stage 2 records: every memory access goes
 // through shadow memory.
@@ -98,11 +99,11 @@ class ExactDeps {
 };
 
 /// The module's static dependence analysis: one ExactDeps per function,
-/// indexed by function id (nullopt for functions without a body). Built
-/// once per report; the verdict caches are filled by whichever consumer
-/// asks first, so the answers do not depend on consumer order.
+/// indexed by function id (nullopt for functions the structural rules
+/// reject). Built once per run, by verify_module; the verdict caches are
+/// filled by whichever consumer asks first, so the answers do not depend
+/// on consumer order.
 using ModuleDeps = std::vector<std::optional<ExactDeps>>;
-ModuleDeps analyze_module(const ir::Module& m);
 
 /// The deterministic "-- static precision --" report section: one line per
 /// function with memory accesses (class counts + pair verdict counts). A

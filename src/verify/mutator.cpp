@@ -17,6 +17,9 @@ const char* defect_class_name(DefectClass c) {
     case DefectClass::kUseBeforeDef: return "use-before-def";
     case DefectClass::kBadCallArity: return "bad-call-arity";
     case DefectClass::kOutOfRangeRegister: return "out-of-range-register";
+    case DefectClass::kDuplicateFunctionName: return "duplicate-function-name";
+    case DefectClass::kFunctionIdMismatch: return "function-id-mismatch";
+    case DefectClass::kEmptyBlock: return "empty-block";
   }
   return "?";
 }
@@ -28,6 +31,10 @@ IssueCode expected_issue(DefectClass c) {
     case DefectClass::kUseBeforeDef: return IssueCode::kUseBeforeDef;
     case DefectClass::kBadCallArity: return IssueCode::kBadCallArity;
     case DefectClass::kOutOfRangeRegister: return IssueCode::kBadRegister;
+    case DefectClass::kDuplicateFunctionName:
+      return IssueCode::kDuplicateFunctionName;
+    case DefectClass::kFunctionIdMismatch: return IssueCode::kFunctionIdMismatch;
+    case DefectClass::kEmptyBlock: return IssueCode::kEmptyBlock;
   }
   return IssueCode::kNoBlocks;
 }
@@ -49,12 +56,17 @@ struct Rng {
   }
 };
 
-Function& pick_function(Module& m, Rng& rng) {
+// Position of a random function with blocks.
+std::size_t pick_position(const Module& m, Rng& rng) {
   std::vector<std::size_t> eligible;
   for (std::size_t i = 0; i < m.functions.size(); ++i)
     if (!m.functions[i].blocks.empty()) eligible.push_back(i);
   PP_CHECK(!eligible.empty(), "mutate: module has no function with blocks");
-  return m.functions[eligible[rng.below(eligible.size())]];
+  return eligible[rng.below(eligible.size())];
+}
+
+Function& pick_function(Module& m, Rng& rng) {
+  return m.functions[pick_position(m, rng)];
 }
 
 Mutation dangling_branch(Module& m, Rng& rng) {
@@ -185,9 +197,9 @@ Mutation out_of_range_register(Module& m, Rng& rng) {
     for (auto& bb : f.blocks) {
       for (std::size_t i = 0; i < bb.instrs.size(); ++i) {
         const Instr& in = bb.instrs[i];
-        if (instr_writes(in))
+        if (ir::writes_reg(in))
           sites.push_back({&f, bb.id, static_cast<int>(i), -1});
-        std::vector<Reg> uses = instr_uses(in);
+        std::vector<Reg> uses = ir::read_regs(in);
         // Only direct a/b slots are corrupted (call args are handled by the
         // arity class).
         if (in.op != Op::kCall) {
@@ -231,6 +243,43 @@ Mutation out_of_range_register(Module& m, Rng& rng) {
   return mu;
 }
 
+Mutation duplicate_function_name(Module& m, Rng& rng) {
+  // Append a copy of a function: well-formed in itself (its calls keep
+  // their targets), it only repeats an existing name.
+  Function copy = pick_function(m, rng);
+  copy.id = static_cast<int>(m.functions.size());
+  m.functions.push_back(std::move(copy));
+  Mutation mu;
+  mu.cls = DefectClass::kDuplicateFunctionName;
+  mu.func = m.functions.back().id;
+  mu.description = "copy of '" + m.functions.back().name + "' appended";
+  return mu;
+}
+
+Mutation function_id_mismatch(Module& m, Rng& rng) {
+  const int pos = static_cast<int>(pick_position(m, rng));
+  Function& f = m.functions[static_cast<std::size_t>(pos)];
+  f.id = pos + 1 + static_cast<int>(rng.below(m.functions.size()));
+  Mutation mu;
+  mu.cls = DefectClass::kFunctionIdMismatch;
+  mu.func = pos;
+  mu.description = "function at position " + std::to_string(pos) +
+                   " given id " + std::to_string(f.id);
+  return mu;
+}
+
+Mutation empty_block(Module& m, Rng& rng) {
+  Function& f = pick_function(m, rng);
+  auto& bb = f.blocks[rng.below(f.blocks.size())];
+  bb.instrs.clear();
+  Mutation mu;
+  mu.cls = DefectClass::kEmptyBlock;
+  mu.func = f.id;
+  mu.block = bb.id;
+  mu.description = "block emptied";
+  return mu;
+}
+
 }  // namespace
 
 Mutation mutate(Module& m, DefectClass cls, u64 seed) {
@@ -241,6 +290,10 @@ Mutation mutate(Module& m, DefectClass cls, u64 seed) {
     case DefectClass::kUseBeforeDef: return use_before_def(m, rng);
     case DefectClass::kBadCallArity: return bad_call_arity(m, rng);
     case DefectClass::kOutOfRangeRegister: return out_of_range_register(m, rng);
+    case DefectClass::kDuplicateFunctionName:
+      return duplicate_function_name(m, rng);
+    case DefectClass::kFunctionIdMismatch: return function_id_mismatch(m, rng);
+    case DefectClass::kEmptyBlock: return empty_block(m, rng);
   }
   fatal("mutate: unknown defect class");
 }

@@ -20,12 +20,16 @@ enum class DefectClass : std::uint8_t {
   kUseBeforeDef,        ///< read of a register with no def on any path
   kBadCallArity,        ///< call with the wrong argument count
   kOutOfRangeRegister,  ///< register operand past num_regs
+  kDuplicateFunctionName,  ///< a second function with an existing name
+  kFunctionIdMismatch,  ///< a function id that is not its position
+  kEmptyBlock,          ///< a block emptied of its instructions
 };
 
-inline constexpr std::array<DefectClass, 5> kAllDefectClasses = {
-    DefectClass::kDanglingBranch, DefectClass::kMissingTerminator,
-    DefectClass::kUseBeforeDef, DefectClass::kBadCallArity,
-    DefectClass::kOutOfRangeRegister};
+inline constexpr std::array<DefectClass, 8> kAllDefectClasses = {
+    DefectClass::kDanglingBranch,     DefectClass::kMissingTerminator,
+    DefectClass::kUseBeforeDef,       DefectClass::kBadCallArity,
+    DefectClass::kOutOfRangeRegister, DefectClass::kDuplicateFunctionName,
+    DefectClass::kFunctionIdMismatch, DefectClass::kEmptyBlock};
 
 const char* defect_class_name(DefectClass c);
 

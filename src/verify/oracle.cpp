@@ -32,7 +32,7 @@ struct FuncOracle {
       : graph(f), reaching(f, graph), ex(deps) {
     for (const auto& bb : f.blocks)
       for (const auto& in : bb.instrs)
-        if (in.op == ir::Op::kCall && instr_writes(in))
+        if (in.op == ir::Op::kCall && ir::writes_reg(in))
           call_results.insert(in.dst);
   }
 };
@@ -52,10 +52,10 @@ bool in_range(const ir::Function& f, const vm::CodeRef& r) {
 bool reg_flow_plausible(const ir::Function& f, const FuncOracle& fo,
                         const vm::CodeRef& src_ref, const ir::Instr& src,
                         const vm::CodeRef& dst_ref, const ir::Instr& dst) {
-  for (ir::Reg r : instr_uses(dst)) {
+  for (ir::Reg r : ir::read_regs(dst)) {
     if (r < f.num_args) return true;            // param pass-through
     if (fo.call_results.count(r)) return true;  // value through a call
-    if (instr_writes(src) && src.dst == r &&
+    if (ir::writes_reg(src) && src.dst == r &&
         fo.reaching.def_reaches(src_ref.block, src_ref.instr, dst_ref.block,
                                 dst_ref.instr))
       return true;

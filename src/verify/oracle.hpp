@@ -143,8 +143,8 @@ struct OracleReport {
   std::string verdict_line() const;
 };
 
-/// `deps` is the module's static analysis (exact::analyze_module), shared
-/// with the report's precision section. Claim reports come in region
+/// `deps` is the module's static analysis (the verifier's, in a pipeline
+/// run), shared with the report's static sections. Claim reports come in region
 /// order. `obs` (optional) wraps the run in a span and counts
 /// regions/claims, enumeration-cap hits (`verify.cap_hits`) and, as
 /// kTiming counters, the enumerable pieces proved witness-free vs walked

@@ -2,40 +2,13 @@
 
 #include <sstream>
 
-#include "statican/statican.hpp"
 #include "verify/dataflow.hpp"
 
 namespace pp::verify {
 
 using ir::Function;
-using ir::Instr;
 using ir::Module;
-using ir::Op;
 using ir::Reg;
-
-const char* issue_code_name(IssueCode c) {
-  switch (c) {
-    case IssueCode::kNoBlocks: return "no-blocks";
-    case IssueCode::kBlockIdMismatch: return "block-id-mismatch";
-    case IssueCode::kEmptyBlock: return "empty-block";
-    case IssueCode::kMissingTerminator: return "missing-terminator";
-    case IssueCode::kMidBlockTerminator: return "mid-block-terminator";
-    case IssueCode::kBadBranchTarget: return "dangling-branch-target";
-    case IssueCode::kBadRegister: return "register-out-of-range";
-    case IssueCode::kBadCallTarget: return "bad-call-target";
-    case IssueCode::kBadCallArity: return "call-arity-mismatch";
-    case IssueCode::kUseBeforeDef: return "use-before-def";
-    case IssueCode::kMisalignedAccess: return "misaligned-access";
-  }
-  return "?";
-}
-
-std::string Issue::str() const {
-  std::ostringstream os;
-  os << "[" << support::severity_name(severity) << "] "
-     << issue_code_name(code) << ": " << message;
-  return os.str();
-}
 
 bool VerifyReport::ok() const {
   for (const auto& i : issues)
@@ -71,21 +44,22 @@ namespace {
 
 class Verifier {
  public:
-  Verifier(const Module& m, const VerifyOptions& opts) : m_(m), opts_(opts) {}
+  explicit Verifier(const Module& m) : m_(m) {}
 
   VerifyReport run() {
-    for (const auto& f : m_.functions) {
-      bool structural_ok = check_structure(f);
+    report_.deps.resize(m_.functions.size());
+    for (std::size_t pos = 0; pos < m_.functions.size(); ++pos) {
       // Dataflow and alignment need a well-formed CFG to traverse.
-      if (!structural_ok || full()) continue;
+      if (!ir::check_structure(m_, pos, report_.issues)) continue;
+      const Function& f = m_.functions[pos];
       check_def_before_use(f);
-      if (opts_.check_alignment) check_alignment(f);
+      check_alignment(f, report_.deps[pos].emplace(m_, f));
     }
     return std::move(report_);
   }
 
  private:
-  bool full() const { return report_.issues.size() >= opts_.max_issues; }
+  bool full() const { return report_.issues.size() >= ir::kMaxIssues; }
 
   void add(IssueCode code, support::Severity sev, const Function& f, int block,
            int instr, std::string msg) {
@@ -103,95 +77,13 @@ class Verifier {
     add(code, support::Severity::kError, f, block, instr, std::move(msg));
   }
 
-  // Registers in range; used operand slots only (unused slots stay kNoReg).
-  void check_registers(const Function& f, const ir::BasicBlock& bb, int i,
-                       const Instr& in) {
-    auto bad = [&](Reg r) { return r < 0 || r >= f.num_regs; };
-    if (instr_writes(in) && bad(in.dst))
-      error(IssueCode::kBadRegister, f, bb.id, i,
-            "destination r" + std::to_string(in.dst) + " out of range (" +
-                std::to_string(f.num_regs) + " registers)");
-    for (Reg r : instr_uses(in))
-      if (bad(r))
-        error(IssueCode::kBadRegister, f, bb.id, i,
-              "operand r" + std::to_string(r) + " out of range (" +
-                  std::to_string(f.num_regs) + " registers)");
-  }
-
-  bool check_structure(const Function& f) {
-    std::size_t before = report_.issues.size();
-    std::size_t n_err = 0;
-    auto errors = [&] {
-      n_err = 0;
-      for (std::size_t k = before; k < report_.issues.size(); ++k)
-        if (report_.issues[k].severity == support::Severity::kError) ++n_err;
-      return n_err;
-    };
-    if (f.blocks.empty()) {
-      error(IssueCode::kNoBlocks, f, -1, -1, "function has no blocks");
-      return false;
-    }
-    for (std::size_t b = 0; b < f.blocks.size(); ++b) {
-      const auto& bb = f.blocks[b];
-      if (bb.id != static_cast<int>(b))
-        error(IssueCode::kBlockIdMismatch, f, static_cast<int>(b), -1,
-              "block id " + std::to_string(bb.id) + " at position " +
-                  std::to_string(b));
-      if (bb.instrs.empty()) {
-        error(IssueCode::kEmptyBlock, f, bb.id, -1, "block has no instructions");
-        continue;
-      }
-      for (std::size_t i = 0; i < bb.instrs.size(); ++i) {
-        const Instr& in = bb.instrs[i];
-        bool last = i + 1 == bb.instrs.size();
-        if (last && !ir::op_is_terminator(in.op))
-          error(IssueCode::kMissingTerminator, f, bb.id, static_cast<int>(i),
-                std::string("block ends in ") + ir::op_name(in.op) +
-                    ", not a terminator");
-        if (!last && ir::op_is_terminator(in.op))
-          error(IssueCode::kMidBlockTerminator, f, bb.id, static_cast<int>(i),
-                std::string(ir::op_name(in.op)) + " before end of block");
-        check_registers(f, bb, static_cast<int>(i), in);
-        if (in.op == Op::kBr || in.op == Op::kBrCond) {
-          auto target_ok = [&](i64 t) {
-            return t >= 0 && static_cast<std::size_t>(t) < f.blocks.size();
-          };
-          if (!target_ok(in.imm))
-            error(IssueCode::kBadBranchTarget, f, bb.id, static_cast<int>(i),
-                  "branch target bb" + std::to_string(in.imm) + " (" +
-                      std::to_string(f.blocks.size()) + " blocks)");
-          if (in.op == Op::kBrCond && !target_ok(in.imm2))
-            error(IssueCode::kBadBranchTarget, f, bb.id, static_cast<int>(i),
-                  "branch target bb" + std::to_string(in.imm2) + " (" +
-                      std::to_string(f.blocks.size()) + " blocks)");
-        }
-        if (in.op == Op::kCall) {
-          if (in.imm < 0 ||
-              static_cast<std::size_t>(in.imm) >= m_.functions.size()) {
-            error(IssueCode::kBadCallTarget, f, bb.id, static_cast<int>(i),
-                  "call to nonexistent function " + std::to_string(in.imm));
-          } else {
-            const Function& callee =
-                m_.functions[static_cast<std::size_t>(in.imm)];
-            if (static_cast<int>(in.args.size()) != callee.num_args)
-              error(IssueCode::kBadCallArity, f, bb.id, static_cast<int>(i),
-                    "call to " + callee.name + " with " +
-                        std::to_string(in.args.size()) + " args, expects " +
-                        std::to_string(callee.num_args));
-          }
-        }
-      }
-    }
-    return errors() == 0;
-  }
-
   // Def-before-use along ALL paths: must-defined registers at every use.
   void check_def_before_use(const Function& f) {
     BlockGraph g(f);
     MustDefined md(f, g);
     for (const auto& bb : f.blocks) {
       for (std::size_t i = 0; i < bb.instrs.size(); ++i) {
-        for (Reg r : instr_uses(bb.instrs[i])) {
+        for (Reg r : ir::read_regs(bb.instrs[i])) {
           if (full()) return;
           if (!md.defined_before(bb.id, static_cast<int>(i), r))
             error(IssueCode::kUseBeforeDef, f, bb.id, static_cast<int>(i),
@@ -205,9 +97,8 @@ class Verifier {
   // Alignment of statically modeled affine accesses: the VM requires every
   // effective address to be 8-byte aligned; when statican recovers the
   // whole access function we can prove (or refute) that statically.
-  void check_alignment(const Function& f) {
-    statican::FunctionModel model = statican::model_function(m_, f);
-    for (const auto& acc : model.accesses) {
+  void check_alignment(const Function& f, const exact::ExactDeps& deps) {
+    for (const auto& acc : deps.model().accesses) {
       if (!acc.affine || acc.base_arg >= 0) continue;  // unknown arg alignment
       bool coeffs_aligned = true;
       for (const auto& [loop, c] : acc.coeffs)
@@ -229,14 +120,13 @@ class Verifier {
   }
 
   const Module& m_;
-  const VerifyOptions& opts_;
   VerifyReport report_;
 };
 
 }  // namespace
 
-VerifyReport verify_module(const Module& m, const VerifyOptions& opts) {
-  return Verifier(m, opts).run();
+VerifyReport verify_module(const Module& m) {
+  return Verifier(m).run();
 }
 
 }  // namespace pp::verify

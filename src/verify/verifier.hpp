@@ -1,58 +1,40 @@
-// Layer 1 of pp::verify: the module verifier. Checks the structural
-// invariants every downstream stage assumes (blocks end in exactly one
-// terminator, branch targets / registers / call sites in range), then —
-// structure permitting — the dominance-based def-before-use property via
-// the must-defined dataflow, and 8-byte alignment of every load/store whose
+// Layer 1 of pp::verify: the module verifier. Reports every violation of
+// the structural rules every downstream stage assumes (ir/wellformed.hpp:
+// function and block ids, terminators, branch targets, registers, call
+// sites, unique function names), then — per function, structure
+// permitting — the dominance-based def-before-use property via the
+// must-defined dataflow, and 8-byte alignment of every load/store whose
 // address statican can model as an affine function.
 //
-// Unlike ir::verify (throw on first problem), this verifier never throws:
-// it collects typed issues so the pipeline can reject an ill-formed module
-// with a structured diagnostic, and so the mutation tests can assert the
-// exact defect class detected.
+// The alignment pass builds the module's static dependence analysis
+// (exact::ModuleDeps) and the report keeps it: the pipeline hands it to
+// full_report's static sections and the soundness oracle, so each function
+// is modeled once per run.
+//
+// Unlike ir::verify (throw on the first violation of the same structural
+// rules), this verifier never throws: it collects typed issues so the
+// pipeline can reject an ill-formed module with a structured diagnostic,
+// and so the mutation tests can assert the exact defect class detected.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "ir/ir.hpp"
-#include "support/budget.hpp"
+#include "ir/wellformed.hpp"
+#include "verify/exact.hpp"
 
 namespace pp::verify {
 
-enum class IssueCode : std::uint8_t {
-  kNoBlocks,           ///< function has no basic blocks
-  kBlockIdMismatch,    ///< block ids not 0..n-1 in order
-  kEmptyBlock,         ///< block with no instructions
-  kMissingTerminator,  ///< block does not end in a terminator
-  kMidBlockTerminator, ///< terminator before the last instruction
-  kBadBranchTarget,    ///< kBr/kBrCond target out of range
-  kBadRegister,        ///< operand or destination register out of range
-  kBadCallTarget,      ///< kCall to a nonexistent function
-  kBadCallArity,       ///< kCall argument count != callee parameters
-  kUseBeforeDef,       ///< register read without a definition on some path
-  kMisalignedAccess,   ///< provably misaligned affine memory address
-};
-const char* issue_code_name(IssueCode c);
-
-struct Issue {
-  IssueCode code{};
-  support::Severity severity = support::Severity::kError;
-  int func = -1;
-  int block = -1;
-  int instr = -1;
-  std::string message;  ///< self-contained human-readable description
-
-  /// "[error] use-before-def: main b0 i0: r7 read but never defined"
-  std::string str() const;
-};
-
-struct VerifyOptions {
-  bool check_alignment = true;  ///< statican-backed alignment pass
-  std::size_t max_issues = 256; ///< stop collecting past this many
-};
+using ir::Issue;
+using ir::IssueCode;
+using ir::issue_code_name;
 
 struct VerifyReport {
-  std::vector<Issue> issues;
+  std::vector<Issue> issues;  ///< at most ir::kMaxIssues
+  /// The static analysis the alignment pass built: one ExactDeps per
+  /// function that obeys the structural rules, by function position
+  /// (nullopt for the others). Covers every function when ok().
+  exact::ModuleDeps deps;
 
   /// No error-severity issues (info/warn do not reject a module).
   bool ok() const;
@@ -65,6 +47,6 @@ struct VerifyReport {
 };
 
 /// Verify the whole module. Never throws; never executes anything.
-VerifyReport verify_module(const ir::Module& m, const VerifyOptions& opts = {});
+VerifyReport verify_module(const ir::Module& m);
 
 }  // namespace pp::verify

@@ -291,6 +291,37 @@ TEST(Service, ShutdownCancelPendingStopsEverything) {
   }
 }
 
+// An ill-formed module is the job's problem, not the server's: the job
+// completes with the verifier's diagnosed partial report, and the executor
+// that ran it goes on to run the next job clean.
+TEST(Service, IllFormedModuleJobDeliversDiagnosedReport) {
+  workloads::Workload bad = workloads::make_rodinia("hotspot");
+  ir::Function dup = bad.module.functions.front();
+  dup.id = static_cast<int>(bad.module.functions.size());
+  bad.module.functions.push_back(dup);  // a second function of that name
+  workloads::Workload good = workloads::make_rodinia("hotspot");
+  ServerOptions sopts;
+  sopts.executors = 1;
+  Server server(sopts);
+
+  JobHandle job = server.submit(request_for(bad.module, "hotspot-dup"));
+  const JobOutcome& out = job->wait();
+  EXPECT_EQ(out.state, JobState::kCompleted);
+  EXPECT_TRUE(out.truncated);
+  EXPECT_NE(out.outcome_line.find("diagnosed partial profile"),
+            std::string::npos);
+  EXPECT_NE(out.report.find("duplicate-function-name"), std::string::npos)
+      << out.report;
+  EXPECT_NE(out.report.find("module rejected"), std::string::npos);
+
+  JobHandle next_job = server.submit(request_for(good.module, "hotspot"));
+  const JobOutcome& next = next_job->wait();
+  EXPECT_EQ(next.state, JobState::kCompleted);
+  EXPECT_EQ(next.outcome_line, "completed clean");
+  EXPECT_EQ(next.report, serial_report(good.module));
+  EXPECT_EQ(server.stats().completed, 2u);
+}
+
 TEST(Service, NullModuleIsShedWithDiagnosis) {
   Server server((ServerOptions()));
   JobRequest req;  // no module

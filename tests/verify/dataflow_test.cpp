@@ -177,9 +177,9 @@ TEST(InstrUses, StoreReadsBothOperands) {
   st.op = ir::Op::kStore;
   st.a = 3;
   st.b = 7;
-  auto uses = instr_uses(st);
+  auto uses = ir::read_regs(st);
   ASSERT_EQ(uses.size(), 2u);
-  EXPECT_FALSE(instr_writes(st));
+  EXPECT_FALSE(ir::writes_reg(st));
 }
 
 }  // namespace

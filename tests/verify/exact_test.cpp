@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "ir/builder.hpp"
+#include "verify/verifier.hpp"
 #include "workloads/workloads.hpp"
 
 namespace pp::verify::exact {
@@ -141,17 +142,17 @@ TEST(SiteClasses, UndecidablePartnerDowngradesCandidates) {
 
 TEST(PrecisionSection, DeterministicOnAllRodiniaWorkloads) {
   Stencil2D st;
-  const ModuleDeps deps = analyze_module(st.m);
+  const ModuleDeps deps = verify_module(st.m).deps;
   const std::string stencil = precision_section(st.m, deps);
   // A second rendering reads the verdicts the first one cached.
   EXPECT_EQ(stencil, precision_section(st.m, deps));
-  EXPECT_EQ(stencil, precision_section(st.m, analyze_module(st.m)));
+  EXPECT_EQ(stencil, precision_section(st.m, verify_module(st.m).deps));
   EXPECT_NE(stencil.find("static-exact"), std::string::npos);
   for (const std::string& name : workloads::rodinia_names()) {
     const workloads::Workload w = workloads::make_rodinia(name);
     const std::string first =
-        precision_section(w.module, analyze_module(w.module));
-    EXPECT_EQ(first, precision_section(w.module, analyze_module(w.module)))
+        precision_section(w.module, verify_module(w.module).deps);
+    EXPECT_EQ(first, precision_section(w.module, verify_module(w.module).deps))
         << name;
     // Non-vacuity: the per-function tally is rendered for every workload.
     EXPECT_NE(first.find("static-exact"), std::string::npos) << name;

@@ -1,7 +1,10 @@
 // The mutation matrix (defect class x workload): a seeded mutator injects
 // exactly one defect of a chosen class into a real mini-Rodinia module, and
 // the verifier must flag that class. This is the verifier's
-// false-NEGATIVE guard, complementing the all-workloads-clean test.
+// false-NEGATIVE guard, complementing the all-workloads-clean test. The
+// same matrix then goes end to end: Pipeline::run must reject the module
+// with a diagnosis and full_report must render the rejection, neither of
+// them throwing.
 #include "verify/mutator.hpp"
 
 #include <gtest/gtest.h>
@@ -9,6 +12,7 @@
 #include <set>
 #include <tuple>
 
+#include "core/pipeline.hpp"
 #include "ir/builder.hpp"
 #include "verify/exact.hpp"
 #include "verify/verifier.hpp"
@@ -57,6 +61,59 @@ TEST_P(MutationMatrix, VerifierFlagsInjectedDefect) {
         << defect_class_name(cls) << " seed " << seed << ": "
         << mu.description << "\nreport:\n"
         << rep.str();
+  }
+}
+
+// ir::verify (the gate of every VM construction) and verify_module share
+// one rule set: the former throws exactly when the latter reports a
+// structural issue, and only use-before-def is not structural.
+TEST_P(MutationMatrix, IrVerifyThrowsExactlyOnStructuralDefects) {
+  auto [cls, name] = GetParam();
+  for (u64 seed : {u64{1}, u64{7}, u64{42}}) {
+    workloads::Workload w = workloads::make_rodinia(name);
+    Mutation mu = mutate(w.module, cls, seed);
+    VerifyReport rep = verify_module(w.module);
+    bool structural = false;
+    for (const Issue& i : rep.issues)
+      structural |= i.code != IssueCode::kUseBeforeDef &&
+                    i.code != IssueCode::kMisalignedAccess;
+    EXPECT_EQ(structural, cls != DefectClass::kUseBeforeDef)
+        << defect_class_name(cls) << " seed " << seed << ": "
+        << mu.description << "\n" << rep.str();
+    if (structural)
+      EXPECT_THROW(ir::verify(w.module), Error) << mu.description;
+    else
+      EXPECT_NO_THROW(ir::verify(w.module)) << mu.description;
+  }
+}
+
+TEST_P(MutationMatrix, PipelineRejectsAndReportRendersRejection) {
+  auto [cls, name] = GetParam();
+  for (u64 seed : {u64{1}, u64{7}, u64{42}}) {
+    workloads::Workload w = workloads::make_rodinia(name);
+    Mutation mu = mutate(w.module, cls, seed);
+    const std::string where = std::string(defect_class_name(cls)) +
+                              " seed " + std::to_string(seed) + ": " +
+                              mu.description;
+    core::ProfileResult r;
+    EXPECT_NO_THROW(r = core::Pipeline(w.module).run()) << where;
+    EXPECT_TRUE(r.truncated) << where;
+    EXPECT_EQ(r.stats.instructions, 0u) << where;
+    EXPECT_EQ(r.static_deps, nullptr) << where;
+    const std::string diag = r.diagnostics.render();
+    EXPECT_NE(diag.find("module rejected"), std::string::npos)
+        << where << "\n" << diag;
+    EXPECT_NE(diag.find(issue_code_name(expected_issue(cls))),
+              std::string::npos)
+        << where << "\n" << diag;
+    std::string report;
+    EXPECT_NO_THROW(report = core::full_report(r)) << where;
+    for (const char* section :
+         {"-- static baseline --\nunavailable (",
+          "-- static precision --\nunavailable (",
+          "-- soundness oracle --\nskipped ("})
+      EXPECT_NE(report.find(section), std::string::npos)
+          << where << ": no '" << section << "'\n" << report;
   }
 }
 

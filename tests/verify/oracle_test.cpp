@@ -9,6 +9,7 @@
 
 #include "core/pipeline.hpp"
 #include "ir/builder.hpp"
+#include "verify/verifier.hpp"
 #include "workloads/workloads.hpp"
 
 namespace pp::verify {
@@ -59,7 +60,7 @@ TEST(Oracle, CleanProgramIsCovered) {
   core::ProfileResult r = pipe.run();
   ASSERT_FALSE(r.truncated);
   CoverageReport rep =
-      check_dynamic_coverage(m, r.program, exact::analyze_module(m));
+      check_dynamic_coverage(m, r.program, verify_module(m).deps);
   EXPECT_TRUE(rep.ok()) << rep.str();
   EXPECT_GT(rep.checked, 0u);
   // The a[2i] store -> a[2i] load mem-flow edge is may-covered, so the
@@ -73,7 +74,7 @@ TEST(Oracle, PrecisionTierRefinesEvenOdd) {
   // exact tier must at least agree with every may verdict (zero mismatches)
   // and examine every modeled store-involved pair.
   Module m = even_odd_module();
-  PrecisionReport rep = check_precision_tier(m, exact::analyze_module(m));
+  PrecisionReport rep = check_precision_tier(m, verify_module(m).deps);
   EXPECT_TRUE(rep.ok()) << rep.str();
   EXPECT_GT(rep.pairs_checked, 0u);
 }
@@ -107,7 +108,7 @@ TEST(Oracle, DetectsStaticallyImpossibleMemoryEdge) {
   }
   ASSERT_TRUE(rerouted);
   CoverageReport rep =
-      check_dynamic_coverage(m, tampered, exact::analyze_module(m));
+      check_dynamic_coverage(m, tampered, verify_module(m).deps);
   EXPECT_FALSE(rep.ok());
   ASSERT_FALSE(rep.violations.empty());
   EXPECT_EQ(rep.violations[0].dst_stmt, odd_load);
@@ -133,7 +134,7 @@ TEST(Oracle, DetectsImpossibleRegisterFlow) {
   }
   ASSERT_TRUE(rerouted);
   CoverageReport rep =
-      check_dynamic_coverage(m, tampered, exact::analyze_module(m));
+      check_dynamic_coverage(m, tampered, verify_module(m).deps);
   EXPECT_FALSE(rep.ok()) << rep.str();
 }
 
@@ -406,7 +407,7 @@ TEST_P(RodiniaOracle, DynamicSubsetOfStaticAndClaimsHold) {
   for (auto& mx : metrics) ptrs.push_back(&mx);
 
   OracleReport rep =
-      run_oracle(w.module, r.program, exact::analyze_module(w.module), ptrs);
+      run_oracle(w.module, r.program, verify_module(w.module).deps, ptrs);
   EXPECT_TRUE(rep.coverage.ok()) << rep.coverage.str();
   EXPECT_GT(rep.coverage.checked, 0u);
   EXPECT_TRUE(rep.precision.ok()) << rep.precision.str();
@@ -427,17 +428,17 @@ TEST_P(RodiniaOracle, SharedAnalysisIsIndependentOfConsumerOrder) {
   core::ProfileResult r = pipe.run();
   const ir::Module& m = w.module;
 
-  const exact::ModuleDeps shared = exact::analyze_module(m);
+  const exact::ModuleDeps& shared = *r.static_deps;
   const CoverageReport cov = check_dynamic_coverage(m, r.program, shared);
   const PrecisionReport prec = check_precision_tier(m, shared);
   const std::string section = exact::precision_section(m, shared);
 
-  EXPECT_EQ(section, exact::precision_section(m, exact::analyze_module(m)));
+  EXPECT_EQ(section, exact::precision_section(m, verify_module(m).deps));
   EXPECT_EQ(cov.str(),
-            check_dynamic_coverage(m, r.program, exact::analyze_module(m))
+            check_dynamic_coverage(m, r.program, verify_module(m).deps)
                 .str());
   EXPECT_EQ(prec.str(),
-            check_precision_tier(m, exact::analyze_module(m)).str());
+            check_precision_tier(m, verify_module(m).deps).str());
   EXPECT_NE(section.find("store pair(s)"), std::string::npos);
 }
 
