@@ -51,9 +51,8 @@ void print_validator_overhead() {
     budget.arm();
     double budgeted = clock_ms([&] {
       bench::CountingSink sink;
-      ddg::DdgOptions opts{.track_anti_output = true};
-      opts.budget = &budget;
-      ddg::DdgBuilder builder(trace.module, trace.cs, &sink, opts);
+      ddg::DdgBuilder builder(trace.module, trace.cs, &sink,
+                              {.track_anti_output = true}, &budget);
       bench::replay(trace, builder);
       benchmark::DoNotOptimize(sink.seen);
     });
@@ -115,9 +114,8 @@ void BM_BudgetedBuilder(benchmark::State& state) {
   budget.arm();
   for (auto _ : state) {
     bench::CountingSink sink;
-    ddg::DdgOptions opts{.track_anti_output = true};
-    opts.budget = &budget;
-    ddg::DdgBuilder builder(trace.module, trace.cs, &sink, opts);
+    ddg::DdgBuilder builder(trace.module, trace.cs, &sink,
+                            {.track_anti_output = true}, &budget);
     bench::replay(trace, builder);
     benchmark::DoNotOptimize(sink.seen);
   }

@@ -233,9 +233,8 @@ DdgStream record_stream(const char* workload) {
   }
   DdgStream s;
   StreamRecorder rec(&s);
-  ddg::DdgOptions opts;
-  opts.path_compaction = true;
-  ddg::DdgBuilder builder(w.module, cs, &rec, opts);
+  ddg::DdgBuilder builder(w.module, cs, &rec, {}, nullptr, nullptr,
+                          /*path_compaction=*/true);
   vm::Machine machine(w.module);
   machine.set_observer(&builder);
   machine.run("main");

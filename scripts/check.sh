@@ -54,18 +54,20 @@ fi
 # ---- 2. clang-tidy on the static-analysis subsystems --------------------
 # src/verify (oracle, exact analysis, mutator), src/poly (Omega test,
 # simplex, closed-form box bounds, polyhedra) and src/scheduler (legality
-# verdicts) carry the correctness-critical arithmetic, and
+# verdicts) carry the correctness-critical arithmetic,
 # src/ir/wellformed.cpp holds the structural rules that guard every VM
-# construction; warnings there are treated as errors.
+# construction, and src/ddg holds the stage-2 dependence rules whose
+# WAR/WAW edges the transformation engine's legality checks consume;
+# warnings there are treated as errors.
 if command -v clang-tidy >/dev/null 2>&1; then
-  note "clang-tidy over src/verify/ src/poly/ src/scheduler/ src/transform/ src/ir/wellformed.cpp (compile_commands from build/)"
+  note "clang-tidy over src/verify/ src/poly/ src/scheduler/ src/transform/ src/ddg/ src/ir/wellformed.cpp (compile_commands from build/)"
   if [[ ! -f build/compile_commands.json ]]; then
     cmake -S . -B build -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DCMAKE_EXPORT_COMPILE_COMMANDS=ON >/dev/null
   fi
   if ! clang-tidy -p build --warnings-as-errors='*' \
       src/verify/*.cpp src/poly/*.cpp src/scheduler/*.cpp \
-      src/transform/*.cpp src/ir/wellformed.cpp; then
+      src/transform/*.cpp src/ddg/*.cpp src/ir/wellformed.cpp; then
     note "clang-tidy: FAILED"
     FAIL=1
   else

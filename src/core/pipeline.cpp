@@ -182,17 +182,13 @@ ProfileResult Pipeline::run(const PipelineOptions& opts) {
   if (opts.chaos.service == vm::ServiceFault::kDeadlineMidFold)
     sink.set_chaos_deadline_at(1 + opts.chaos.seed % 4);
   ddg::DdgOptions ddg_opts = opts.ddg;
-  ddg_opts.budget = &budget;
-  ddg_opts.diag = &res.diagnostics;
   // The transformation engine's legality checks (fusion distances, sunk
-  // loads) need WAR/WAW edges; anti/output tracking in turn vetoes path
-  // compaction below.
+  // loads) need WAR/WAW edges.
   if (opts.apply_transforms) ddg_opts.track_anti_output = true;
-  // Trace compaction: the builder itself vetoes incompatible
-  // configurations (anti/output tracking, per-event budget caps), so the
-  // flag can be forwarded unconditionally.
-  ddg_opts.path_compaction = opts.path_compaction;
-  ddg::DdgBuilder builder(module_, res.control, &sink, ddg_opts);
+  // Trace compaction: the builder keeps it off under per-event budget
+  // caps, so the flag can be forwarded unconditionally.
+  ddg::DdgBuilder builder(module_, res.control, &sink, ddg_opts, &budget,
+                          &res.diagnostics, opts.path_compaction);
   {
     vm::Machine machine(module_);
     vm::EventValidator validator(module_, &builder, &res.diagnostics,

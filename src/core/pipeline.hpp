@@ -48,9 +48,8 @@ struct PipelineOptions {
   /// affine value/address recurrences are swallowed into compressed runs
   /// and replayed in bulk. Pure optimization — full_report is
   /// byte-identical either way; set false for the reference
-  /// interpretation. Silently ignored when the configuration makes bulk
-  /// replay observable (anti/output tracking, shadow/pool/wall budget
-  /// caps).
+  /// interpretation. Silently ignored under shadow/pool/wall budget caps,
+  /// which must trip at the exact event.
   bool path_compaction = true;
   /// Ignored: every run is serial (DESIGN.md "Concurrency: jobs, not
   /// stages"). Kept only so existing callers that pin `threads = 1` still
@@ -77,7 +76,7 @@ struct PipelineOptions {
   /// fixed cost model (4x4 tiles, a 1 KiB cache), and enforce the
   /// output-identity contract. `cancel` stops it between plans. Forces
   /// DdgOptions::track_anti_output (the legality checks need WAR/WAW
-  /// edges), which in turn disables path compaction for the run.
+  /// edges).
   /// full_report gains a `-- transformation --` section.
   bool apply_transforms = false;
 };

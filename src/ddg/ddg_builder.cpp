@@ -24,6 +24,21 @@ void advance(std::vector<i64>& v, std::span<const i64> stride) {
   for (std::size_t i = 0; i < v.size(); ++i) v[i] = wadd(v[i], stride[i]);
 }
 
+/// The register-operand rule: an instance depends on the producer of each
+/// register it reads, operand i feeding slot i. Call arguments and return
+/// values are pass-through (on_call / on_return), so calls and returns
+/// read nothing here.
+ir::RegReads dep_operands(const ir::Instr& in) {
+  return in.op == ir::Op::kCall || in.op == ir::Op::kRet ? ir::RegReads{}
+                                                          : ir::read_regs(in);
+}
+
+/// The producer rule: the instance becomes its `dst` register's producer.
+/// A call's result arrives through on_return, and a return writes nothing.
+bool updates_producer(const ir::Instr& in) {
+  return in.op != ir::Op::kCall && ir::writes_reg(in);
+}
+
 }  // namespace
 
 void DdgSink::on_instruction_run(const InstrRun& r) {
@@ -52,7 +67,9 @@ void DdgSink::on_dependence_run(const DepRun& r) {
 }
 
 DdgBuilder::DdgBuilder(const ir::Module& m, const cfg::ControlStructure& cs,
-                       DdgSink* sink, DdgOptions opts)
+                       DdgSink* sink, DdgOptions opts,
+                       const support::RunBudget* budget,
+                       support::DiagnosticLog* diag, bool path_compaction)
     : module_(m),
       cs_(cs),
       lem_(cs,
@@ -61,16 +78,15 @@ DdgBuilder::DdgBuilder(const ir::Module& m, const cfg::ControlStructure& cs,
              if (pc_ != nullptr) tee(ev);
            }),
       sink_(sink),
-      opts_(opts) {
+      opts_(opts),
+      budget_(budget),
+      diag_(diag) {
   // Compaction replays whole runs in bulk, which is only transparent when
-  // no per-event budget check could have tripped mid-run. Anti/output
-  // tracking reads shadow state per load, which bulk store replay would
-  // reorder — the reference path handles it instead.
-  const support::RunBudget* b = opts_.budget;
-  const bool budget_ok = b == nullptr || (b->wall_ms == 0 &&
-                                          b->shadow_pages == 0 &&
-                                          b->coord_pool_words == 0);
-  if (opts_.path_compaction && !opts_.track_anti_output && budget_ok) {
+  // no per-event budget check could have tripped mid-run.
+  const bool budget_ok = budget == nullptr ||
+                         (budget->wall_ms == 0 && budget->shadow_pages == 0 &&
+                          budget->coord_pool_words == 0);
+  if (path_compaction && budget_ok) {
     vm::PathHost& host = *this;  // private base: convert in member scope
     pc_ = std::make_unique<vm::PathCache>(host);
   }
@@ -185,11 +201,29 @@ void DdgBuilder::reg_dep(const ShadowFrame& frame, ir::Reg r,
 }
 
 void DdgBuilder::mem_dep(DepKind kind, const Occurrence& src,
-                         const Occurrence& dst,
-                         std::span<const i64> dst_coords) {
+                         const Occurrence& dst) {
   ++deps_emitted_;
   sink_->on_dependence(kind, src.stmt, pool_.get(src.coords), dst.stmt,
-                       dst_coords, 0);
+                       pool_.get(dst.coords), 0);
+}
+
+void DdgBuilder::access(ShadowMemory::Record* rec, bool store,
+                        const Occurrence& occ, bool emit) {
+  if (rec == nullptr) return;
+  if (store) {
+    if (emit && opts_.track_anti_output) {
+      if (rec->writer.valid()) mem_dep(DepKind::kOutput, rec->writer, occ);
+      if (rec->reader.valid()) mem_dep(DepKind::kAnti, rec->reader, occ);
+    }
+    rec->writer = occ;
+    // The store kills the pending read: the next store to this word must
+    // not report an anti dependence from a reader that preceded this one.
+    rec->reader = Occurrence{};
+  } else {
+    if (emit && rec->writer.valid())
+      mem_dep(DepKind::kMemFlow, rec->writer, occ);
+    if (opts_.track_anti_output) rec->reader = occ;
+  }
 }
 
 void DdgBuilder::on_instr(const vm::InstrEvent& ev) {
@@ -218,21 +252,21 @@ void DdgBuilder::on_instr(const vm::InstrEvent& ev) {
   // 8192 events. Exhaustion is one-way and degrades exactly like clamping:
   // emission stops, shadow/producer state stays current.
   ++events_;
-  if (opts_.budget != nullptr && !budget_exhausted_) {
+  if (budget_ != nullptr && !budget_exhausted_) {
     const char* why = nullptr;
-    if (opts_.budget->shadow_exceeded(shadow_.pages_live()))
+    if (budget_->shadow_exceeded(shadow_.pages_live()))
       why = "shadow-page budget exhausted";
-    else if (opts_.budget->pool_exceeded(pool_.size_words()))
+    else if (budget_->pool_exceeded(pool_.size_words()))
       why = "coordinate-pool budget exhausted";
-    else if ((events_ & 8191) == 0 && opts_.budget->wall_exceeded())
+    else if ((events_ & 8191) == 0 && budget_->wall_exceeded())
       why = "wall-clock budget exhausted";
     if (why != nullptr) {
       budget_exhausted_ = true;
-      if (opts_.diag != nullptr)
-        opts_.diag->warn(support::Stage::kDdg,
-                         std::string(why) +
-                             " — degrading subsequent statements to "
-                             "over-approximation");
+      if (diag_ != nullptr)
+        diag_->warn(support::Stage::kDdg,
+                    std::string(why) +
+                        " — degrading subsequent statements to "
+                        "over-approximation");
     }
   }
 
@@ -250,39 +284,8 @@ void DdgBuilder::on_instr(const vm::InstrEvent& ev) {
   std::span<const i64> coords = pool_.get(coord_cache_);
 
   if (!clamped) {
-    // Register-operand dependences.
-    switch (in.op) {
-      case ir::Op::kConst:
-      case ir::Op::kFConst:
-        break;
-      case ir::Op::kBr:
-        break;
-      case ir::Op::kCall:
-        // Arguments are pass-through (see on_call); the call itself reads
-        // nothing.
-        break;
-      case ir::Op::kRet:
-        // Return-value plumbing is pass-through as well.
-        break;
-      case ir::Op::kLoad:
-      case ir::Op::kBrCond:
-      case ir::Op::kMov:
-      case ir::Op::kI2F:
-      case ir::Op::kF2I:
-      case ir::Op::kAddI:
-      case ir::Op::kMulI:
-        reg_dep(frame, in.a, occ, coords, 0);
-        break;
-      case ir::Op::kStore:
-        reg_dep(frame, in.a, occ, coords, 0);
-        reg_dep(frame, in.b, occ, coords, 1);
-        break;
-      default:  // all two-operand arithmetic/compares
-        reg_dep(frame, in.a, occ, coords, 0);
-        reg_dep(frame, in.b, occ, coords, 1);
-        break;
-    }
-
+    int slot = 0;
+    for (ir::Reg r : dep_operands(in)) reg_dep(frame, r, occ, coords, slot++);
     sink_->on_instruction(s, coords, ev.has_result, ev.result,
                           ir::op_is_memory(in.op), ev.address);
   }
@@ -291,27 +294,10 @@ void DdgBuilder::on_instr(const vm::InstrEvent& ev) {
   // even when clamped — a skipped update would leave a stale last-writer
   // (or a stale last-reader) and misattribute every later dependence on
   // this word. Only the *emission* is gated on !clamped.
-  if (in.op == ir::Op::kLoad) {
-    PP_CHECK((ev.address & 7) == 0, "unaligned VM load address");
-    if (opts_.track_anti_output) {
-      ShadowMemory::Record& r = shadow_.touch(ev.address);
-      if (!clamped && r.writer.valid()) mem_dep(DepKind::kMemFlow, r.writer, occ, coords);
-      r.reader = occ;
-    } else if (!clamped) {
-      if (const Occurrence* w = shadow_.read(ev.address))
-        mem_dep(DepKind::kMemFlow, *w, occ, coords);
-    }
-  } else if (in.op == ir::Op::kStore) {
-    PP_CHECK((ev.address & 7) == 0, "unaligned VM store address");
-    ShadowMemory::Record& r = shadow_.touch(ev.address);
-    if (!clamped && opts_.track_anti_output) {
-      if (r.writer.valid()) mem_dep(DepKind::kOutput, r.writer, occ, coords);
-      if (r.reader.valid()) mem_dep(DepKind::kAnti, r.reader, occ, coords);
-    }
-    r.writer = occ;
-    // The store kills the pending read: the next store to this word must
-    // not report an anti dependence from a reader that preceded this one.
-    r.reader = Occurrence{};
+  if (ir::op_is_memory(in.op)) {
+    PP_CHECK((ev.address & 7) == 0, "unaligned VM memory address");
+    const bool store = in.op == ir::Op::kStore;
+    access(shadow_.at(ev.address, touches(store)), store, occ, !clamped);
   }
 
   // Producer bookkeeping (always, even when clamped — later instances
@@ -321,21 +307,10 @@ void DdgBuilder::on_instr(const vm::InstrEvent& ev) {
       pending_ret_ = frame.regs[static_cast<std::size_t>(in.a)];
     else
       pending_ret_ = Occurrence{};
-  } else if (in.op != ir::Op::kCall && ir::writes_reg(in)) {
+  } else if (updates_producer(in)) {
     frame.regs[static_cast<std::size_t>(in.dst)] = occ;
   }
 }
-
-namespace {
-
-/// True when the slot's instruction updates a register producer (mirrors
-/// the bookkeeping at the end of on_instr; kCall/kRet never appear in
-/// templates).
-bool slot_writes_reg(const vm::PathSlot& sl) {
-  return sl.instr->op != ir::Op::kCall && ir::writes_reg(*sl.instr);
-}
-
-}  // namespace
 
 void DdgBuilder::expand_path_run(const vm::PathTemplate& tp,
                                  const vm::PathRun& run) {
@@ -388,7 +363,7 @@ void DdgBuilder::expand_path_run(const vm::PathTemplate& tp,
   std::vector<int>& running = run_scratch_;
   for (std::size_t i = 0; i < tp.slots.size(); ++i) {
     const vm::PathSlot& sl = tp.slots[i];
-    if (!sl.is_jump && slot_writes_reg(sl))
+    if (!sl.is_jump && updates_producer(*sl.instr))
       final_writer[static_cast<std::size_t>(sl.instr->dst)] =
           static_cast<int>(i);
   }
@@ -451,29 +426,8 @@ void DdgBuilder::expand_path_run(const vm::PathTemplate& tp,
     slot_emit[i] = emit;
 
     const ir::Instr& in = *sl.instr;
-    switch (in.op) {
-      case ir::Op::kConst:
-      case ir::Op::kFConst:
-      case ir::Op::kBr:
-        break;
-      case ir::Op::kLoad:
-      case ir::Op::kBrCond:
-      case ir::Op::kMov:
-      case ir::Op::kI2F:
-      case ir::Op::kF2I:
-      case ir::Op::kAddI:
-      case ir::Op::kMulI:
-        reg_dep_run(sl, in.a, 0, emit);
-        break;
-      case ir::Op::kStore:
-        reg_dep_run(sl, in.a, 0, emit);
-        reg_dep_run(sl, in.b, 1, emit);
-        break;
-      default:
-        reg_dep_run(sl, in.a, 0, emit);
-        reg_dep_run(sl, in.b, 1, emit);
-        break;
-    }
+    int opslot = 0;
+    for (ir::Reg r : dep_operands(in)) reg_dep_run(sl, r, opslot++, emit);
 
     if (emit > 0) {
       DdgSink::InstrRun r;
@@ -506,7 +460,7 @@ void DdgBuilder::expand_path_run(const vm::PathTemplate& tp,
       sink_->on_instruction_run(r);
     }
 
-    if (slot_writes_reg(sl))
+    if (updates_producer(*sl.instr))
       running[static_cast<std::size_t>(in.dst)] = static_cast<int>(i);
   }
 
@@ -515,7 +469,6 @@ void DdgBuilder::expand_path_run(const vm::PathTemplate& tp,
   // word intervals of distinct slots pairwise disjoint — then each slot
   // replays in one strided page-walk.
   struct MemRef {
-    std::size_t i;
     int stmt;
     u64 n, emit;
     bool store;
@@ -530,7 +483,6 @@ void DdgBuilder::expand_path_run(const vm::PathTemplate& tp,
     const vm::PathSlot& sl = tp.slots[i];
     if (sl.is_jump || !sl.is_mem || slot_n[i] == 0) continue;
     MemRef m;
-    m.i = i;
     m.stmt = sl.stmt;
     m.n = slot_n[i];
     m.emit = slot_emit[i];
@@ -561,30 +513,21 @@ void DdgBuilder::expand_path_run(const vm::PathTemplate& tp,
         }
   }
   if (batched_ok) {
+    // Slot-major: each word is reached by one slot only. A load that can
+    // neither emit nor record a reader stops at its emitted prefix.
     for (const MemRef& m : mem) {
-      if (m.store) {
-        shadow_.apply_strided_run(
-            m.base, m.stride, m.n, [&](u64 t, ShadowMemory::Record& rec) {
-              rec.writer =
-                  Occurrence{m.stmt, x_refs_[static_cast<std::size_t>(t)]};
-              rec.reader = Occurrence{};
-            });
-      } else if (m.emit > 0) {
-        shadow_.read_strided_run(
-            m.base, m.stride, m.emit,
-            [&](u64 t, const ShadowMemory::Record* rec) {
-              if (rec != nullptr && rec->writer.valid()) {
-                const support::CoordRef ref =
-                    x_refs_[static_cast<std::size_t>(t)];
-                mem_dep(DepKind::kMemFlow, rec->writer,
-                        Occurrence{m.stmt, ref}, pool_.get(ref));
-              }
-            });
-      }
+      const bool create = touches(m.store);
+      shadow_.walk_strided(
+          m.base, m.stride, create ? m.n : m.emit, create,
+          [&](u64 t, ShadowMemory::Record* rec) {
+            access(rec, m.store,
+                   Occurrence{m.stmt, x_refs_[static_cast<std::size_t>(t)]},
+                   t < m.emit);
+          });
     }
   } else {
     // Reference interleaving: instance order across slots is observable
-    // (a slot may read words another slot wrote earlier in the run).
+    // (a slot may access words another slot accessed earlier in the run).
     std::vector<i64> cur(mem.size());
     for (std::size_t k = 0; k < mem.size(); ++k)
       cur[k] = mem[k].affine ? mem[k].base : 0;
@@ -594,16 +537,9 @@ void DdgBuilder::expand_path_run(const vm::PathTemplate& tp,
         if (t >= m.n) continue;
         const i64 addr = m.affine ? cur[k] : (*m.addrs)[t];
         PP_CHECK((addr & 7) == 0, "unaligned compressed-run access");
-        const support::CoordRef ref = x_refs_[static_cast<std::size_t>(t)];
-        if (m.store) {
-          ShadowMemory::Record& rec = shadow_.touch(addr);
-          rec.writer = Occurrence{m.stmt, ref};
-          rec.reader = Occurrence{};
-        } else if (t < m.emit) {
-          if (const Occurrence* w = shadow_.read(addr))
-            mem_dep(DepKind::kMemFlow, *w, Occurrence{m.stmt, ref},
-                    pool_.get(ref));
-        }
+        access(shadow_.at(addr, touches(m.store)), m.store,
+               Occurrence{m.stmt, x_refs_[static_cast<std::size_t>(t)]},
+               t < m.emit);
         if (m.affine) cur[k] += m.stride;
       }
     }
@@ -616,18 +552,14 @@ void DdgBuilder::expand_path_run(const vm::PathTemplate& tp,
   // full trip, so a writer inside the prefix supersedes any template-later
   // writer outside it (the bailed iteration resumes on the slow path and
   // must see the snapshot it would have had under reference execution).
-  for (std::size_t i = 0; i < tp.slots.size(); ++i) {
+  auto last_write = [&](std::size_t i) {
     const vm::PathSlot& sl = tp.slots[i];
-    if (sl.is_jump || slot_n[i] == 0 || !slot_writes_reg(sl)) continue;
+    if (sl.is_jump || slot_n[i] == 0 || !updates_producer(*sl.instr)) return;
     frame.regs[static_cast<std::size_t>(sl.instr->dst)] = Occurrence{
         sl.stmt, x_refs_[static_cast<std::size_t>(slot_n[i] - 1)]};
-  }
-  for (std::size_t i = 0; i < run.pos; ++i) {
-    const vm::PathSlot& sl = tp.slots[i];
-    if (sl.is_jump || slot_n[i] == 0 || !slot_writes_reg(sl)) continue;
-    frame.regs[static_cast<std::size_t>(sl.instr->dst)] = Occurrence{
-        sl.stmt, x_refs_[static_cast<std::size_t>(slot_n[i] - 1)]};
-  }
+  };
+  for (std::size_t i = 0; i < tp.slots.size(); ++i) last_write(i);
+  for (std::size_t i = 0; i < run.pos; ++i) last_write(i);
 }
 
 }  // namespace pp::ddg

@@ -106,30 +106,30 @@ struct DdgOptions {
   /// shadow/producer state is always kept current, so the instances that
   /// are streamed never cite a stale producer.
   u64 clamp_instances = 0;
-  /// Resource budget checked on the hot path (shadow pages and coordinate
-  /// words every event, wall clock every 8192 events). Exhaustion degrades
-  /// like clamping — emission stops, shadow/producer state stays current —
-  /// and every statement touched afterwards is recorded as degraded so the
-  /// folder can demote it to an over-approximation. Null = no budget.
-  const support::RunBudget* budget = nullptr;
-  /// Destination for the (single) budget-exhaustion diagnostic.
-  support::DiagnosticLog* diag = nullptr;
-  /// Hot-path trace compaction (vm::PathCache): recognize re-executed
-  /// loop-body paths whose values/addresses follow affine per-iteration
-  /// recurrences and replay whole runs in bulk instead of per instruction.
-  /// The builder silently ignores the flag when track_anti_output is set
-  /// or the budget carries caps it must check per event (shadow pages,
-  /// pool words, wall clock) — compaction never changes what is streamed,
-  /// so all outputs stay byte-identical to the reference interpretation.
-  bool path_compaction = false;
 };
 
 /// The Instrumentation-II observer. Wire it into a vm::Machine run after
 /// stage 1 produced the ControlStructure for the same program.
 class DdgBuilder : public vm::Observer, private vm::PathHost {
  public:
+  /// `budget` (null = none) is checked on the hot path: shadow pages and
+  /// coordinate words every event, the wall clock every 8192 events.
+  /// Exhaustion degrades like clamping — emission stops, shadow/producer
+  /// state stays current — and every statement touched afterwards is
+  /// recorded as degraded so the folder can demote it to an
+  /// over-approximation; `diag` (may be null) receives the one diagnostic.
+  /// `path_compaction` turns on hot-path trace compaction (vm::PathCache):
+  /// re-executed loop-body paths whose values/addresses follow affine
+  /// per-iteration recurrences replay in bulk, through the same
+  /// dependence rules as single events, so everything streamed is
+  /// byte-identical to the reference interpretation. A budget with
+  /// per-event caps (shadow pages, pool words, wall clock) keeps it off:
+  /// those caps must trip at the exact event.
   DdgBuilder(const ir::Module& m, const cfg::ControlStructure& cs,
-             DdgSink* sink, DdgOptions opts = {});
+             DdgSink* sink, DdgOptions opts = {},
+             const support::RunBudget* budget = nullptr,
+             support::DiagnosticLog* diag = nullptr,
+             bool path_compaction = false);
 
   void on_local_jump(int func, int dst_bb) override;
   void on_call(vm::CodeRef callsite, int callee) override;
@@ -166,8 +166,18 @@ class DdgBuilder : public vm::Observer, private vm::PathHost {
  private:
   void reg_dep(const ShadowFrame& frame, ir::Reg r, const Occurrence& dst,
                std::span<const i64> dst_coords, int slot);
-  void mem_dep(DepKind kind, const Occurrence& src, const Occurrence& dst,
-               std::span<const i64> dst_coords);
+  void mem_dep(DepKind kind, const Occurrence& src, const Occurrence& dst);
+  /// The shadow-memory rule for one load or store instance `occ` on its
+  /// word's record (null: a load of a never-touched page). Every path —
+  /// single events and both bulk replays — applies it per instance, so
+  /// it is inline (defined in ddg_builder.cpp, its only user).
+  inline void access(ShadowMemory::Record* rec, bool store,
+                     const Occurrence& occ, bool emit);
+  /// Does the access create its shadow record? Stores always; loads only
+  /// under anti/output tracking, where they record the reader.
+  bool touches(bool store) const {
+    return store || opts_.track_anti_output;
+  }
 
   // vm::PathHost: Ball-Larus numbering lookups + bulk run replay.
   bool path_loop_usable(int func, int loop) override;
@@ -187,6 +197,8 @@ class DdgBuilder : public vm::Observer, private vm::PathHost {
   support::CoordPool pool_;
   DdgSink* sink_;
   DdgOptions opts_;
+  const support::RunBudget* budget_;
+  support::DiagnosticLog* diag_;
 
   struct FrameCtl {
     ShadowFrame shadow;

@@ -47,25 +47,20 @@ class ShadowMemory {
   static constexpr std::size_t kPageBits = 12;  ///< 4096 words = 32 KiB span
   static constexpr std::size_t kPageWords = std::size_t{1} << kPageBits;
 
-  /// Record of the word containing byte address `addr`, or nullptr if its
-  /// page was never touched. Never allocates.
+  /// Record of the word containing byte address `addr`. With `create` its
+  /// page is allocated on demand; without, nullptr if the page was never
+  /// touched (never allocates).
+  Record* at(i64 addr, bool create) {
+    const std::size_t word = word_of(addr);
+    Page* page = page_at(word >> kPageBits, create);
+    return page != nullptr ? &page->words[word & (kPageWords - 1)] : nullptr;
+  }
+  /// Lookup only: at(addr, false).
   const Record* find(i64 addr) const {
-    std::size_t word = word_of(addr);
-    std::size_t top = word >> kPageBits;
-    if (top >= dir_.size() || dir_[top] < 0) return nullptr;
-    return &pages_[static_cast<std::size_t>(dir_[top])]
-                ->words[word & (kPageWords - 1)];
+    return const_cast<ShadowMemory*>(this)->at(addr, false);
   }
-
   /// Find-or-create the record of the word containing `addr`.
-  Record& touch(i64 addr) {
-    std::size_t word = word_of(addr);
-    std::size_t top = word >> kPageBits;
-    if (top >= dir_.size()) dir_.resize(top + 1, -1);
-    std::int32_t pi = dir_[top];
-    if (pi < 0) pi = dir_[top] = grab_page();
-    return pages_[static_cast<std::size_t>(pi)]->words[word & (kPageWords - 1)];
-  }
+  Record& touch(i64 addr) { return *at(addr, true); }
 
   /// Record `w` as the last writer of the word at `addr`.
   void write(i64 addr, Occurrence w) { touch(addr).writer = w; }
@@ -77,41 +72,20 @@ class ShadowMemory {
   }
 
   /// Visit the records of the `n` words at addr, addr+stride, ... (byte
-  /// addresses; the caller guarantees every address is non-negative),
-  /// creating pages on demand. `fn(t, Record&)` is called in trip order.
-  /// The directory is consulted once per crossed page, not per access —
-  /// the batched expansion path of compressed trace runs lives on this.
+  /// addresses; the caller guarantees every address is non-negative) in
+  /// trip order: `fn(t, Record*)`, with pages created on demand as in
+  /// at(addr, create). The directory is consulted once per crossed page,
+  /// not per access — the batched expansion path of compressed trace runs
+  /// lives on this.
   template <typename Fn>
-  void apply_strided_run(i64 addr, i64 stride, u64 n, Fn&& fn) {
+  void walk_strided(i64 addr, i64 stride, u64 n, bool create, Fn&& fn) {
     std::size_t cur_top = kNoPage;
     Page* page = nullptr;
     for (u64 t = 0; t < n; ++t, addr += stride) {
-      std::size_t word = word_of(addr);
-      std::size_t top = word >> kPageBits;
+      const std::size_t word = word_of(addr);
+      const std::size_t top = word >> kPageBits;
       if (top != cur_top) {
-        if (top >= dir_.size()) dir_.resize(top + 1, -1);
-        std::int32_t pi = dir_[top];
-        if (pi < 0) pi = dir_[top] = grab_page();
-        page = pages_[static_cast<std::size_t>(pi)].get();
-        cur_top = top;
-      }
-      fn(t, page->words[word & (kPageWords - 1)]);
-    }
-  }
-
-  /// Non-creating strided walk: `fn(t, const Record*)` receives nullptr
-  /// for words on never-touched pages.
-  template <typename Fn>
-  void read_strided_run(i64 addr, i64 stride, u64 n, Fn&& fn) const {
-    std::size_t cur_top = kNoPage;
-    const Page* page = nullptr;
-    for (u64 t = 0; t < n; ++t, addr += stride) {
-      std::size_t word = word_of(addr);
-      std::size_t top = word >> kPageBits;
-      if (top != cur_top) {
-        page = top < dir_.size() && dir_[top] >= 0
-                   ? pages_[static_cast<std::size_t>(dir_[top])].get()
-                   : nullptr;
+        page = page_at(top, create);
         cur_top = top;
       }
       fn(t, page != nullptr ? &page->words[word & (kPageWords - 1)]
@@ -143,6 +117,21 @@ class ShadowMemory {
   static std::size_t word_of(i64 addr) {
     PP_CHECK(addr >= 0, "shadow memory address must be non-negative");
     return static_cast<std::size_t>(addr) >> 3;
+  }
+
+  /// Page of directory slot `top`, allocated on demand with `create`;
+  /// nullptr when absent and !create.
+  Page* page_at(std::size_t top, bool create) {
+    if (top >= dir_.size()) {
+      if (!create) return nullptr;
+      dir_.resize(top + 1, -1);
+    }
+    std::int32_t pi = dir_[top];
+    if (pi < 0) {
+      if (!create) return nullptr;
+      pi = dir_[top] = grab_page();
+    }
+    return pages_[static_cast<std::size_t>(pi)].get();
   }
 
   std::int32_t grab_page();

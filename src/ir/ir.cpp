@@ -62,30 +62,6 @@ bool op_is_fp(Op op) {
 
 bool op_is_memory(Op op) { return op == Op::kLoad || op == Op::kStore; }
 
-std::vector<Reg> read_regs(const Instr& in) {
-  switch (in.op) {
-    case Op::kConst:
-    case Op::kFConst:
-    case Op::kBr:
-      return {};
-    case Op::kMov:
-    case Op::kAddI:
-    case Op::kMulI:
-    case Op::kI2F:
-    case Op::kF2I:
-    case Op::kLoad:
-    case Op::kBrCond:
-      return {in.a};
-    case Op::kCall:
-      return in.args;
-    case Op::kRet:
-      return in.a == kNoReg ? std::vector<Reg>{} : std::vector<Reg>{in.a};
-    default:
-      // Two-operand arithmetic, compares, FP arithmetic, stores.
-      return {in.a, in.b};
-  }
-}
-
 Function& Module::add_function(const std::string& name, int num_args,
                                const std::string& source_file) {
   Function f;

@@ -120,12 +120,54 @@ struct Module {
   const Global* find_global(const std::string& name) const;
 };
 
+/// The registers one instruction reads, without allocating: up to two
+/// operands held inline, or a view of a call's `args`. Copyable — a copy
+/// re-derives its begin from its own storage.
+class RegReads {
+ public:
+  RegReads() = default;
+  RegReads(Reg a, Reg b, std::size_t n) : inl_{a, b}, n_(n) {}
+  explicit RegReads(const std::vector<Reg>& args)
+      : ext_(args.data()), n_(args.size()) {}
+  const Reg* begin() const { return ext_ != nullptr ? ext_ : inl_; }
+  const Reg* end() const { return begin() + n_; }
+  std::size_t size() const { return n_; }
+  bool empty() const { return n_ == 0; }
+
+ private:
+  Reg inl_[2] = {kNoReg, kNoReg};
+  const Reg* ext_ = nullptr;
+  std::size_t n_ = 0;
+};
+
 /// Operand roles: the one rule for which registers an instruction touches.
 /// read_regs lists the registers it reads, in operand order (a call's
 /// arguments count as reads). Required operands are listed even when unset
 /// (kNoReg), so the structural rules flag them; `ret`'s optional value is
-/// listed only when present.
-std::vector<Reg> read_regs(const Instr& in);
+/// listed only when present. Inline: stage 2 asks per event.
+inline RegReads read_regs(const Instr& in) {
+  switch (in.op) {
+    case Op::kConst:
+    case Op::kFConst:
+    case Op::kBr:
+      return {};
+    case Op::kMov:
+    case Op::kAddI:
+    case Op::kMulI:
+    case Op::kI2F:
+    case Op::kF2I:
+    case Op::kLoad:
+    case Op::kBrCond:
+      return {in.a, kNoReg, 1};
+    case Op::kCall:
+      return RegReads(in.args);
+    case Op::kRet:
+      return {in.a, kNoReg, in.a == kNoReg ? 0u : 1u};
+    default:
+      // Two-operand arithmetic, compares, FP arithmetic, stores.
+      return {in.a, in.b, 2};
+  }
+}
 /// Does the instruction write its `dst`? Always for value-producing ops (an
 /// unset dst is then out of range), for `call` only when it has a result,
 /// never for stores, branches and returns. Inline: stage 2 asks per event.

@@ -375,7 +375,7 @@ bool fuse(Function& f, const CountedLoop& a, const CountedLoop& b) {
     if (op_is_memory(e.op) || e.op == Op::kCall || op_is_terminator(e.op))
       return false;
     if (e.dst == kNoReg || e.dst == b.iv) return false;
-    const std::vector<Reg> reads = read_regs(e);
+    const RegReads reads = read_regs(e);
     for (Reg r : reads)
       if (r == b.iv) return false;
     for (int id : a_region) {

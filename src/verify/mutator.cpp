@@ -199,7 +199,7 @@ Mutation out_of_range_register(Module& m, Rng& rng) {
         const Instr& in = bb.instrs[i];
         if (ir::writes_reg(in))
           sites.push_back({&f, bb.id, static_cast<int>(i), -1});
-        std::vector<Reg> uses = ir::read_regs(in);
+        const ir::RegReads uses = ir::read_regs(in);
         // Only direct a/b slots are corrupted (call args are handled by the
         // arity class).
         if (in.op != Op::kCall) {

@@ -3,7 +3,8 @@
 // triangular bounds), the profiler must
 //  * fold every statement's domain exactly with the right instance count,
 //  * tag statements with the right loop depth,
-//  * keep the whole program 100%-affine under the extended metric.
+//  * keep the whole program 100%-affine under the extended metric,
+//  * render the same report with path compaction on and off.
 #include <gtest/gtest.h>
 
 #include "core/pipeline.hpp"
@@ -83,6 +84,22 @@ u64 build_nest(Module& m, const NestSpec& spec) {
   return expected;
 }
 
+// Differential check of the bulk replay against the reference
+// interpretation, plain and with anti/output tracking: the nests' stores
+// revisit words, so WAW edges land inside compressed runs.
+void expect_compaction_transparent(const Module& m) {
+  for (bool track : {false, true}) {
+    PipelineOptions off;
+    off.ddg.track_anti_output = track;
+    off.path_compaction = false;
+    PipelineOptions on = off;
+    on.path_compaction = true;
+    EXPECT_EQ(full_report(Pipeline(m).run(off)),
+              full_report(Pipeline(m).run(on)))
+        << "track_anti_output=" << track;
+  }
+}
+
 class NestFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(NestFuzz, DomainsFoldExactlyWithRightCounts) {
@@ -91,7 +108,6 @@ TEST_P(NestFuzz, DomainsFoldExactlyWithRightCounts) {
   spec.depth = static_cast<int>(rng.range(1, 3));
   for (int d = 0; d < spec.depth; ++d) spec.trips.push_back(rng.range(2, 6));
   spec.triangular = spec.depth >= 2 && rng.range(0, 1) == 1;
-
 
   Module m;
   u64 expected = build_nest(m, spec);
@@ -113,6 +129,7 @@ TEST_P(NestFuzz, DomainsFoldExactlyWithRightCounts) {
   EXPECT_TRUE(found_store);
   EXPECT_DOUBLE_EQ(feedback::percent_affine(r.program, /*strict=*/false),
                    100.0);
+  expect_compaction_transparent(m);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, NestFuzz, ::testing::Range(0, 40));
@@ -161,6 +178,7 @@ TEST_P(NestCallFuzz, InterproceduralNestsFoldFullDepth) {
     EXPECT_TRUE(s.domain.pieces()[0].exact);
   }
   EXPECT_TRUE(found);
+  expect_compaction_transparent(m);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, NestCallFuzz, ::testing::Range(0, 30));

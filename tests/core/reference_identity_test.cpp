@@ -1,9 +1,10 @@
 // Reference identity: the pipeline's optional machinery must not change
 // what a report says. Path compaction is checked against the reference
-// interpretation (compaction off) on every workload, including a chaos
-// fault that lands inside a compressed run, and observation against an
-// unobserved run. Degraded runs — injected faults, an exhausted budget,
-// cancellation at a structural point — must be reproducible: a repeat run
+// interpretation (compaction off) on every workload, plain and with
+// anti/output tracking, including a chaos fault that lands inside a
+// compressed run, and observation against an unobserved run. Degraded
+// runs — injected faults, an exhausted budget, cancellation at a
+// structural point — must be reproducible: a repeat run
 // yields the same partial report byte for byte, which is what lets the
 // service compare a degraded job against a direct run.
 #include <string>
@@ -48,14 +49,19 @@ TEST_P(ReferenceIdentity, ObservedStableReportIsByteIdenticalToo) {
 
 // Hot-path trace compaction is a pure optimization: the report with
 // path_compaction off (the reference interpretation) must be byte-equal
-// to the compacted one.
+// to the compacted one — plain, and with the transformation engine on,
+// whose anti/output edges the bulk replay must reproduce too.
 TEST_P(ReferenceIdentity, CompactionIsByteIdenticalOnOff) {
   workloads::Workload wl = workloads::make_rodinia(GetParam());
-  core::PipelineOptions off;
-  off.path_compaction = false;
-  core::PipelineOptions on;
-  on.path_compaction = true;
-  EXPECT_EQ(report(wl.module, off), report(wl.module, on));
+  for (bool transforms : {false, true}) {
+    SCOPED_TRACE("apply_transforms=" + std::to_string(transforms));
+    core::PipelineOptions off;
+    off.apply_transforms = transforms;
+    off.path_compaction = false;
+    core::PipelineOptions on = off;
+    on.path_compaction = true;
+    EXPECT_EQ(report(wl.module, off), report(wl.module, on));
+  }
 }
 
 // Stride runs are the folder's one fast path: with them off every point
@@ -83,17 +89,21 @@ INSTANTIATE_TEST_SUITE_P(AllBenchmarks, ReferenceIdentity,
 // the armed run flushes at the same point.
 TEST(ReferenceIdentityChaos, FaultInsideCompressedRunMatchesReference) {
   workloads::Workload wl = workloads::make_rodinia("pathfinder");
-  for (vm::FaultKind kind :
-       {vm::FaultKind::kTruncate, vm::FaultKind::kUnmatchedReturn,
-        vm::FaultKind::kMisalign, vm::FaultKind::kBadBlock}) {
-    SCOPED_TRACE(std::string("fault=") + vm::fault_kind_name(kind));
-    core::PipelineOptions off;
-    off.chaos.kind = kind;
-    off.chaos.seed = 7;
-    off.path_compaction = false;
-    core::PipelineOptions on = off;
-    on.path_compaction = true;
-    EXPECT_EQ(report(wl.module, off), report(wl.module, on));
+  for (bool track : {false, true}) {
+    for (vm::FaultKind kind :
+         {vm::FaultKind::kTruncate, vm::FaultKind::kUnmatchedReturn,
+          vm::FaultKind::kMisalign, vm::FaultKind::kBadBlock}) {
+      SCOPED_TRACE(std::string("fault=") + vm::fault_kind_name(kind) +
+                   " track_anti_output=" + std::to_string(track));
+      core::PipelineOptions off;
+      off.ddg.track_anti_output = track;
+      off.chaos.kind = kind;
+      off.chaos.seed = 7;
+      off.path_compaction = false;
+      core::PipelineOptions on = off;
+      on.path_compaction = true;
+      EXPECT_EQ(report(wl.module, off), report(wl.module, on));
+    }
   }
 }
 

@@ -4,8 +4,9 @@
 // event stream exactly, and every guard failure must bail out at the
 // diverging event and resume on the interpreted slow path. These tests
 // drive the bailout taxonomy directly: data-dependent control flow,
-// clamped emission inside a run, a VM trap mid-run, and non-affine
-// (collected) values/addresses.
+// clamped emission inside a run, a VM trap mid-run, non-affine
+// (collected) values/addresses, and anti/output edges inside runs.
+#include <algorithm>
 #include <string>
 
 #include "core/pipeline.hpp"
@@ -134,12 +135,16 @@ TEST(PathCache, ClampedEmissionInsideCompressedRunStaysExact) {
   Module m = affine_store_loop(100);
   // The clamp trips strictly inside a compressed run: emission stops at
   // the exact instance while executions keep counting.
-  for (u64 clamp : {1u, 5u, 37u, 99u}) {
-    SCOPED_TRACE("clamp=" + std::to_string(clamp));
-    core::PipelineOptions base;
-    base.ddg.clamp_instances = clamp;
-    EXPECT_EQ(report_with_compaction(m, false, base),
-              report_with_compaction(m, true, base));
+  for (bool track : {false, true}) {
+    for (u64 clamp : {1u, 5u, 37u, 99u}) {
+      SCOPED_TRACE("clamp=" + std::to_string(clamp) +
+                   " track_anti_output=" + std::to_string(track));
+      core::PipelineOptions base;
+      base.ddg.clamp_instances = clamp;
+      base.ddg.track_anti_output = track;
+      EXPECT_EQ(report_with_compaction(m, false, base),
+                report_with_compaction(m, true, base));
+    }
   }
 }
 
@@ -207,29 +212,76 @@ Module indirect_load_loop(i64 n) {
   return m;
 }
 
+// Under anti/output tracking the `acc` load/store pair is WAR and WAW
+// inside every compressed iteration, next to the gather: the interleaved
+// replay must emit both kinds in reference order.
 TEST(PathCache, NonAffineAddressesCollectWithoutBailing) {
   Module m = indirect_load_loop(80);
-  EXPECT_EQ(report_with_compaction(m, false), report_with_compaction(m, true));
-  PathCounters c = counters_of(m);
-  EXPECT_GT(c.hits, 0);
-  EXPECT_GT(c.compressed, 0);
+  for (bool track : {false, true}) {
+    SCOPED_TRACE("track_anti_output=" + std::to_string(track));
+    core::PipelineOptions base;
+    base.ddg.track_anti_output = track;
+    EXPECT_EQ(report_with_compaction(m, false, base),
+              report_with_compaction(m, true, base));
+    PathCounters c = counters_of(m, base);
+    EXPECT_GT(c.hits, 0);
+    EXPECT_GT(c.compressed, 0);
+  }
 }
 
-// Compaction is silently ignored when it could be observable: anti/output
-// tracking changes shadow-read bookkeeping, and shadow/pool/wall budget
-// caps would trip at different points under bulk replay.
-TEST(PathCache, ObservableConfigurationsDisableCompaction) {
-  Module m = affine_store_loop(64);
+// Two loops over disjoint arrays: the first reads b[i] and writes c[i],
+// the second writes both again. Each loop's slots are disjoint, so its
+// runs replay slot by slot; under anti/output tracking the first loop's
+// bulk loads must leave their readers behind for the second loop's WAR
+// edges, and its bulk stores their writers for the WAW edges.
+Module reread_rewrite_loops(i64 n) {
+  Module m;
+  i64 bg = m.add_global("b", n * 8);
+  i64 cg = m.add_global("c", n * 8);
+  Function& f = m.add_function("main", 0);
+  Builder b(m, f);
+  b.set_block(b.make_block());
+  Reg bbase = b.const_(bg);
+  Reg cbase = b.const_(cg);
+  Reg end = b.const_(n);
+  b.counted_loop(0, end, 1, [&](Reg iv) {
+    Reg off = b.muli(iv, 8);
+    Reg v = b.load(b.add(bbase, off));
+    b.store(b.add(cbase, off), b.addi(v, 1));
+  });
+  b.counted_loop(0, end, 1, [&](Reg iv) {
+    Reg off = b.muli(iv, 8);
+    b.store(b.add(bbase, off), iv);
+    b.store(b.add(cbase, off), iv);
+  });
+  b.ret();
+  return m;
+}
+
+// Anti/output tracking compacts like any other run and its report stays
+// byte-identical to the reference. Only per-event budget caps (shadow,
+// pool, wall) turn compaction off: bulk replay would trip them at a
+// different event.
+TEST(PathCache, OnlyPerEventBudgetCapsDisableCompaction) {
   {
+    Module m = reread_rewrite_loops(64);
     core::PipelineOptions base;
     base.ddg.track_anti_output = true;
-    base.observe = true;
-    base.path_compaction = true;
-    core::ProfileResult r = core::Pipeline(m).run(base);
-    auto cs = r.obs->counters();
-    EXPECT_EQ(cs.find("vm.path_hits"), cs.end());
+    core::PipelineOptions ref = base;
+    ref.path_compaction = false;
+    core::ProfileResult r = core::Pipeline(m).run(ref);
+    for (ddg::DepKind k : {ddg::DepKind::kAnti, ddg::DepKind::kOutput})
+      EXPECT_TRUE(std::ranges::any_of(
+          r.program.deps,
+          [&](const fold::FoldedDep& d) { return d.kind == k; }))
+          << ddg::dep_kind_name(k);
+    EXPECT_EQ(core::full_report(r), report_with_compaction(m, true, base));
+    PathCounters c = counters_of(m, base);
+    EXPECT_GT(c.hits, 0);
+    EXPECT_GT(c.compressed, 0);
   }
   {
+    Module m = affine_store_loop(64);
     core::PipelineOptions base;
     base.budget.shadow_pages = 1 << 20;
     base.observe = true;
