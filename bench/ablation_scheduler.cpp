@@ -32,7 +32,7 @@ Problem seidel_problem() {
     SchedDep d;
     d.src = d.dst = 0;
     d.pieces.push_back({poly::Polyhedron::box({{1, 63}, {1, 63}}),
-                        poly::AffineMap(2, std::move(outs)), true});
+                        poly::AffineMap(2, std::move(outs))});
     p.deps.push_back(std::move(d));
   };
   shift({1, 0});
@@ -75,7 +75,7 @@ void ablate_fusion() {
   d.src = 2;
   d.dst = 3;
   d.pieces.push_back({poly::Polyhedron::box({{0, 99}}),
-                      poly::AffineMap::identity(1), true});
+                      poly::AffineMap::identity(1)});
   p.deps.push_back(std::move(d));
 
   for (auto fusion : {FusionHeuristic::kSmartFuse, FusionHeuristic::kMaxFuse}) {
@@ -111,7 +111,7 @@ void ablate_identity_only() {
       d.dst = i;
       d.pieces.push_back(
           {poly::Polyhedron::box({{0, 15}, {0, 15}, {0, 15}}),
-           poly::AffineMap::identity(3), true});
+           poly::AffineMap::identity(3)});
       p.deps.push_back(std::move(d));
     }
   }

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Repo-wide check gate: format check, the serial-run guard, clang-tidy over
-# the static-analysis subsystems, and the test suite in ALL build flavors
-# (default, POLYPROF_SANITIZE, and — when the toolchain supports
+# Repo-wide check gate: format check, the serial-run and layering guards,
+# clang-tidy over the static-analysis subsystems, and the test suite in ALL
+# build flavors (default, POLYPROF_SANITIZE, and — when the toolchain supports
 # -fsanitize=thread — POLYPROF_TSAN, which races the service executors,
 # the deadline watchdog and the shared obs::Session under
 # ThreadSanitizer).
@@ -49,6 +49,19 @@ if THREAD_HITS="$(grep -rnE 'std::thread|std::async|<future>|<condition_variable
   FAIL=1
 else
   note "serial-run guard: OK"
+fi
+
+# ---- 1c. layering guard --------------------------------------------------
+# The scheduler consumes the folder's own piece type (poly::Piece), which
+# only works while pp::poly and pp::scheduler stay below the profiler:
+# neither may include the folding, DDG or pipeline layers.
+note "layering guard: no fold/, ddg/ or core/ includes under src/poly/ or src/scheduler/"
+if LAYER_HITS="$(grep -rnE '#include "(fold|ddg|core)/' src/poly src/scheduler)"; then
+  printf '%s\n' "$LAYER_HITS"
+  note "layering guard: FAILED"
+  FAIL=1
+else
+  note "layering guard: OK"
 fi
 
 # ---- 2. clang-tidy on the static-analysis subsystems --------------------

@@ -468,21 +468,13 @@ void DdgBuilder::expand_path_run(const vm::PathTemplate& tp,
   // slots are provably order-independent: all addresses affine and the
   // word intervals of distinct slots pairwise disjoint — then each slot
   // replays in one strided page-walk.
-  struct MemRef {
-    int stmt;
-    u64 n, emit;
-    bool store;
-    bool affine;
-    i64 base = 0, stride = 0;       // affine
-    const std::vector<i64>* addrs;  // collected
-    i64 lo = 0, hi = 0;             // byte-address interval (affine)
-  };
-  std::vector<MemRef> mem;
+  std::vector<RunMemSlot>& mem = x_mem_;
+  mem.clear();
   bool batched_ok = true;
   for (std::size_t i = 0; i < tp.slots.size(); ++i) {
     const vm::PathSlot& sl = tp.slots[i];
     if (sl.is_jump || !sl.is_mem || slot_n[i] == 0) continue;
-    MemRef m;
+    RunMemSlot m;
     m.stmt = sl.stmt;
     m.n = slot_n[i];
     m.emit = slot_emit[i];
@@ -515,7 +507,7 @@ void DdgBuilder::expand_path_run(const vm::PathTemplate& tp,
   if (batched_ok) {
     // Slot-major: each word is reached by one slot only. A load that can
     // neither emit nor record a reader stops at its emitted prefix.
-    for (const MemRef& m : mem) {
+    for (const RunMemSlot& m : mem) {
       const bool create = touches(m.store);
       shadow_.walk_strided(
           m.base, m.stride, create ? m.n : m.emit, create,
@@ -528,19 +520,16 @@ void DdgBuilder::expand_path_run(const vm::PathTemplate& tp,
   } else {
     // Reference interleaving: instance order across slots is observable
     // (a slot may access words another slot accessed earlier in the run).
-    std::vector<i64> cur(mem.size());
-    for (std::size_t k = 0; k < mem.size(); ++k)
-      cur[k] = mem[k].affine ? mem[k].base : 0;
+    // An affine slot's `base` advances in place to its current address.
     for (u64 t = 0; t < n_iter; ++t) {
-      for (std::size_t k = 0; k < mem.size(); ++k) {
-        MemRef& m = mem[k];
+      for (RunMemSlot& m : mem) {
         if (t >= m.n) continue;
-        const i64 addr = m.affine ? cur[k] : (*m.addrs)[t];
+        const i64 addr = m.affine ? m.base : (*m.addrs)[t];
         PP_CHECK((addr & 7) == 0, "unaligned compressed-run access");
         access(shadow_.at(addr, touches(m.store)), m.store,
                Occurrence{m.stmt, x_refs_[static_cast<std::size_t>(t)]},
                t < m.emit);
-        if (m.affine) cur[k] += m.stride;
+        if (m.affine) m.base += m.stride;
       }
     }
   }

@@ -228,10 +228,21 @@ class DdgBuilder : public vm::Observer, private vm::PathHost {
   std::unique_ptr<vm::PathCache> pc_;
   std::map<std::pair<int, int>, cfg::LoopPaths> paths_;  ///< lazy numbering
   // Expansion scratch (allocation-free once warm).
+  /// One memory slot of a compressed run, for the memory phase.
+  struct RunMemSlot {
+    int stmt = -1;
+    u64 n = 0, emit = 0;
+    bool store = false;
+    bool affine = false;
+    i64 base = 0, stride = 0;                 // affine
+    const std::vector<i64>* addrs = nullptr;  // collected
+    i64 lo = 0, hi = 0;  // byte-address interval (affine)
+  };
   std::vector<i64> x_base_, x_stride_, x_prev_, x_zero_, x_scratch_;
   std::vector<support::CoordRef> x_refs_;
   std::vector<int> fw_scratch_, run_scratch_;  ///< per-register writer maps
   std::vector<u64> slot_n_, slot_emit_;        ///< per-slot trip counts
+  std::vector<RunMemSlot> x_mem_;              ///< per-run memory slots
 };
 
 }  // namespace pp::ddg

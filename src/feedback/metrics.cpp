@@ -82,13 +82,7 @@ scheduler::Problem make_problem(const fold::FoldedProgram& prog,
     scheduler::SchedDep sd;
     sd.src = d.src;
     sd.dst = d.dst;
-    for (const auto& piece : d.relation.pieces()) {
-      scheduler::SchedDepPiece sp;
-      sp.dst_domain = piece.domain;
-      sp.src_fn = piece.label_fn;
-      sp.analyzable = piece.label_exact;
-      sd.pieces.push_back(std::move(sp));
-    }
+    sd.pieces = d.relation.pieces();
     problem.deps.push_back(std::move(sd));
   }
   return problem;
@@ -96,11 +90,7 @@ scheduler::Problem make_problem(const fold::FoldedProgram& prog,
 
 double percent_affine(const fold::FoldedProgram& prog, bool strict) {
   if (prog.total_dynamic_ops == 0) return 0.0;
-  std::vector<bool> flags = prog.affine_flags(strict);
-  u64 n = 0;
-  for (const auto& s : prog.statements)
-    if (flags[static_cast<std::size_t>(s.meta.id)]) n += s.meta.executions;
-  return 100.0 * static_cast<double>(n) /
+  return 100.0 * static_cast<double>(prog.fully_affine_ops(strict)) /
          static_cast<double>(prog.total_dynamic_ops);
 }
 

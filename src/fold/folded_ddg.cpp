@@ -40,35 +40,11 @@ std::optional<i64> FoldedStatement::stride_along(std::size_t dim) const {
   return fn->output(0).coeff(dim);
 }
 
-poly::DepRelation FoldedDep::as_relation() const {
-  poly::DepRelation r;
-  r.src_stmt = src;
-  r.dst_stmt = dst;
-  for (const auto& p : relation.pieces()) {
-    poly::DepPiece dp;
-    dp.dst_domain = p.domain;
-    dp.src_fn = p.label_fn;
-    dp.exact = p.exact;
-    dp.observed = p.observed_points;
-    r.pieces.push_back(std::move(dp));
-  }
-  return r;
-}
-
 poly::PolySet FoldedDep::must_relation() const {
   poly::PolySet out(relation.dim());
   for (const auto& p : relation.pieces())
     if (p.exact) out.add_piece(p);
   return out;
-}
-
-double FoldedDep::must_coverage() const {
-  u64 total = relation.total_observed();
-  if (total == 0) return 1.0;
-  u64 must = 0;
-  for (const auto& p : relation.pieces())
-    if (p.exact) must += p.observed_points;
-  return static_cast<double>(must) / static_cast<double>(total);
 }
 
 std::vector<bool> FoldedProgram::affine_flags(bool strict) const {
@@ -100,8 +76,8 @@ std::vector<bool> FoldedProgram::affine_flags(bool strict) const {
   return flags;
 }
 
-u64 FoldedProgram::fully_affine_ops() const {
-  std::vector<bool> flags = affine_flags();
+u64 FoldedProgram::fully_affine_ops(bool strict) const {
+  std::vector<bool> flags = affine_flags(strict);
   u64 n = 0;
   for (const auto& s : statements)
     if (flags[static_cast<std::size_t>(s.meta.id)]) n += s.meta.executions;

@@ -12,7 +12,7 @@
 #include "ddg/ddg_builder.hpp"
 #include "fold/folder.hpp"
 #include "obs/obs.hpp"
-#include "poly/dep_relation.hpp"
+#include "poly/poly_set.hpp"
 #include "support/budget.hpp"
 #include "support/cancel.hpp"
 
@@ -46,18 +46,12 @@ struct FoldedDep {
   ddg::DepKind kind{};
   poly::PolySet relation;  ///< domain over dst coords; labels = src coords
 
-  /// View as poly::DepRelation for the scheduler.
-  poly::DepRelation as_relation() const;
-
   /// Under-approximation (the paper's §10 future work, "development of
   /// under-approximation schemes in the DDG"): the exact pieces only —
   /// every instance they describe is a *must*-dependence that provably
   /// occurred, with its source instance exactly known. Inexact
   /// (over-approximate) pieces are dropped.
   poly::PolySet must_relation() const;
-
-  /// Fraction of observed dependence instances covered by must pieces.
-  double must_coverage() const;
 };
 
 /// The compact polyhedral DDG for one profiled execution.
@@ -80,10 +74,9 @@ struct FoldedProgram {
   /// Table 5's %Aff uses strict mode for comparability.
   std::vector<bool> affine_flags(bool strict = true) const;
 
-  /// %Aff numerator: dynamic ops in statements whose domain and (for
-  /// memory ops) access function folded exactly, with all incident
-  /// non-pruned dependences exact.
-  u64 fully_affine_ops() const;
+  /// %Aff numerator: dynamic ops in the statements affine_flags(strict)
+  /// marks.
+  u64 fully_affine_ops(bool strict = true) const;
 
   const FoldedStatement& stmt(int id) const {
     return statements[static_cast<std::size_t>(id)];

@@ -6,15 +6,6 @@
 
 namespace pp::poly {
 
-const char* feas_name(Feas f) {
-  switch (f) {
-    case Feas::kInfeasible: return "infeasible";
-    case Feas::kFeasible: return "feasible";
-    case Feas::kUnknown: return "unknown";
-  }
-  return "?";
-}
-
 namespace {
 
 // Coefficient magnitudes are capped well below the i128 range so that any

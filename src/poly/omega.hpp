@@ -39,8 +39,6 @@ enum class Feas : std::uint8_t {
   kUnknown,     ///< effort/magnitude cap hit — no verdict (caller falls back)
 };
 
-const char* feas_name(Feas f);
-
 struct OmegaOptions {
   /// Work budget: eliminations + derived rows + splinter probes. The
   /// systems dependence testing builds finish in tens of steps; the cap

@@ -14,7 +14,11 @@ namespace pp::poly {
 
 /// One piece of a folded set: a polyhedral domain plus the affine function
 /// giving the piece's labels (paper §5 "for each polyhedron P, an affine
-/// function A such that for all I in P, A(I) = a(I)").
+/// function A such that for all I in P, A(I) = a(I)"). A folded dependence
+/// src -> dst is a union of these with the domain over the *destination*
+/// iteration vector and the labels giving the matching *source* iteration
+/// vector (paper Tables 1-2: "0<=cj<=15 and 1<=ck<=42 : cj' = cj,
+/// ck' = ck - 1"); the scheduler consumes that form as is.
 struct Piece {
   Polyhedron domain;
   AffineMap label_fn;      ///< affine reconstruction of the label vector

@@ -275,104 +275,11 @@ std::optional<u64> Polyhedron::count_points(u64 cap) const {
   return count;
 }
 
-std::optional<std::vector<i64>> Polyhedron::lexmin() const {
-  // Greedy dimension-by-dimension: fix each variable to the smallest
-  // integer value that keeps an integer point reachable in the remaining
-  // dimensions. Rational minima are lower bounds; scan upward from them
-  // (the scan is short for the near-integral polyhedra folding produces,
-  // and bounded by the variable's upper bound).
-  std::vector<i64> point;
-  Polyhedron cur = *this;
-  for (std::size_t d = 0; d < dim_; ++d) {
-    BoundResult lo = cur.minimize(AffineExpr::var(dim_, d));
-    if (lo.status == LpStatus::kInfeasible) return std::nullopt;
-    if (lo.status != LpStatus::kOptimal) return std::nullopt;  // unbounded
-    BoundResult hi = cur.maximize(AffineExpr::var(dim_, d));
-    if (hi.status != LpStatus::kOptimal) return std::nullopt;
-    bool fixed = false;
-    for (i128 v = lo.value.ceil(); v <= hi.value.floor(); ++v) {
-      Polyhedron trial = cur;
-      trial.add_eq0(AffineExpr::var(dim_, d) - narrow_i64(v));
-      if (!trial.is_integer_empty()) {
-        point.push_back(narrow_i64(v));
-        cur = std::move(trial);
-        fixed = true;
-        break;
-      }
-    }
-    if (!fixed) return std::nullopt;  // no integer point at all
-  }
-  return point;
-}
-
 Polyhedron Polyhedron::intersect(const Polyhedron& other) const {
   PP_CHECK(dim_ == other.dim_, "intersect: dimension mismatch");
   Polyhedron p = *this;
   for (const auto& c : other.constraints_) p.add(c);
   return p;
-}
-
-void Polyhedron::remove_redundant() {
-  for (std::size_t i = 0; i < constraints_.size();) {
-    if (constraints_[i].equality) {
-      ++i;  // keep equalities; the cheap test below only covers inequalities
-      continue;
-    }
-    Polyhedron rest(dim_);
-    for (std::size_t j = 0; j < constraints_.size(); ++j)
-      if (j != i) rest.add(constraints_[j]);
-    BoundResult b = rest.minimize(constraints_[i].expr);
-    bool redundant = b.status == LpStatus::kOptimal && b.value >= Rat(0);
-    if (redundant)
-      constraints_.erase(constraints_.begin() +
-                         static_cast<std::ptrdiff_t>(i));
-    else
-      ++i;
-  }
-}
-
-Polyhedron Polyhedron::project_out(std::size_t v) const {
-  PP_CHECK(v < dim_, "project_out: bad variable");
-  // Split constraints by the sign of the coefficient of x_v. Equalities are
-  // rewritten as two inequalities first.
-  std::vector<AffineExpr> lower;  // c_v > 0 : gives lower bounds on x_v
-  std::vector<AffineExpr> upper;  // c_v < 0 : gives upper bounds on x_v
-  std::vector<AffineExpr> free;   // c_v == 0
-  auto classify = [&](const AffineExpr& e) {
-    i64 cv = e.coeff(v);
-    if (cv > 0)
-      lower.push_back(e);
-    else if (cv < 0)
-      upper.push_back(e);
-    else
-      free.push_back(e);
-  };
-  for (const auto& c : constraints_) {
-    classify(c.expr);
-    if (c.equality) classify(-c.expr);
-  }
-  // New space drops variable v.
-  auto drop = [&](const AffineExpr& e) {
-    std::vector<i64> coeffs;
-    coeffs.reserve(dim_ - 1);
-    for (std::size_t i = 0; i < dim_; ++i)
-      if (i != v) coeffs.push_back(e.coeff(i));
-    return AffineExpr(std::move(coeffs), e.const_term());
-  };
-  Polyhedron out(dim_ - 1);
-  for (const auto& e : free) out.add_ge0(drop(e));
-  // For l with coeff a>0 (x_v >= -l'/a) and u with coeff -b<0
-  // (x_v <= u'/b): combine b·l + a·u >= 0.
-  for (const auto& l : lower) {
-    for (const auto& u : upper) {
-      i64 a = l.coeff(v);
-      i64 b = -u.coeff(v);
-      AffineExpr combined = l * b + u * a;  // coefficient of x_v is zero
-      out.add_ge0(drop(combined));
-    }
-  }
-  out.remove_redundant();
-  return out;
 }
 
 std::string Polyhedron::str(std::span<const std::string> names) const {

@@ -70,11 +70,6 @@ class Polyhedron {
   /// max)]; nullopt when the polyhedron is empty or the variable unbounded.
   std::optional<std::pair<i128, i128>> var_bounds(std::size_t i) const;
 
-  /// Lexicographically smallest integer point (dimension 0 most
-  /// significant); nullopt when integer-empty or unbounded towards
-  /// lexicographic minus infinity.
-  std::optional<std::vector<i64>> lexmin() const;
-
   /// All integer points, in lexicographic order; nullopt when unbounded or
   /// more than `cap` points.
   std::optional<std::vector<std::vector<i64>>> enumerate(
@@ -85,13 +80,6 @@ class Polyhedron {
 
   /// Conjunction of both constraint systems (dimensions must match).
   Polyhedron intersect(const Polyhedron& other) const;
-
-  /// Remove constraints implied by the others (rational redundancy test).
-  void remove_redundant();
-
-  /// Rational Fourier–Motzkin elimination of variable `i`; the result is a
-  /// (possibly over-approximate, w.r.t. the integer shadow) projection.
-  Polyhedron project_out(std::size_t i) const;
 
   std::string str(std::span<const std::string> names = {}) const;
 

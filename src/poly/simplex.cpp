@@ -219,14 +219,4 @@ LpResult lp_minimize(std::size_t n,
   return res;
 }
 
-LpResult lp_maximize(std::size_t n,
-                     const std::vector<LpConstraint>& constraints,
-                     const RatVec& objective) {
-  RatVec neg(objective.size());
-  for (std::size_t i = 0; i < objective.size(); ++i) neg[i] = -objective[i];
-  LpResult r = lp_minimize(n, constraints, neg);
-  if (r.status == LpStatus::kOptimal) r.objective = -r.objective;
-  return r;
-}
-
 }  // namespace pp::poly

@@ -42,8 +42,4 @@ struct LpConstraint {
 LpResult lp_minimize(std::size_t n, const std::vector<LpConstraint>& constraints,
                      const RatVec& objective);
 
-/// Convenience wrapper: maximize by negating the objective.
-LpResult lp_maximize(std::size_t n, const std::vector<LpConstraint>& constraints,
-                     const RatVec& objective);
-
 }  // namespace pp::poly

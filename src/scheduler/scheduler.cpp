@@ -39,14 +39,14 @@ std::size_t shared_depth(const SchedStatement& src, const SchedStatement& dst) {
 
 poly::AffineExpr latency_diff(const std::vector<i64>& row, std::size_t common,
                               std::size_t dst_depth,
-                              const SchedDepPiece& piece) {
-  std::size_t dim = piece.dst_domain.dim();
+                              const poly::Piece& piece) {
+  std::size_t dim = piece.domain.dim();
   PP_CHECK(dim == dst_depth, "dep piece dimension mismatch");
   poly::AffineExpr diff(dim);
   for (std::size_t i = 0; i < common && i < row.size(); ++i) {
     if (row[i] == 0) continue;
     diff = diff + poly::AffineExpr::var(dim, i) * row[i];
-    diff = diff - piece.src_fn.output(i) * row[i];
+    diff = diff - piece.label_fn.output(i) * row[i];
   }
   return diff;
 }
@@ -62,14 +62,14 @@ DepVerdict check_dep(const std::vector<i64>& row, const SchedStatement& src,
     return v;
   }
   for (const auto& piece : dep.pieces) {
-    if (!piece.analyzable) {
+    if (!piece.label_exact) {
       v.weak = false;
       v.carried = false;
       v.zero = false;
       return v;
     }
     poly::AffineExpr diff = latency_diff(row, common, dst.depth, piece);
-    poly::BoundResult lo = piece.dst_domain.minimize(diff);
+    poly::BoundResult lo = piece.domain.minimize(diff);
     if (lo.status == poly::LpStatus::kInfeasible) continue;  // empty piece
     if (lo.status != poly::LpStatus::kOptimal) {
       // Unbounded below: cannot be legal.
@@ -83,7 +83,7 @@ DepVerdict check_dep(const std::vector<i64>& row, const SchedStatement& src,
     // and the aggregate zero verdict is still alive.
     bool piece_zero = false;
     if (v.zero && lo.value == Rat(0)) {
-      poly::BoundResult hi = piece.dst_domain.maximize(diff);
+      poly::BoundResult hi = piece.domain.maximize(diff);
       piece_zero =
           hi.status == poly::LpStatus::kOptimal && hi.value == Rat(0);
     }
@@ -173,7 +173,7 @@ GroupSchedule schedule_group(const Problem& problem, std::vector<int> stmts,
   for (const auto* d : deps) {
     if (shared_depth(*by_id.at(d->src), *by_id.at(d->dst)) == 0) continue;
     for (const auto& p : d->pieces) {
-      if (!p.analyzable) g.schedulable = false;
+      if (!p.label_exact) g.schedulable = false;
     }
   }
 
@@ -328,17 +328,6 @@ bool GroupSchedule::uses_skew() const {
   for (const auto& lv : levels)
     if (lv.skew) return true;
   return false;
-}
-
-bool GroupSchedule::has_outer_parallelism() const {
-  for (std::size_t i = 0; i + 1 < levels.size(); ++i)
-    if (levels[i].parallel) return true;
-  // A single parallel loop still exposes coarse parallelism.
-  return levels.size() == 1 && levels[0].parallel;
-}
-
-bool GroupSchedule::inner_parallel() const {
-  return !levels.empty() && levels.back().parallel;
 }
 
 bool GroupSchedule::band_spans(std::size_t from, std::size_t to) const {

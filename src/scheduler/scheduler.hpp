@@ -5,6 +5,10 @@
 // (interchange / skew / tile / parallelize / vectorize suggestions and the
 // %||ops, %simdops, TileD, Comp. columns of Table 5).
 //
+// Dependences arrive in the folder's own piece type (poly::Piece, from
+// poly/poly_set.hpp), so feedback::make_problem copies folded relations
+// whole.
+//
 // Differences from PluTo proper, by design (see DESIGN.md):
 //  * legality of a candidate row is decided by *minimizing* the schedule
 //    latency difference over each (bounded) dependence piece with
@@ -20,8 +24,7 @@
 #pragma once
 
 #include "obs/obs.hpp"
-#include "poly/dep_relation.hpp"
-#include "poly/polyhedron.hpp"
+#include "poly/poly_set.hpp"
 #include "support/cancel.hpp"
 
 namespace pp::scheduler {
@@ -40,17 +43,14 @@ struct SchedStatement {
   std::vector<int> loop_path;
 };
 
-/// One piece of a dependence relation dst <- src.
-struct SchedDepPiece {
-  poly::Polyhedron dst_domain;   ///< over dst coordinates
-  poly::AffineMap src_fn;        ///< dst coords -> src coords
-  bool analyzable = true;        ///< false: label not affine (opaque dep)
-};
-
+/// A dependence relation dst <- src in the folder's piece form: each
+/// piece's `domain` is over dst coordinates, its `label_fn` maps dst
+/// coordinates to src coordinates, and `label_exact == false` marks an
+/// opaque (non-affine) dependence. The other Piece fields are not read.
 struct SchedDep {
   int src = -1;
   int dst = -1;
-  std::vector<SchedDepPiece> pieces;
+  std::vector<poly::Piece> pieces;
 };
 
 struct Problem {
@@ -105,10 +105,6 @@ struct GroupSchedule {
   /// All levels in a single permutable band?
   bool fully_permutable() const;
   bool uses_skew() const;
-  /// Any non-innermost parallel level (coarse-grain parallelism)?
-  bool has_outer_parallelism() const;
-  /// Innermost level parallel (SIMD candidate)?
-  bool inner_parallel() const;
 
   /// Levels `from`..`to` (inclusive) sit inside one permutable band and
   /// are plain unit-vector rows — i.e. the dimensions they scan may be

@@ -480,15 +480,6 @@ FunctionModel model_function(const ir::Module& m, const ir::Function& f) {
   return out;
 }
 
-const char* access_class_name(AccessClass c) {
-  switch (c) {
-    case AccessClass::kStaticExact: return "static-exact";
-    case AccessClass::kWeaklyDynamic: return "weakly-dynamic";
-    case AccessClass::kDynamicRequired: return "dynamic-required";
-  }
-  return "?";
-}
-
 std::set<char> analyze_region(const ir::Module& m,
                               const std::vector<int>& funcs) {
   std::set<char> out;

@@ -56,8 +56,6 @@ enum class AccessClass : std::uint8_t {
   kDynamicRequired,
 };
 
-const char* access_class_name(AccessClass c);
-
 /// One statically recovered memory access (kLoad / kStore). The address is
 /// modeled in *IV-value space*: addr = base + sum(coeffs[l] * iv_l) + offset
 /// where iv_l is the runtime VALUE of loop l's canonical induction variable

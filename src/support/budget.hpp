@@ -25,7 +25,11 @@ struct RunBudget {
   u64 vm_steps = 0;                ///< retired instructions per VM replay
   std::size_t shadow_pages = 0;    ///< live shadow-memory pages (32 KiB each)
   std::size_t coord_pool_words = 0;  ///< interned iteration-vector words
-  std::size_t folder_pieces = 0;   ///< per-stream folded pieces (fold cap)
+  /// Fold cap: run-wide total of statement-stream pieces (domain + values
+  /// + addresses), charged in statement-table order at finalize; the
+  /// statement that crosses it and every later one degrade. Dependence
+  /// pieces are not charged.
+  std::size_t folder_pieces = 0;
 
   /// Start the wall clock. Checks before arm() never report exhaustion.
   void arm() {

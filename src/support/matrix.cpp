@@ -78,27 +78,6 @@ std::optional<RatVec> RatMatrix::solve(const RatVec& b) const {
   return x;
 }
 
-std::vector<RatVec> RatMatrix::nullspace() const {
-  std::vector<RatVec> m;
-  m.reserve(rows_);
-  for (std::size_t r = 0; r < rows_; ++r) m.push_back(row(r));
-  std::vector<std::size_t> pivots = echelon(m);
-  std::vector<bool> is_pivot(cols_, false);
-  for (std::size_t p : pivots) is_pivot[p] = true;
-  std::vector<RatVec> basis;
-  for (std::size_t free_c = 0; free_c < cols_; ++free_c) {
-    if (is_pivot[free_c]) continue;
-    RatVec v(cols_, Rat(0));
-    v[free_c] = Rat(1);
-    // Back-substitute: pivot rows are already fully reduced.
-    for (std::size_t i = 0; i < pivots.size(); ++i) {
-      if (i < m.size()) v[pivots[i]] = -m[i][free_c];
-    }
-    basis.push_back(std::move(v));
-  }
-  return basis;
-}
-
 bool RatMatrix::row_space_contains(const RatVec& v) const {
   PP_CHECK(v.size() == cols_, "row_space_contains: size mismatch");
   std::vector<RatVec> m;

@@ -1,6 +1,6 @@
 // Dense exact-rational matrices and the linear-algebra kernels used by the
-// folding stage (affine-function interpolation) and the polyhedral library
-// (nullspaces, linear independence of schedule rows).
+// folding stage (affine-function interpolation, hull membership) and the
+// scheduler (linear independence of schedule rows).
 #pragma once
 
 #include <initializer_list>
@@ -43,10 +43,6 @@ class RatMatrix {
   /// system is under-determined an arbitrary solution (free vars = 0) is
   /// returned.
   std::optional<RatVec> solve(const RatVec& b) const;
-
-  /// Basis of the (right) nullspace {x : A·x = 0}; empty when A has full
-  /// column rank.
-  std::vector<RatVec> nullspace() const;
 
   /// True if `v` lies in the row space of this matrix (used to force new
   /// schedule rows to be linearly independent of the band built so far).

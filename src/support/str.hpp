@@ -30,12 +30,6 @@ std::string join(const Range& items, const std::string& sep) {
   });
 }
 
-/// Left-pad/truncate `s` to width `w` (for fixed-width table output).
-inline std::string pad(const std::string& s, std::size_t w) {
-  if (s.size() >= w) return s;
-  return s + std::string(w - s.size(), ' ');
-}
-
 /// Render a fraction as a percentage string like "85%".
 std::string percent(double num, double den);
 

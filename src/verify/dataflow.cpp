@@ -83,55 +83,6 @@ BlockGraph::BlockGraph(const ir::Function& f) {
     rpo_index[static_cast<std::size_t>(rpo[i])] = static_cast<int>(i);
 }
 
-DomTree::DomTree(const BlockGraph& g) : rpo_index_(g.rpo_index) {
-  // Cooper-Harvey-Kennedy: iterate idom over RPO until fixpoint.
-  std::size_t n = g.num_blocks();
-  idom_.assign(n, -1);
-  if (g.rpo.empty()) return;
-  int entry = g.rpo[0];
-  auto intersect = [&](int a, int b) {
-    while (a != b) {
-      while (rpo_index_[static_cast<std::size_t>(a)] >
-             rpo_index_[static_cast<std::size_t>(b)])
-        a = idom_[static_cast<std::size_t>(a)];
-      while (rpo_index_[static_cast<std::size_t>(b)] >
-             rpo_index_[static_cast<std::size_t>(a)])
-        b = idom_[static_cast<std::size_t>(b)];
-    }
-    return a;
-  };
-  idom_[static_cast<std::size_t>(entry)] = entry;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (std::size_t i = 1; i < g.rpo.size(); ++i) {
-      int b = g.rpo[i];
-      int new_idom = -1;
-      for (int p : g.preds[static_cast<std::size_t>(b)]) {
-        if (idom_[static_cast<std::size_t>(p)] < 0) continue;  // unprocessed
-        new_idom = new_idom < 0 ? p : intersect(p, new_idom);
-      }
-      if (new_idom >= 0 && idom_[static_cast<std::size_t>(b)] != new_idom) {
-        idom_[static_cast<std::size_t>(b)] = new_idom;
-        changed = true;
-      }
-    }
-  }
-  // Convention: the entry has no immediate dominator.
-  idom_[static_cast<std::size_t>(entry)] = -1;
-}
-
-bool DomTree::dominates(int a, int b) const {
-  if (a == b) return true;
-  if (b < 0 || static_cast<std::size_t>(b) >= idom_.size()) return false;
-  int x = idom_[static_cast<std::size_t>(b)];
-  while (x >= 0) {
-    if (x == a) return true;
-    x = idom_[static_cast<std::size_t>(x)];
-  }
-  return false;
-}
-
 DataflowResult solve_dataflow(const BlockGraph& g, const DataflowProblem& p) {
   std::size_t n = g.num_blocks();
   DataflowResult r;
@@ -140,66 +91,32 @@ DataflowResult solve_dataflow(const BlockGraph& g, const DataflowProblem& p) {
   r.in.assign(n, BitVec(p.bits, p.intersect));
   r.out.assign(n, BitVec(p.bits, p.intersect));
 
-  std::vector<int> order = g.rpo;
-  if (!p.forward) std::reverse(order.begin(), order.end());
-
   bool changed = true;
   while (changed) {
     changed = false;
-    for (int b : order) {
+    for (int b : g.rpo) {
       auto bi = static_cast<std::size_t>(b);
-      if (p.forward) {
-        // The entry starts from the boundary value and still meets any
-        // predecessors (the entry block may be a branch target).
-        bool entry = g.rpo_index[bi] == 0;
-        BitVec in = entry ? p.boundary : BitVec(p.bits, p.intersect);
-        for (int q : g.preds[bi]) {
-          if (p.intersect)
-            in.intersect_with(r.out[static_cast<std::size_t>(q)]);
-          else
-            in.union_with(r.out[static_cast<std::size_t>(q)]);
-        }
-        BitVec out = in;
-        out.transfer(p.gen[bi], p.kill[bi]);
-        if (!(in == r.in[bi]) || !(out == r.out[bi])) {
-          r.in[bi] = std::move(in);
-          r.out[bi] = std::move(out);
-          changed = true;
-        }
-      } else {
-        BitVec out(p.bits, p.intersect);
-        const auto& succs = g.succs[bi];
-        if (succs.empty()) {
-          out = p.boundary;
-        } else {
-          for (int q : succs) {
-            if (p.intersect)
-              out.intersect_with(r.in[static_cast<std::size_t>(q)]);
-            else
-              out.union_with(r.in[static_cast<std::size_t>(q)]);
-          }
-        }
-        BitVec in = out;
-        in.transfer(p.gen[bi], p.kill[bi]);
-        if (!(in == r.in[bi]) || !(out == r.out[bi])) {
-          r.in[bi] = std::move(in);
-          r.out[bi] = std::move(out);
-          changed = true;
-        }
+      // The entry starts from the boundary value and still meets any
+      // predecessors (the entry block may be a branch target).
+      bool entry = g.rpo_index[bi] == 0;
+      BitVec in = entry ? p.boundary : BitVec(p.bits, p.intersect);
+      for (int q : g.preds[bi]) {
+        if (p.intersect)
+          in.intersect_with(r.out[static_cast<std::size_t>(q)]);
+        else
+          in.union_with(r.out[static_cast<std::size_t>(q)]);
+      }
+      BitVec out = in;
+      out.transfer(p.gen[bi], p.kill[bi]);
+      if (!(in == r.in[bi]) || !(out == r.out[bi])) {
+        r.in[bi] = std::move(in);
+        r.out[bi] = std::move(out);
+        changed = true;
       }
     }
   }
   return r;
 }
-
-namespace {
-
-// Shared gen/kill assembly for the register problems.
-std::size_t reg_bits(const ir::Function& f) {
-  return static_cast<std::size_t>(std::max(f.num_regs, f.num_args));
-}
-
-}  // namespace
 
 ReachingDefs::ReachingDefs(const ir::Function& f, const BlockGraph& g)
     : func_(f) {
@@ -216,7 +133,6 @@ ReachingDefs::ReachingDefs(const ir::Function& f, const BlockGraph& g)
 
   std::size_t n = g.num_blocks();
   DataflowProblem p;
-  p.forward = true;
   p.intersect = false;
   p.bits = defs_.size();
   p.gen.assign(n, BitVec(p.bits));
@@ -270,48 +186,12 @@ bool ReachingDefs::def_reaches(int def_block, int def_instr, int use_block,
   return reaches(it->second, use_block, use_instr);
 }
 
-Liveness::Liveness(const ir::Function& f, const BlockGraph& g) {
-  std::size_t n = g.num_blocks();
-  DataflowProblem p;
-  p.forward = false;
-  p.intersect = false;
-  p.bits = reg_bits(f);
-  p.gen.assign(n, BitVec(p.bits));   // upward-exposed uses
-  p.kill.assign(n, BitVec(p.bits));  // defs
-  p.boundary = BitVec(p.bits);
-  for (const auto& bb : f.blocks) {
-    auto bi = static_cast<std::size_t>(bb.id);
-    BitVec defined(p.bits);
-    for (const auto& in : bb.instrs) {
-      for (Reg r : ir::read_regs(in))
-        if (r >= 0 && !defined.test(static_cast<std::size_t>(r)))
-          p.gen[bi].set(static_cast<std::size_t>(r));
-      if (ir::writes_reg(in)) {
-        defined.set(static_cast<std::size_t>(in.dst));
-        p.kill[bi].set(static_cast<std::size_t>(in.dst));
-      }
-    }
-  }
-  sol_ = solve_dataflow(g, p);
-}
-
-bool Liveness::live_in(int block, Reg r) const {
-  return r >= 0 && sol_.in[static_cast<std::size_t>(block)].test(
-                       static_cast<std::size_t>(r));
-}
-
-bool Liveness::live_out(int block, Reg r) const {
-  return r >= 0 && sol_.out[static_cast<std::size_t>(block)].test(
-                       static_cast<std::size_t>(r));
-}
-
 MustDefined::MustDefined(const ir::Function& f, const BlockGraph& g)
     : func_(f), graph_(g) {
   std::size_t n = g.num_blocks();
   DataflowProblem p;
-  p.forward = true;
   p.intersect = true;
-  p.bits = reg_bits(f);
+  p.bits = static_cast<std::size_t>(std::max(f.num_regs, f.num_args));
   p.gen.assign(n, BitVec(p.bits));
   p.kill.assign(n, BitVec(p.bits));  // nothing un-defines a register
   p.boundary = BitVec(p.bits);

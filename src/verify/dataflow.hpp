@@ -1,10 +1,8 @@
 // The analysis framework under pp::verify: a reverse-postorder block graph
-// over the *static* CFG of a function, an immediate-dominator tree
-// (Cooper-Harvey-Kennedy), and a small generic bit-vector dataflow engine
-// with the three canned instances the verifier and the soundness oracle
-// need — reaching definitions (may/forward), liveness (may/backward) and
-// must-defined registers (must/forward, the dominance-based def-before-use
-// check).
+// over the *static* CFG of a function and a small forward bit-vector
+// dataflow engine with the two instances the verifier and the soundness
+// oracle need — reaching definitions (may) and must-defined registers
+// (must, the dominance-based def-before-use check).
 //
 // Everything here assumes the function already obeys the structural rules
 // (ir/wellformed.hpp: non-empty blocks, single trailing terminator, branch
@@ -68,30 +66,13 @@ struct BlockGraph {
   std::size_t num_blocks() const { return succs.size(); }
 };
 
-/// Immediate-dominator tree over the reachable blocks.
-class DomTree {
- public:
-  explicit DomTree(const BlockGraph& g);
-
-  /// Immediate dominator of `b`; -1 for the entry and unreachable blocks.
-  int idom(int b) const { return idom_[static_cast<std::size_t>(b)]; }
-  /// Reflexive dominance: does `a` dominate `b`? Unreachable blocks are
-  /// dominated by nothing and dominate nothing (except themselves).
-  bool dominates(int a, int b) const;
-
- private:
-  std::vector<int> idom_;
-  std::vector<int> rpo_index_;
-};
-
-/// A generic iterative bit-vector dataflow problem over a BlockGraph.
+/// A forward iterative bit-vector dataflow problem over a BlockGraph.
 struct DataflowProblem {
-  bool forward = true;
   bool intersect = false;  ///< meet: false = union (may), true = must
   std::size_t bits = 0;
   std::vector<BitVec> gen;   ///< per block id
   std::vector<BitVec> kill;  ///< per block id
-  BitVec boundary;           ///< IN[entry] (forward) / OUT[exit] (backward)
+  BitVec boundary;           ///< IN[entry]
 };
 
 struct DataflowResult {
@@ -99,7 +80,7 @@ struct DataflowResult {
   std::vector<BitVec> out;  ///< value after the block's terminator
 };
 
-/// Round-robin iteration over (reverse) postorder to a fixpoint.
+/// Round-robin iteration over reverse postorder to a fixpoint.
 DataflowResult solve_dataflow(const BlockGraph& g, const DataflowProblem& p);
 
 /// One definition site. `instr == -1` marks the entry pseudo-definition of
@@ -128,17 +109,6 @@ class ReachingDefs {
   const ir::Function& func_;
   std::vector<DefSite> defs_;
   std::map<std::pair<int, int>, std::size_t> by_site_;
-  DataflowResult sol_;
-};
-
-/// Liveness (may, backward) over registers.
-class Liveness {
- public:
-  Liveness(const ir::Function& f, const BlockGraph& g);
-  bool live_in(int block, ir::Reg r) const;
-  bool live_out(int block, ir::Reg r) const;
-
- private:
   DataflowResult sol_;
 };
 

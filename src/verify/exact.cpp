@@ -7,15 +7,6 @@
 
 namespace pp::verify::exact {
 
-const char* pair_verdict_name(PairVerdict v) {
-  switch (v) {
-    case PairVerdict::kIndependent: return "independent";
-    case PairVerdict::kDependent: return "dependent";
-    case PairVerdict::kUnknown: return "unknown";
-  }
-  return "?";
-}
-
 namespace {
 
 using statican::AccessInfo;

@@ -49,8 +49,6 @@ enum class PairVerdict : std::uint8_t {
   kUnknown,
 };
 
-const char* pair_verdict_name(PairVerdict v);
-
 /// Exact dependence information for one function. Construction is cheap
 /// (one statican model); pair verdicts are Omega tests, memoized per pair.
 class ExactDeps {

@@ -1,7 +1,5 @@
 #include "verify/mutator.hpp"
 
-#include "verify/dataflow.hpp"
-
 namespace pp::verify {
 
 using ir::Function;

@@ -61,7 +61,6 @@ class ChaosObserver : public Observer {
   void on_instr(const InstrEvent& ev) override;
 
   bool injected() const { return injected_; }
-  u64 trigger_event() const { return trigger_; }
 
  private:
   /// Advance the event counter; returns true when the fault fires now.

@@ -278,7 +278,7 @@ TEST(FoldedDdg, InterproceduralTwoDimensionalDomain) {
 
 TEST(FoldedDdg, MustRelationKeepsOnlyExactPieces) {
   // Affine program: every dependence piece is exact, so the must-relation
-  // equals the full relation and coverage is 1.
+  // equals the full relation and covers every observed instance.
   Module m = two_loop_module(12);
   Pipeline p;
   run(m, p);
@@ -286,13 +286,14 @@ TEST(FoldedDdg, MustRelationKeepsOnlyExactPieces) {
   for (const auto& d : p.prog.deps) {
     if (!d.relation.all_exact()) continue;
     EXPECT_EQ(d.must_relation().pieces().size(), d.relation.pieces().size());
-    EXPECT_DOUBLE_EQ(d.must_coverage(), 1.0);
+    EXPECT_EQ(d.must_relation().total_observed(), d.relation.total_observed());
   }
 }
 
 TEST(FoldedDdg, MustCoverageDropsForScrambledDeps) {
   // A permutation scatter/gather in one loop: the dependence collapses to
-  // an over-approximate piece; its must-relation is empty and coverage 0.
+  // an over-approximate piece, so its must-relation covers fewer observed
+  // instances than the full relation.
   const i64 n = 160;
   Module m;
   std::vector<i64> perm(static_cast<std::size_t>(n));
@@ -330,7 +331,7 @@ TEST(FoldedDdg, MustCoverageDropsForScrambledDeps) {
     const auto& dst = p.prog.stmt(d.dst).meta;
     if (src.op != Op::kStore || dst.op != Op::kLoad) continue;
     found = true;
-    EXPECT_LT(d.must_coverage(), 1.0);
+    EXPECT_LT(d.must_relation().total_observed(), d.relation.total_observed());
     EXPECT_LT(d.must_relation().pieces().size(), d.relation.pieces().size());
   }
   EXPECT_TRUE(found);

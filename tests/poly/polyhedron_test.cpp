@@ -5,6 +5,7 @@
 #include <random>
 
 #include "core/pipeline.hpp"
+#include "poly/omega.hpp"
 #include "poly/poly_set.hpp"
 #include "poly/simplex.hpp"
 #include "workloads/workloads.hpp"
@@ -121,7 +122,7 @@ TEST(Polyhedron, ModuloLikeEqualityEmptyRange) {
   EXPECT_EQ(p.count_points().value(), 0u);
 }
 
-TEST(Polyhedron, IntersectAndRedundant) {
+TEST(Polyhedron, Intersect) {
   Polyhedron a = Polyhedron::box({{0, 10}});
   Polyhedron b = Polyhedron::box({{5, 20}});
   Polyhedron c = a.intersect(b);
@@ -129,19 +130,29 @@ TEST(Polyhedron, IntersectAndRedundant) {
   ASSERT_TRUE(bounds.has_value());
   EXPECT_EQ(bounds->first, 5);
   EXPECT_EQ(bounds->second, 10);
-  c.remove_redundant();
-  EXPECT_EQ(c.num_constraints(), 2u);  // only x >= 5 and x <= 10 survive
+}
+
+/// Is `v` in the integer projection of `p` onto variable `keep`? Pins the
+/// variable and lets the Omega test eliminate the others.
+bool in_projection(const Polyhedron& p, std::size_t keep, i64 v) {
+  Polyhedron pinned = p;
+  AffineExpr e = AffineExpr::var(p.dim(), keep);
+  e.const_term() = -v;
+  pinned.add_eq0(e);
+  Feas f = integer_feasible(pinned);
+  EXPECT_NE(f, Feas::kUnknown);
+  return f == Feas::kFeasible;
 }
 
 TEST(Polyhedron, ProjectOutTriangle) {
   // Projecting j out of the triangle {0<=j<=i<=5} gives {0<=i<=5}.
   Polyhedron t = triangle(5);
-  Polyhedron p = t.project_out(1);
-  EXPECT_EQ(p.dim(), 1u);
-  auto b = p.var_bounds(0);
+  auto b = t.var_bounds(0);
   ASSERT_TRUE(b.has_value());
   EXPECT_EQ(b->first, 0);
   EXPECT_EQ(b->second, 5);
+  for (i64 i = -2; i <= 7; ++i)
+    EXPECT_EQ(in_projection(t, 0, i), i >= 0 && i <= 5) << i;
 }
 
 TEST(Polyhedron, ProjectOutWithEqualities) {
@@ -149,11 +160,14 @@ TEST(Polyhedron, ProjectOutWithEqualities) {
   Polyhedron p(2);
   p.add_eq0(AffineExpr({1, -2}, 0));
   p.bound_var(0, 0, 8);
-  Polyhedron q = p.project_out(0);
-  auto b = q.var_bounds(0);
+  auto b = p.var_bounds(1);
   ASSERT_TRUE(b.has_value());
   EXPECT_EQ(b->first, 0);
   EXPECT_EQ(b->second, 4);
+  for (i64 y = -2; y <= 6; ++y)
+    EXPECT_EQ(in_projection(p, 1, y), y >= 0 && y <= 4) << y;
+  // Onto x, only the even values survive the integer projection.
+  for (i64 x = 0; x <= 8; ++x) EXPECT_EQ(in_projection(p, 0, x), x % 2 == 0);
 }
 
 TEST(Polyhedron, StrRendering) {
@@ -164,18 +178,21 @@ TEST(Polyhedron, StrRendering) {
   EXPECT_NE(s.find("i - j >= 0"), std::string::npos);
 }
 
+// The lexicographic minimum of a polyhedron is the first point of its
+// lexicographic enumeration.
 TEST(Polyhedron, LexminBox) {
   Polyhedron b = Polyhedron::box({{2, 5}, {-3, 4}});
-  auto lm = b.lexmin();
-  ASSERT_TRUE(lm.has_value());
-  EXPECT_EQ(*lm, (std::vector<i64>{2, -3}));
+  auto pts = b.enumerate();
+  ASSERT_TRUE(pts && !pts->empty());
+  EXPECT_EQ(pts->front(), (std::vector<i64>{2, -3}));
+  EXPECT_EQ(pts->back(), (std::vector<i64>{5, 4}));
 }
 
 TEST(Polyhedron, LexminTriangle) {
   Polyhedron t = triangle(5);
-  auto lm = t.lexmin();
-  ASSERT_TRUE(lm.has_value());
-  EXPECT_EQ(*lm, (std::vector<i64>{0, 0}));
+  auto pts = t.enumerate();
+  ASSERT_TRUE(pts && !pts->empty());
+  EXPECT_EQ(pts->front(), (std::vector<i64>{0, 0}));
 }
 
 TEST(Polyhedron, LexminSkipsNonIntegralRationalMin) {
@@ -183,28 +200,44 @@ TEST(Polyhedron, LexminSkipsNonIntegralRationalMin) {
   Polyhedron p(1);
   p.add_ge0(AffineExpr({2}, -1));
   p.add_ge0(AffineExpr({-2}, 7));
-  auto lm = p.lexmin();
-  ASSERT_TRUE(lm.has_value());
-  EXPECT_EQ(*lm, (std::vector<i64>{1}));
+  EXPECT_EQ(p.minimize(AffineExpr::var(1, 0)).value, Rat(1, 2));
+  auto pts = p.enumerate();
+  ASSERT_TRUE(pts.has_value());
+  EXPECT_EQ(*pts, (std::vector<std::vector<i64>>{{1}, {2}, {3}}));
+  auto b = p.var_bounds(0);
+  ASSERT_TRUE(b.has_value());
+  EXPECT_EQ(b->first, 1);
+  EXPECT_EQ(b->second, 3);
 }
 
 TEST(Polyhedron, LexminEmptyAndUnbounded) {
   Polyhedron empty(1);
   empty.bound_var(0, 3, 1);
-  EXPECT_FALSE(empty.lexmin().has_value());
+  auto none = empty.enumerate();
+  ASSERT_TRUE(none.has_value());
+  EXPECT_TRUE(none->empty());
   Polyhedron unbounded(1);
   unbounded.add_ge0(-AffineExpr::var(1, 0));  // x <= 0, unbounded below
-  EXPECT_FALSE(unbounded.lexmin().has_value());
+  EXPECT_FALSE(unbounded.enumerate().has_value());
+  EXPECT_FALSE(unbounded.var_bounds(0).has_value());
 }
 
 TEST(Polyhedron, LexminIsFirstEnumerated) {
-  // lexmin must agree with the first point of lexicographic enumeration.
+  // Enumeration is strictly increasing in lexicographic order, so its
+  // first point is the brute-force lexmin over the enclosing box.
   Polyhedron p = Polyhedron::box({{0, 3}, {0, 3}});
   p.add_ge0(AffineExpr({1, 1}, -3));  // x + y >= 3
-  auto lm = p.lexmin();
   auto pts = p.enumerate();
-  ASSERT_TRUE(lm && pts && !pts->empty());
+  ASSERT_TRUE(pts && !pts->empty());
+  for (std::size_t k = 1; k < pts->size(); ++k)
+    EXPECT_LT((*pts)[k - 1], (*pts)[k]);
+  std::optional<std::vector<i64>> lm;
+  for (i64 x = 0; x <= 3 && !lm; ++x)
+    for (i64 y = 0; y <= 3 && !lm; ++y)
+      if (x + y >= 3) lm = std::vector<i64>{x, y};
+  ASSERT_TRUE(lm.has_value());
   EXPECT_EQ(*lm, pts->front());
+  EXPECT_EQ(pts->front(), (std::vector<i64>{0, 3}));
 }
 
 TEST(PolySet, PiecesAndContainment) {

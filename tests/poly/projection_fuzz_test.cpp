@@ -1,9 +1,11 @@
-// Property fuzzing of Fourier–Motzkin projection and the LP bound queries
-// against brute-force lattice enumeration.
+// Property fuzzing of integer projection (the Omega test's Fourier–Motzkin
+// elimination) and the LP bound queries against brute-force lattice
+// enumeration.
 #include <gtest/gtest.h>
 
 #include <set>
 
+#include "poly/omega.hpp"
 #include "poly/polyhedron.hpp"
 
 namespace pp::poly {
@@ -40,22 +42,29 @@ TEST_P(ProjectionFuzz, FourierMotzkinContainsTrueProjection) {
   ASSERT_TRUE(pts.has_value());
 
   for (std::size_t drop : {std::size_t{0}, std::size_t{1}}) {
-    Polyhedron proj = p.project_out(drop);
+    const std::size_t keep = drop == 0 ? 1 : 0;
     std::set<i64> truth;
-    for (const auto& pt : *pts) truth.insert(pt[drop == 0 ? 1 : 0]);
-    // FM projection is exact on rationals: every integer point of the true
-    // projection must be inside, and (for these full-dimensional cases)
-    // points far outside must not be.
-    for (i64 v : truth) {
-      std::vector<i64> q = {v};
-      EXPECT_TRUE(proj.contains(q))
-          << "lost projected point " << v << " of " << p.str();
+    for (const auto& pt : *pts) truth.insert(pt[keep]);
+    // Pinning the kept variable to v and asking for an integer point makes
+    // the Omega test eliminate the dropped one: the verdict must be exactly
+    // "v is in the integer projection", for every v of the box and 20
+    // beyond it on each side.
+    for (i64 v = -25; v <= 26; ++v) {
+      Polyhedron pinned = p;
+      std::vector<i64> coef(2, 0);
+      coef[keep] = 1;
+      pinned.add_eq0(AffineExpr(coef, -v));
+      Feas f = integer_feasible(pinned);
+      ASSERT_NE(f, Feas::kUnknown) << p.str();
+      EXPECT_EQ(f == Feas::kFeasible, truth.count(v) == 1)
+          << "projection onto x" << keep << " at " << v << " of " << p.str();
     }
+    // The rational shadow (var_bounds) contains the integer projection.
     if (!truth.empty()) {
-      std::vector<i64> below = {*truth.begin() - 20};
-      std::vector<i64> above = {*truth.rbegin() + 20};
-      EXPECT_FALSE(proj.contains(below));
-      EXPECT_FALSE(proj.contains(above));
+      auto vb = p.var_bounds(keep);
+      ASSERT_TRUE(vb.has_value());
+      EXPECT_LE(vb->first, *truth.begin());
+      EXPECT_GE(vb->second, *truth.rbegin());
     }
   }
 }

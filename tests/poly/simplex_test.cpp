@@ -62,12 +62,13 @@ TEST(Simplex, RationalOptimum) {
   EXPECT_EQ(r.objective, Rat(1, 2));
 }
 
-TEST(Simplex, MaximizeWrapper) {
-  // max x s.t. x <= 7 (written -x >= -7) -> 7.
+TEST(Simplex, MaximizeViaNegatedObjective) {
+  // max x s.t. x <= 7 (written -x >= -7) is -min(-x) -> 7.
   std::vector<LpConstraint> cs = {{{Rat(-1)}, Rat(-7), false}};
-  LpResult r = lp_maximize(1, cs, {Rat(1)});
+  LpResult r = lp_minimize(1, cs, {Rat(-1)});
   ASSERT_EQ(r.status, LpStatus::kOptimal);
-  EXPECT_EQ(r.objective, Rat(7));
+  EXPECT_EQ(-r.objective, Rat(7));
+  EXPECT_EQ(r.point[0], Rat(7));
 }
 
 TEST(Simplex, TriangularDomainMinOfDifference) {
@@ -80,9 +81,9 @@ TEST(Simplex, TriangularDomainMinOfDifference) {
   LpResult lo = lp_minimize(2, cs, {Rat(1), Rat(-1)});
   ASSERT_EQ(lo.status, LpStatus::kOptimal);
   EXPECT_EQ(lo.objective, Rat(0));
-  LpResult hi = lp_maximize(2, cs, {Rat(1), Rat(-1)});
+  LpResult hi = lp_minimize(2, cs, {Rat(-1), Rat(1)});  // max = -min(-obj)
   ASSERT_EQ(hi.status, LpStatus::kOptimal);
-  EXPECT_EQ(hi.objective, Rat(10));
+  EXPECT_EQ(-hi.objective, Rat(10));
 }
 
 TEST(Simplex, DegenerateRedundantRows) {

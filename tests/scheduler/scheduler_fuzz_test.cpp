@@ -51,7 +51,7 @@ Problem random_problem(Rng& rng) {
                                     AffineExpr::var(2, 1) - dj};
     SchedDep d;
     d.src = d.dst = 0;
-    d.pieces.push_back({std::move(dom), AffineMap(2, std::move(outs)), true});
+    d.pieces.push_back({std::move(dom), AffineMap(2, std::move(outs))});
     p.deps.push_back(std::move(d));
   }
   return p;
@@ -62,7 +62,7 @@ i128 distance_at(const std::vector<i64>& row, const SchedDep& d,
                  std::span<const i64> t) {
   const auto& piece = d.pieces[0];
   i128 dst = 0, src = 0;
-  auto srcv = piece.src_fn.eval(t);
+  auto srcv = piece.label_fn.eval(t);
   for (std::size_t i = 0; i < row.size(); ++i) {
     dst += static_cast<i128>(row[i]) * t[i];
     src += static_cast<i128>(row[i]) * srcv[i];
@@ -84,7 +84,7 @@ TEST_P(SchedulerFuzz, VerdictsHoldPointwise) {
   // strictly carried, every row's distance must be >= 0 at every point,
   // and rows marked parallel must see distance exactly 0.
   for (const auto& d : p.deps) {
-    auto pts = d.pieces[0].dst_domain.enumerate();
+    auto pts = d.pieces[0].domain.enumerate();
     ASSERT_TRUE(pts.has_value());
     bool carried = false;
     for (const auto& lv : g.levels) {

