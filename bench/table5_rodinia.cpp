@@ -28,9 +28,6 @@ std::string run_benchmark_row(const std::string& name);
 // paper's per-core accounting ("total CPU time summing for all cores").
 void print_table5_rows() {
   std::size_t workers = std::max(2u, std::thread::hardware_concurrency());
-  std::vector<std::future<std::string>> rows;
-  rows.reserve(workloads::rodinia_names().size());
-  std::size_t launched = 0;
   const auto& names = workloads::rodinia_names();
   // Simple bounded fan-out: launch up to `workers` at a time.
   std::vector<std::string> results(names.size());
@@ -42,9 +39,7 @@ void print_table5_rows() {
                                  names[i]));
     for (std::size_t i = begin; i < end; ++i)
       results[i] = batch[i - begin].get();
-    launched = end;
   }
-  (void)launched;
   for (const auto& r : results) std::fputs(r.c_str(), stdout);
 }
 

@@ -36,7 +36,7 @@
 //     perfect.
 //   * streamcluster's wall time is feedback-dominated, so its ddg ratio
 //     is real (~1.25x) but noisy.
-// scripts/check.sh runs --json in every flavor (default / ASan / TSan);
+// scripts/check.sh runs --json in both flavors (default / ASan);
 // the sanitizer builds skip the speedup gate (instrumented timing is
 // meaningless) but still enforce the byte-identity and compression-ratio
 // contracts.

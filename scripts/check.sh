@@ -1,10 +1,9 @@
 #!/usr/bin/env bash
 # Repo-wide check gate: format check, the serial-run and layering guards,
-# clang-tidy over the static-analysis subsystems, and the test suite in ALL
-# build flavors (default, POLYPROF_SANITIZE, and — when the toolchain supports
-# -fsanitize=thread — POLYPROF_TSAN, which races the service executors,
-# the deadline watchdog and the shared obs::Session under
-# ThreadSanitizer).
+# clang-tidy over the static-analysis subsystems, and the test suite in
+# both build flavors (default and POLYPROF_SANITIZE), each followed by the
+# compaction and transform-replay gates; the default flavor also runs the
+# obs overhead and fold regression gates.
 #
 # clang-format / clang-tidy are optional: when a tool is missing the step
 # is reported as SKIPPED instead of failing, so the script stays usable in
@@ -37,13 +36,19 @@ else
 fi
 
 # ---- 1b. serial-run guard ------------------------------------------------
-# A profiling run is serial; concurrency lives only at the job grain, in
-# pp::service's executors (DESIGN.md "Concurrency: jobs, not stages").
-# Thread creation and blocking hand-off primitives anywhere else under
-# src/ would bring intra-run parallelism back.
-note "serial-run guard: no threads under src/ outside src/service/"
-if THREAD_HITS="$(grep -rnE 'std::thread|std::async|<future>|<condition_variable>' \
-      src --include='*.cpp' --include='*.hpp' | grep -v '^src/service/')"; then
+# A profiling run is serial and independent runs share nothing (DESIGN.md
+# "Concurrency: a run is serial"). No code under src/ may start a thread or
+# block on a hand-off, and nothing under src/ may hold state for several
+# threads (a lock, an atomic, a thread_local) except the one object a
+# caller shares with a run: the CancelToken in src/support/cancel.hpp.
+note "serial-run guard: no threads, locks, atomics or thread_local under src/ (atomics only in src/support/cancel.hpp)"
+THREAD_HITS="$(
+  grep -rnE 'std::thread|std::jthread|std::async|<thread>|<future>|<condition_variable>' \
+    src --include='*.cpp' --include='*.hpp'
+  grep -rnE 'thread_local|std::mutex|std::shared_mutex|std::atomic|<mutex>|<shared_mutex>|<atomic>' \
+    src --include='*.cpp' --include='*.hpp' | grep -v '^src/support/cancel\.hpp:'
+)"
+if [[ -n "$THREAD_HITS" ]]; then
   printf '%s\n' "$THREAD_HITS"
   note "serial-run guard: FAILED"
   FAIL=1
@@ -106,32 +111,7 @@ if [[ $RUN_TESTS -eq 1 ]]; then
       note "$label tests: OK"
     fi
   }
-  # ---- 3a'. service soak gate (run per flavor, below) --------------------
-  # bench/service_soak pushes 76 concurrent jobs (all 19 workloads, mixed
-  # plain / chaos-truncate / chaos-cancel / shed / deadline / client-cancel)
-  # through one pp::service::Server with the default ServerOptions apart
-  # from executors and queue_capacity, and exits nonzero on any hang (hard
-  # alarm), clean or chaos-truncated report that is not byte-identical to
-  # its direct run, or undelivered partial. Run in every flavor: the
-  # ASan/TSan builds turn latent lifetime/race bugs in the job machinery
-  # into hard failures.
-  soak_gate() {
-    local dir="$1"; shift
-    local label="$1"; shift
-    if [[ -x "$dir/bench/service_soak" ]]; then
-      note "service soak gate ($label): bench/service_soak --json"
-      if ! "$dir/bench/service_soak" --json; then
-        note "service soak gate ($label): FAILED"
-        FAIL=1
-      else
-        note "service soak gate ($label): OK"
-      fi
-    else
-      note "service soak gate ($label): SKIPPED ($dir/bench/service_soak not built)"
-    fi
-  }
-
-  # ---- 3a''. trace compaction gate (run per flavor, below) ---------------
+  # ---- 3a. trace compaction gate (run per flavor, below) -----------------
   # bench/trace_compaction checks the PR-9 payoff contract: the Ball-Larus
   # path cache must compress the bulk of the instruction stream on the
   # structurally compressible workloads, beat the uncompacted ddg stage by
@@ -155,7 +135,7 @@ if [[ $RUN_TESTS -eq 1 ]]; then
     fi
   }
 
-  # ---- 3a'''. transform replay gate (run per flavor, below) --------------
+  # ---- 3a'. transform replay gate (run per flavor, below) ----------------
   # bench/transform_replay closes the loop on the profiler's feedback: it
   # applies every justified schedule on all 19 mini-Rodinia workloads and
   # exits nonzero if any applied schedule breaks the byte-identity
@@ -179,7 +159,6 @@ if [[ $RUN_TESTS -eq 1 ]]; then
   }
 
   flavor build default
-  soak_gate build default
   compaction_gate build default
   replay_gate build default
 
@@ -218,23 +197,8 @@ if [[ $RUN_TESTS -eq 1 ]]; then
     note "fold regression gate: SKIPPED (build/bench/fold_only not built)"
   fi
   flavor build-asan sanitize -DPOLYPROF_SANITIZE=ON
-  soak_gate build-asan sanitize
   compaction_gate build-asan sanitize
   replay_gate build-asan sanitize
-  # TSan flavor, gated on toolchain support: probe a trivial compile+link
-  # with -fsanitize=thread and skip (not fail) when unavailable.
-  TSAN_PROBE_DIR="$(mktemp -d)"
-  if printf 'int main(){return 0;}\n' > "$TSAN_PROBE_DIR/t.cpp" &&
-     ${CXX:-c++} -fsanitize=thread "$TSAN_PROBE_DIR/t.cpp" \
-       -o "$TSAN_PROBE_DIR/t" >/dev/null 2>&1; then
-    TSAN_OPTIONS="halt_on_error=1" flavor build-tsan tsan -DPOLYPROF_TSAN=ON
-    TSAN_OPTIONS="halt_on_error=1" soak_gate build-tsan tsan
-    TSAN_OPTIONS="halt_on_error=1" compaction_gate build-tsan tsan
-    TSAN_OPTIONS="halt_on_error=1" replay_gate build-tsan tsan
-  else
-    note "tsan flavor: SKIPPED (toolchain lacks -fsanitize=thread)"
-  fi
-  rm -rf "$TSAN_PROBE_DIR"
 fi
 
 if [[ $FAIL -ne 0 ]]; then

@@ -46,13 +46,13 @@ ProfileResult Pipeline::run(const PipelineOptions& opts) {
   if (opts.observe) res.obs = std::make_shared<obs::Session>(true);
   obs::Session* ob = res.obs.get();
 
-  // Chaos service faults fire the job's CancelToken at a structural point
+  // Chaos cancel points fire the run's CancelToken at a structural point
   // (a stage boundary; the mid-fold one is armed on the sink below), so
   // cancellation paths are exercised deterministically — the partial
   // report is reproducible, unlike a wall-clock cancel. No-ops without a
   // token.
-  auto chaos_cancel_at = [&](vm::ServiceFault f) {
-    if (opts.chaos.service == f && opts.cancel != nullptr)
+  auto chaos_cancel_at = [&](vm::CancelPoint p) {
+    if (opts.chaos.cancel_at == p && opts.cancel != nullptr)
       opts.cancel->cancel();
   };
   // Stage-boundary checkpoint: a fired (or deadline-expired) token stops
@@ -118,7 +118,7 @@ ProfileResult Pipeline::run(const PipelineOptions& opts) {
 
   // Stage-1 boundary: a pre-cancelled job (or the chaos cancel-at-control
   // fault) profiles nothing — the result is just the diagnosis.
-  chaos_cancel_at(vm::ServiceFault::kCancelAtControl);
+  chaos_cancel_at(vm::CancelPoint::kCancelAtControl);
   if (cancelled_at(support::Stage::kControl, "stage-1")) return res;
 
   // Stage 1 (Instrumentation I): dynamic control structure + CCT. The
@@ -164,7 +164,7 @@ ProfileResult Pipeline::run(const PipelineOptions& opts) {
   // Stage-2 boundary: a cancel observed here (client, deadline, or the
   // chaos cancel-at-ddg fault) keeps the whole stage-1 result — control
   // structure and CCT — and skips the DDG entirely.
-  chaos_cancel_at(vm::ServiceFault::kCancelAtDdg);
+  chaos_cancel_at(vm::CancelPoint::kCancelAtDdg);
   if (cancelled_at(support::Stage::kDdg, "stage-2")) return res;
 
   // Stage 2+3 (Instrumentation II + folding): DDG streamed into folders.
@@ -179,7 +179,7 @@ ProfileResult Pipeline::run(const PipelineOptions& opts) {
   sink.set_cancel(opts.cancel);
   // Deadline-mid-fold chaos: expire the token at a seed-derived fold
   // position — structural, so the degraded suffix is reproducible.
-  if (opts.chaos.service == vm::ServiceFault::kDeadlineMidFold)
+  if (opts.chaos.cancel_at == vm::CancelPoint::kDeadlineMidFold)
     sink.set_chaos_deadline_at(1 + opts.chaos.seed % 4);
   ddg::DdgOptions ddg_opts = opts.ddg;
   // The transformation engine's legality checks (fusion distances, sunk
@@ -272,7 +272,7 @@ ProfileResult Pipeline::run(const PipelineOptions& opts) {
   // token before every statement and edge and degrades the unfolded
   // suffix, so firing the chaos fault (or arriving with a fired token)
   // still yields a complete, well-formed FoldedProgram.
-  chaos_cancel_at(vm::ServiceFault::kCancelAtFold);
+  chaos_cancel_at(vm::CancelPoint::kCancelAtFold);
   try {
     res.program = sink.finalize(res.statements);
     if (budget.pieces_exceeded(budget.pieces_charged())) res.truncated = true;
@@ -321,7 +321,7 @@ ProfileResult Pipeline::run(const PipelineOptions& opts) {
   // full_report/analyze — record the cancel here so they (and the caller)
   // see a flagged, diagnosed result. Also catches a token that fired
   // mid-fold or mid-replay without hitting an earlier checkpoint.
-  chaos_cancel_at(vm::ServiceFault::kCancelAtFeedback);
+  chaos_cancel_at(vm::CancelPoint::kCancelAtFeedback);
   if (opts.cancel != nullptr && opts.cancel->poll() && !res.cancelled) {
     res.truncated = true;
     res.cancelled = true;

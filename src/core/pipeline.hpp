@@ -66,8 +66,8 @@ struct PipelineOptions {
   /// the run at the next checkpoint — stage boundary, VM step cadence,
   /// fold position — and yields a diagnosed partial ProfileResult
   /// with `truncated` and `cancelled` set, exactly like budget
-  /// exhaustion. pp::service plumbs one per job; library callers can pass
-  /// their own for ad-hoc timeouts (CancelToken::set_deadline_in_ms).
+  /// exhaustion. The caller may fire it from another thread, or arm a
+  /// deadline on it (CancelToken::set_deadline_in_ms).
   support::CancelToken* cancel = nullptr;
   /// Close the loop: after folding, run the transformation engine
   /// (pp::transform::run) — plan every schedule the profile justifies,

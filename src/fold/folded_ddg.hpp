@@ -118,7 +118,7 @@ class FoldingSink : public ddg::DdgSink {
   /// keeps its certified folds; the rest become over-approximations,
   /// exactly like budget exhaustion.
   void set_cancel(support::CancelToken* cancel) { cancel_ = cancel; }
-  /// Chaos hook (ServiceFault::kDeadlineMidFold): fire the token as an
+  /// Chaos hook (vm::CancelPoint::kDeadlineMidFold): fire the token as an
   /// expired deadline when finalize() reaches position `pos` (0 disables).
   /// Positions are structural, so the injected deadline always lands on
   /// the same statement.

@@ -13,20 +13,6 @@ namespace pp::obs {
 
 namespace {
 
-std::atomic<u64> g_session_gen{1};
-
-/// Per-thread registration cache: which ThreadBuf this thread owns in
-/// which live session. Keyed by (session pointer, generation) — the
-/// generation disambiguates a new session allocated at a recycled
-/// address, so a stale entry can never match and its dangling pointers
-/// are never dereferenced.
-struct TlsEntry {
-  const void* session = nullptr;
-  u64 gen = 0;
-  void* buf = nullptr;
-};
-thread_local std::vector<TlsEntry> tls_bufs;
-
 std::string json_escape(std::string_view s) {
   std::string out;
   out.reserve(s.size() + 2);
@@ -107,89 +93,42 @@ void Span::end() {
   rec.start_ns = start_ns_ >= s->epoch_ns_ ? start_ns_ - s->epoch_ns_ : 0;
   rec.dur_ns = end_ns >= start_ns_ ? end_ns - start_ns_ : 0;
   rec.cpu_ns = cpu_end >= cpu_start_ns_ ? cpu_end - cpu_start_ns_ : 0;
-  Session::ThreadBuf* buf = s->local_buf();
-  rec.tid = buf->tid;
-  buf->spans.push_back(rec);
+  s->spans_.push_back(rec);
 }
 
 // ------------------------------------------------------------- Session --
 
-Session::Session(bool enabled)
-    : enabled_(enabled),
-      gen_(g_session_gen.fetch_add(1, std::memory_order_relaxed)),
-      epoch_ns_(now_ns()) {}
+Session::Session(bool enabled) : enabled_(enabled), epoch_ns_(now_ns()) {}
 
-Session::~Session() = default;
-
-Session::ThreadBuf* Session::local_buf() {
-  for (const TlsEntry& e : tls_bufs)
-    if (e.session == this && e.gen == gen_)
-      return static_cast<ThreadBuf*>(e.buf);
-  ThreadBuf* buf;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    bufs_.push_back(std::make_unique<ThreadBuf>());
-    buf = bufs_.back().get();
-    buf->tid = static_cast<std::uint32_t>(bufs_.size() - 1);
-  }
-  // Bound the per-thread cache: entries for dead sessions accumulate in
-  // long-lived worker threads (one session per profiled run). Evicting a
-  // live entry is harmless — the thread just re-registers under a fresh
-  // tid on its next span.
-  constexpr std::size_t kMaxTlsEntries = 8;
-  if (tls_bufs.size() >= kMaxTlsEntries)
-    tls_bufs.erase(tls_bufs.begin());
-  tls_bufs.push_back({this, gen_, buf});
-  return buf;
-}
-
-Session::Counter& Session::counter(const char* name, Stability st) {
-  std::lock_guard<std::mutex> lk(mu_);
-  auto& slot = counters_[name];
-  if (slot == nullptr) {
-    slot = std::make_unique<Counter>();
-    slot->stability = st;
-  }
-  return *slot;
+i64& Session::counter(const char* name, Stability st) {
+  // try_emplace keeps an existing counter's tag: the first touch fixes it.
+  return counters_.try_emplace(name, CounterVal{0, st}).first->second.value;
 }
 
 void Session::add(const char* name, i64 delta, Stability st) {
   if (!enabled_) return;
-  counter(name, st).value.fetch_add(delta, std::memory_order_relaxed);
+  counter(name, st) += delta;
 }
 
 void Session::set(const char* name, i64 value, Stability st) {
   if (!enabled_) return;
-  counter(name, st).value.store(value, std::memory_order_relaxed);
+  counter(name, st) = value;
 }
 
 void Session::gauge_max(const char* name, i64 value, Stability st) {
   if (!enabled_) return;
-  auto& c = counter(name, st).value;
-  i64 cur = c.load(std::memory_order_relaxed);
-  while (value > cur &&
-         !c.compare_exchange_weak(cur, value, std::memory_order_relaxed)) {
-  }
+  i64& c = counter(name, st);
+  c = std::max(c, value);
 }
 
 std::map<std::string, Session::CounterVal> Session::counters() const {
-  std::map<std::string, CounterVal> out;
-  std::lock_guard<std::mutex> lk(mu_);
-  for (const auto& [name, c] : counters_)
-    out[name] = {c->value.load(std::memory_order_relaxed), c->stability};
-  return out;
+  return counters_;
 }
 
 std::vector<SpanRec> Session::merged_spans() const {
-  std::vector<SpanRec> out;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    for (const auto& buf : bufs_)
-      out.insert(out.end(), buf->spans.begin(), buf->spans.end());
-  }
+  std::vector<SpanRec> out = spans_;
   std::sort(out.begin(), out.end(), [](const SpanRec& a, const SpanRec& b) {
     if (a.start_ns != b.start_ns) return a.start_ns < b.start_ns;
-    if (a.tid != b.tid) return a.tid < b.tid;
     return std::strcmp(a.name, b.name) < 0;
   });
   return out;
@@ -207,18 +146,12 @@ std::string Session::chrome_trace_json(const std::string& process_name) const {
   os << "{\"traceEvents\":[\n";
   os << "  {\"ph\":\"M\",\"pid\":1,\"name\":\"process_name\",\"args\":{"
      << "\"name\":\"" << json_escape(process_name) << "\"}}";
-  const std::vector<SpanRec> spans = merged_spans();
-  std::uint32_t max_tid = 0;
-  for (const SpanRec& s : spans) max_tid = std::max(max_tid, s.tid);
-  for (std::uint32_t t = 0; t <= max_tid; ++t) {
-    os << ",\n  {\"ph\":\"M\",\"pid\":1,\"tid\":" << t
-       << ",\"name\":\"thread_name\",\"args\":{\"name\":\""
-       << (t == 0 ? "pipeline" : "worker-" + std::to_string(t)) << "\"}}";
-  }
+  os << ",\n  {\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"thread_name\","
+     << "\"args\":{\"name\":\"pipeline\"}}";
   u64 last_ts = 0;
-  for (const SpanRec& s : spans) {
+  for (const SpanRec& s : merged_spans()) {
     // trace_event timestamps are microseconds (double precision accepted).
-    os << ",\n  {\"ph\":\"X\",\"pid\":1,\"tid\":" << s.tid << ",\"name\":\""
+    os << ",\n  {\"ph\":\"X\",\"pid\":1,\"tid\":0,\"name\":\""
        << json_escape(s.name) << "\",\"cat\":\"pp\",\"ts\":"
        << static_cast<double>(s.start_ns) / 1e3
        << ",\"dur\":" << static_cast<double>(s.dur_ns) / 1e3
@@ -235,8 +168,6 @@ std::string Session::chrome_trace_json(const std::string& process_name) const {
   os << "\n]}\n";
   return os.str();
 }
-
-std::string Session::manifest_json() const { return manifest_json(ManifestExtra{}); }
 
 std::string Session::manifest_json(const ManifestExtra& extra) const {
   std::ostringstream os;

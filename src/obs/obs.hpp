@@ -3,9 +3,8 @@
 // go?" at runtime with the same per-stage accounting the paper's Table 5
 // reports offline (trace, IIV, DDG, fold, scheduler).
 //
-//  * Span: RAII wall+CPU timer, nestable, recorded into per-thread
-//    buffers (no lock on the record path after a thread's first span) and
-//    merged deterministically at export time.
+//  * Span: RAII wall+CPU timer, nestable, appended to the session's one
+//    span vector and sorted deterministically at export time.
 //  * Counters: named monotonic counters / final gauges (events consumed,
 //    shadow pages live, CoordPool occupancy, fold pieces, cache hits).
 //    Each counter is tagged with a Stability: kStable values are
@@ -21,13 +20,13 @@
 // point is a branch on a constant bool (verified by bench/obs_overhead);
 // constructing Spans against a null Session* is equally free, so call
 // sites need no #ifdefs.
+//
+// A Session belongs to one run, and a run is serial: the session is not
+// thread-safe, and independent runs use independent sessions.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -53,7 +52,6 @@ enum class Stability : std::uint8_t { kStable, kTiming };
 /// literals at every call site).
 struct SpanRec {
   const char* name = nullptr;
-  std::uint32_t tid = 0;       ///< logical thread id (per-session registration order)
   u64 start_ns = 0;  ///< relative to the session epoch
   u64 dur_ns = 0;
   u64 cpu_ns = 0;    ///< thread CPU time consumed inside the span
@@ -95,14 +93,12 @@ class Span {
   u64 cpu_start_ns_ = 0;
 };
 
-/// Everything observed about one profiling run. Thread-safe: spans record
-/// into per-thread buffers (registered once per thread per session),
-/// counters are atomic. Export members merge the buffers in a
-/// deterministic order (start time, then tid, then name).
+/// Everything observed about one profiling run, recorded by the run's
+/// thread. Export members read the spans in a deterministic order (start
+/// time, then name).
 class Session {
  public:
   explicit Session(bool enabled = true);
-  ~Session();
 
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
@@ -129,8 +125,8 @@ class Session {
   /// Name-sorted snapshot of every counter.
   std::map<std::string, CounterVal> counters() const;
 
-  /// All closed spans, merged across threads, sorted by
-  /// (start_ns, tid, name) — a deterministic order for any interleaving.
+  /// All closed spans, sorted by (start_ns, name) — a deterministic order
+  /// for spans that open on the same clock tick.
   std::vector<SpanRec> merged_spans() const;
 
   /// Top-level pipeline stages: spans named "stage:*", in start order.
@@ -154,7 +150,6 @@ class Session {
   /// Flat run manifest: stage wall/CPU table, counter finals, degradation
   /// state — the machine-readable artifact downstream tooling consumes.
   std::string manifest_json(const ManifestExtra& extra) const;
-  std::string manifest_json() const;
 
   /// The full_report "-- self profile --" body. With `stable`, wall/CPU
   /// times are elided ("-") and only kStable counters are printed, so the
@@ -164,27 +159,14 @@ class Session {
  private:
   friend class Span;
 
-  struct ThreadBuf {
-    std::uint32_t tid = 0;
-    std::vector<SpanRec> spans;
-  };
-  struct Counter {
-    std::atomic<i64> value{0};
-    Stability stability = Stability::kStable;
-  };
-
-  /// The calling thread's buffer for this session (registered on first
-  /// use; subsequent spans from the thread are lock-free).
-  ThreadBuf* local_buf();
-  Counter& counter(const char* name, Stability st);
+  /// The named counter (created on first touch, which fixes its tag).
+  i64& counter(const char* name, Stability st);
 
   bool enabled_;
-  u64 gen_ = 0;       ///< globally unique session generation (TLS keying)
   u64 epoch_ns_ = 0;  ///< steady-clock zero of the session
 
-  mutable std::mutex mu_;
-  std::vector<std::unique_ptr<ThreadBuf>> bufs_;
-  std::map<std::string, std::unique_ptr<Counter>> counters_;
+  std::vector<SpanRec> spans_;
+  std::map<std::string, CounterVal> counters_;
 };
 
 }  // namespace pp::obs

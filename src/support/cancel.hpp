@@ -1,18 +1,17 @@
-// Cooperative cancellation — the robustness substrate for pp::service.
-// A CancelToken is a thread-safe, monotonic "stop now" flag with an
-// optional deadline. The pipeline checks it at stage boundaries, the VM at
-// a fixed step cadence, the fold stage before every statement and edge,
-// and the scheduler/oracle per fused group / region; a fired token
-// degrades the run to a diagnosed partial result (degrade-don't-die), it
-// never aborts. It stays thread-safe because the run's thread is not the
-// only one touching it: clients cancel and the service watchdog expires
-// deadlines from their own threads.
+// Cooperative cancellation of one profiling run. A CancelToken is a
+// thread-safe, monotonic "stop now" flag with an optional deadline. The
+// pipeline checks it at stage boundaries, the VM at a fixed step cadence,
+// the fold stage before every statement and edge, and the scheduler/oracle
+// per fused group / region; a fired token degrades the run to a diagnosed
+// partial result (degrade-don't-die), it never aborts. It is the one
+// object a run shares with other threads: a caller may cancel the run
+// from its own thread while the run polls.
 //
 // The token never un-fires: once cancelled, every observer — on any
 // thread — eventually sees it, and the first reason to fire wins. poll()
-// is the checkpoint primitive (it also evaluates the deadline, so
-// deadlines work without a watchdog); cancelled() is the cheap probe (one
-// acquire load, no clock read) for code between checkpoints.
+// is the checkpoint primitive (it also evaluates the deadline, so no
+// watchdog thread is needed); cancelled() is the cheap probe (one acquire
+// load, no clock read) for code between checkpoints.
 #pragma once
 
 #include <atomic>
@@ -24,8 +23,8 @@ namespace pp::support {
 
 enum class CancelReason : std::uint8_t {
   kNone = 0,
-  kCancel,    ///< explicit client/server cancellation
-  kDeadline,  ///< the job's deadline passed
+  kCancel,    ///< explicit cancellation
+  kDeadline,  ///< the run's deadline passed
 };
 const char* cancel_reason_name(CancelReason r);
 
@@ -42,25 +41,15 @@ class CancelToken {
                                    std::memory_order_release,
                                    std::memory_order_relaxed);
   }
-  /// Fire as an expired deadline (what a watchdog calls).
+  /// Fire as an expired deadline.
   void expire() { cancel(CancelReason::kDeadline); }
 
-  /// Arm a deadline `ms` from now (steady clock). poll() fires the token
-  /// once the deadline passes; a watchdog thread may fire it earlier via
-  /// expire() so jobs wedged between checkpoints still observe it at the
-  /// very next one.
+  /// Arm a deadline `ms` from now (steady clock). The next poll() after
+  /// the deadline passes fires the token as kDeadline.
   void set_deadline_in_ms(u64 ms) {
     auto tp = std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);
     deadline_ns_.store(tp.time_since_epoch().count(),
                        std::memory_order_release);
-  }
-  bool has_deadline() const {
-    return deadline_ns_.load(std::memory_order_acquire) != 0;
-  }
-  std::chrono::steady_clock::time_point deadline() const {
-    return std::chrono::steady_clock::time_point(
-        std::chrono::steady_clock::duration(
-            deadline_ns_.load(std::memory_order_acquire)));
   }
 
   /// Cheap probe: has the token fired? One acquire load; never reads the

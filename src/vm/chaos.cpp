@@ -25,15 +25,14 @@ const char* fault_kind_name(FaultKind k) {
   return "?";
 }
 
-const char* service_fault_name(ServiceFault f) {
-  switch (f) {
-    case ServiceFault::kNone: return "none";
-    case ServiceFault::kCancelAtControl: return "cancel-at-control";
-    case ServiceFault::kCancelAtDdg: return "cancel-at-ddg";
-    case ServiceFault::kCancelAtFold: return "cancel-at-fold";
-    case ServiceFault::kCancelAtFeedback: return "cancel-at-feedback";
-    case ServiceFault::kDeadlineMidFold: return "deadline-mid-fold";
-    case ServiceFault::kQueueFull: return "queue-full";
+const char* cancel_point_name(CancelPoint p) {
+  switch (p) {
+    case CancelPoint::kNone: return "none";
+    case CancelPoint::kCancelAtControl: return "cancel-at-control";
+    case CancelPoint::kCancelAtDdg: return "cancel-at-ddg";
+    case CancelPoint::kCancelAtFold: return "cancel-at-fold";
+    case CancelPoint::kCancelAtFeedback: return "cancel-at-feedback";
+    case CancelPoint::kDeadlineMidFold: return "deadline-mid-fold";
   }
   return "?";
 }

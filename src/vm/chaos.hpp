@@ -23,32 +23,29 @@ enum class FaultKind : std::uint8_t {
 
 const char* fault_kind_name(FaultKind k);
 
-/// Service-level fault points — the failure surface pp::service adds on
-/// top of the event-stream faults above. These don't corrupt events; they
-/// fire a job's CancelToken (or shed it) at a deterministic structural
-/// point, so cancellation paths are testable with reproducible partial
-/// reports (unlike a wall-clock cancel, which lands wherever the race
-/// does).
-enum class ServiceFault : std::uint8_t {
-  kNone,              ///< no service fault injected
+/// Cancel points — the run's cancellation surface, on top of the
+/// event-stream faults above. These don't corrupt events; they fire the
+/// run's CancelToken at a deterministic structural point, so cancellation
+/// paths are testable with reproducible partial reports (unlike a
+/// wall-clock cancel, which lands wherever the race does).
+enum class CancelPoint : std::uint8_t {
+  kNone,              ///< no cancel injected
   kCancelAtControl,   ///< cancel fired at the stage-1 boundary
   kCancelAtDdg,       ///< cancel fired at the stage-2 boundary
   kCancelAtFold,      ///< cancel fired at the fold boundary
   kCancelAtFeedback,  ///< cancel fired entering stage 4 (report/oracle)
   kDeadlineMidFold,   ///< deadline expires at a seeded fold position
-  kQueueFull,         ///< service admission rejects as if the queue were full
 };
 
-const char* service_fault_name(ServiceFault f);
+const char* cancel_point_name(CancelPoint p);
 
 struct ChaosOptions {
   FaultKind kind = FaultKind::kNone;
   u64 seed = 1;          ///< drives the injection point deterministically
   u64 min_events = 8;    ///< earliest event ordinal eligible for injection
   u64 window = 64;       ///< point drawn uniformly from [min, min+window)
-  /// Service fault point (independent of `kind`; needs a CancelToken on
-  /// the run for every point except kQueueFull).
-  ServiceFault service = ServiceFault::kNone;
+  /// Cancel point (independent of `kind`; needs a CancelToken on the run).
+  CancelPoint cancel_at = CancelPoint::kNone;
 };
 
 class ChaosObserver : public Observer {

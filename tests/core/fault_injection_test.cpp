@@ -4,6 +4,8 @@
 // the pipeline's degrade-don't-die contract.
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "core/pipeline.hpp"
 #include "ir/builder.hpp"
 #include "workloads/workloads.hpp"
@@ -144,34 +146,34 @@ INSTANTIATE_TEST_SUITE_P(
       return name + "_s" + std::to_string(std::get<1>(info.param));
     });
 
-// Service-level fault points: each one fires the run's CancelToken at a
+// Cancel points: each one fires the run's CancelToken at a
 // deterministic structural point (stage boundary / seeded fold merge
 // position). Same contract as the event-stream faults — a diagnosed
 // partial result, never a throw — plus the cancellation bookkeeping.
-class ServiceFaultMatrix
-    : public ::testing::TestWithParam<std::tuple<vm::ServiceFault, u64>> {};
+class CancelPointMatrix
+    : public ::testing::TestWithParam<std::tuple<vm::CancelPoint, u64>> {};
 
-TEST_P(ServiceFaultMatrix, EveryServiceFaultYieldsDiagnosedPartialResult) {
+TEST_P(CancelPointMatrix, EveryCancelPointYieldsDiagnosedPartialResult) {
   auto [fault, seed] = GetParam();
   Module m = layerforward_module(8, 4);
 
   support::CancelToken token;
   PipelineOptions opts;
-  opts.chaos.service = fault;
+  opts.chaos.cancel_at = fault;
   opts.chaos.seed = seed;
   opts.cancel = &token;
   ProfileResult r;
   ASSERT_NO_THROW(r = Pipeline(m).run(opts));
 
-  EXPECT_TRUE(r.truncated) << vm::service_fault_name(fault);
+  EXPECT_TRUE(r.truncated) << vm::cancel_point_name(fault);
   EXPECT_TRUE(r.cancelled);
   EXPECT_TRUE(token.cancelled());
   EXPECT_FALSE(r.diagnostics.empty());
   EXPECT_NE(r.diagnostics.render().find("cancelled"), std::string::npos);
 
   // kDeadlineMidFold expires the deadline; the cancel points fire a plain
-  // cancel — the reason is preserved for the service's outcome report.
-  if (fault == vm::ServiceFault::kDeadlineMidFold)
+  // cancel — the reason is preserved for the caller.
+  if (fault == vm::CancelPoint::kDeadlineMidFold)
     EXPECT_EQ(token.reason(), support::CancelReason::kDeadline);
   else
     EXPECT_EQ(token.reason(), support::CancelReason::kCancel);
@@ -183,22 +185,22 @@ TEST_P(ServiceFaultMatrix, EveryServiceFaultYieldsDiagnosedPartialResult) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllServiceFaults, ServiceFaultMatrix,
+    AllCancelPoints, CancelPointMatrix,
     ::testing::Combine(
-        ::testing::Values(vm::ServiceFault::kCancelAtControl,
-                          vm::ServiceFault::kCancelAtDdg,
-                          vm::ServiceFault::kCancelAtFold,
-                          vm::ServiceFault::kCancelAtFeedback,
-                          vm::ServiceFault::kDeadlineMidFold),
+        ::testing::Values(vm::CancelPoint::kCancelAtControl,
+                          vm::CancelPoint::kCancelAtDdg,
+                          vm::CancelPoint::kCancelAtFold,
+                          vm::CancelPoint::kCancelAtFeedback,
+                          vm::CancelPoint::kDeadlineMidFold),
         ::testing::Values(u64{1}, u64{2}, u64{3})),
     [](const auto& info) {
-      std::string name = vm::service_fault_name(std::get<0>(info.param));
+      std::string name = vm::cancel_point_name(std::get<0>(info.param));
       for (char& c : name)
         if (c == '-') c = '_';
       return name + "_s" + std::to_string(std::get<1>(info.param));
     });
 
-TEST(ServiceFault, CancelAtDdgPreservesStageOneStructure) {
+TEST(CancelPoint, CancelAtDdgPreservesStageOneStructure) {
   // Cancelling at the stage-2 boundary must not cost the control
   // structure stage 1 already built.
   Module m = layerforward_module(8, 4);
@@ -207,7 +209,7 @@ TEST(ServiceFault, CancelAtDdgPreservesStageOneStructure) {
 
   support::CancelToken token;
   PipelineOptions opts;
-  opts.chaos.service = vm::ServiceFault::kCancelAtDdg;
+  opts.chaos.cancel_at = vm::CancelPoint::kCancelAtDdg;
   opts.cancel = &token;
   ProfileResult r = Pipeline(m).run(opts);
   ControlShape s = shape_of(r.control);
@@ -217,7 +219,7 @@ TEST(ServiceFault, CancelAtDdgPreservesStageOneStructure) {
   EXPECT_EQ(r.statements.size(), 0u);  // stage 2 never ran
 }
 
-TEST(ServiceFault, RealDeadlineExpiryDegradesLikeChaosDeadline) {
+TEST(CancelPoint, RealDeadlineExpiryDegradesLikeChaosDeadline) {
   // A genuinely expired deadline (not chaos-injected) lands wherever the
   // next checkpoint is; it must still come back diagnosed, with the
   // deadline reason recorded.
@@ -233,6 +235,165 @@ TEST(ServiceFault, RealDeadlineExpiryDegradesLikeChaosDeadline) {
   EXPECT_EQ(token.reason(), support::CancelReason::kDeadline);
   EXPECT_NE(r.diagnostics.render().find("deadline"), std::string::npos);
   ASSERT_NO_THROW(full_report(r));
+}
+
+TEST(CancelPoint, RealDeadlineExpiresLongRun) {
+  // A deadline that expires while the run is under way (cfd takes tens of
+  // milliseconds) is seen at the next VM-cadence or stage checkpoint.
+  workloads::Workload wl = workloads::make_rodinia("cfd");
+  support::CancelToken token;
+  PipelineOptions opts;
+  opts.cancel = &token;
+  token.set_deadline_in_ms(1);
+  ProfileResult r;
+  ASSERT_NO_THROW(r = Pipeline(wl.module).run(opts));
+  EXPECT_TRUE(r.truncated);
+  EXPECT_TRUE(r.cancelled);
+  EXPECT_EQ(token.reason(), support::CancelReason::kDeadline);
+  std::string report;
+  ASSERT_NO_THROW(report = full_report(r));
+  EXPECT_NE(report.find("PARTIAL PROFILE"), std::string::npos);
+}
+
+TEST(CancelPoint, CrossThreadCancelEndsRunWithoutHanging) {
+  // The token is the one object a run shares with another thread: a
+  // caller may fire it from its own thread while Pipeline::run and
+  // full_report poll it. The cancel races the run, so either a clean run
+  // or a diagnosed partial one is legal; a hang or a throw is not.
+  workloads::Workload wl = workloads::make_rodinia("cfd");
+  support::CancelToken token;
+  PipelineOptions opts;
+  opts.cancel = &token;
+  std::thread canceller([&token] { token.cancel(); });
+  ProfileResult r;
+  std::string report;
+  EXPECT_NO_THROW({
+    r = Pipeline(wl.module).run(opts);
+    report = full_report(r);
+  });
+  canceller.join();
+  EXPECT_TRUE(token.cancelled());
+  EXPECT_EQ(token.reason(), support::CancelReason::kCancel);
+  if (r.cancelled) {
+    EXPECT_TRUE(r.truncated);
+    EXPECT_NE(r.diagnostics.render().find("job cancelled (cancel)"),
+              std::string::npos);
+    EXPECT_NE(report.find("PARTIAL PROFILE"), std::string::npos);
+  } else {
+    EXPECT_FALSE(r.truncated);
+  }
+}
+
+TEST(CancelPoint, PreFiredTokenProfilesNothing) {
+  // A caller that cancels before the run starts gets the diagnosis at the
+  // stage-1 boundary and nothing else: no replay, no statements, and a
+  // report whose oracle line names the cancel.
+  Module m = layerforward_module(8, 4);
+  support::CancelToken token;
+  token.cancel();
+  PipelineOptions opts;
+  opts.cancel = &token;
+  ProfileResult r;
+  ASSERT_NO_THROW(r = Pipeline(m).run(opts));
+  EXPECT_TRUE(r.truncated);
+  EXPECT_TRUE(r.cancelled);
+  EXPECT_EQ(r.stats.instructions, 0u);
+  EXPECT_EQ(r.statements.size(), 0u);
+  EXPECT_EQ(r.control.forests.size(), 0u);
+  EXPECT_NE(r.diagnostics.render().find(
+                "job cancelled (cancel) — pipeline stopped at the stage-1 "
+                "boundary"),
+            std::string::npos);
+  std::string report;
+  ASSERT_NO_THROW(report = full_report(r));
+  EXPECT_NE(report.find("PARTIAL PROFILE"), std::string::npos);
+  EXPECT_NE(report.find("skipped (job cancelled: cancel)"),
+            std::string::npos);
+}
+
+TEST(CancelPoint, CancelAfterRunDegradesOnlyTheReport) {
+  // The report polls the same token: a cancel that lands after a clean run
+  // leaves the profile untouched, degrades every region the same way and
+  // skips the oracle with a deterministic verdict line.
+  Module m = layerforward_module(8, 4);
+  support::CancelToken token;
+  PipelineOptions opts;
+  opts.cancel = &token;
+  ProfileResult r = Pipeline(m).run(opts);
+  ASSERT_FALSE(r.truncated);
+  ASSERT_FALSE(r.cancelled);
+  const std::string clean = full_report(r);
+  EXPECT_EQ(clean.find("job cancelled"), std::string::npos);
+
+  token.cancel();
+  std::string report;
+  ASSERT_NO_THROW(report = full_report(r));
+  EXPECT_EQ(report.find("PARTIAL PROFILE"), std::string::npos);
+  EXPECT_NE(report.find("  UNANALYZABLE: job cancelled (cancel)\n"),
+            std::string::npos);
+  EXPECT_NE(report.find("-- soundness oracle --\nskipped (job cancelled: "
+                        "cancel)"),
+            std::string::npos);
+  EXPECT_NE(report, clean);
+}
+
+TEST(CancelPoint, CancelPointWithoutTokenIsANoOp) {
+  // A cancel point fires the run's token; with no token there is nothing
+  // to fire, and the run and its report match a run without chaos.
+  Module m = layerforward_module(8, 4);
+  const std::string reference = full_report(Pipeline(m).run());
+  for (vm::CancelPoint p :
+       {vm::CancelPoint::kCancelAtControl, vm::CancelPoint::kCancelAtDdg,
+        vm::CancelPoint::kCancelAtFold, vm::CancelPoint::kCancelAtFeedback,
+        vm::CancelPoint::kDeadlineMidFold}) {
+    SCOPED_TRACE(vm::cancel_point_name(p));
+    PipelineOptions opts;
+    opts.chaos.cancel_at = p;
+    ProfileResult r = Pipeline(m).run(opts);
+    EXPECT_FALSE(r.truncated);
+    EXPECT_FALSE(r.cancelled);
+    EXPECT_EQ(full_report(r), reference);
+  }
+}
+
+TEST(CancelPoint, NamesArePrinted) {
+  // Reports and parametrized test names print these.
+  EXPECT_STREQ(vm::cancel_point_name(vm::CancelPoint::kNone), "none");
+  EXPECT_STREQ(vm::cancel_point_name(vm::CancelPoint::kCancelAtControl),
+               "cancel-at-control");
+  EXPECT_STREQ(vm::cancel_point_name(vm::CancelPoint::kCancelAtDdg),
+               "cancel-at-ddg");
+  EXPECT_STREQ(vm::cancel_point_name(vm::CancelPoint::kCancelAtFold),
+               "cancel-at-fold");
+  EXPECT_STREQ(vm::cancel_point_name(vm::CancelPoint::kCancelAtFeedback),
+               "cancel-at-feedback");
+  EXPECT_STREQ(vm::cancel_point_name(vm::CancelPoint::kDeadlineMidFold),
+               "deadline-mid-fold");
+}
+
+TEST(FaultInjection, RejectedModuleLeavesNextRunClean) {
+  // A module the verifier rejects comes back diagnosed, and a run of a
+  // good module afterwards matches a run that never saw the bad one:
+  // runs share no state.
+  workloads::Workload good = workloads::make_rodinia("hotspot");
+  const std::string reference = full_report(Pipeline(good.module).run());
+
+  workloads::Workload bad = workloads::make_rodinia("hotspot");
+  ir::Function dup = bad.module.functions.front();
+  dup.id = static_cast<int>(bad.module.functions.size());
+  bad.module.functions.push_back(dup);  // a second function of that name
+  ProfileResult rb;
+  ASSERT_NO_THROW(rb = Pipeline(bad.module).run());
+  EXPECT_TRUE(rb.truncated);
+  std::string bad_report;
+  ASSERT_NO_THROW(bad_report = full_report(rb));
+  EXPECT_NE(bad_report.find("duplicate-function-name"), std::string::npos)
+      << bad_report;
+  EXPECT_NE(bad_report.find("module rejected"), std::string::npos);
+
+  ProfileResult r = Pipeline(good.module).run();
+  EXPECT_FALSE(r.truncated);
+  EXPECT_EQ(full_report(r), reference);
 }
 
 TEST(FaultInjection, RuntimeTrapYieldsPartialProfile) {

@@ -5,8 +5,8 @@
 // compressed run, and observation against an unobserved run. Degraded
 // runs — injected faults, an exhausted budget, cancellation at a
 // structural point — must be reproducible: a repeat run
-// yields the same partial report byte for byte, which is what lets the
-// service compare a degraded job against a direct run.
+// yields the same partial report byte for byte, so a degraded run can be
+// compared against a repeat of itself.
 #include <string>
 
 #include "core/pipeline.hpp"
@@ -135,14 +135,14 @@ TEST(ReferenceIdentityBudget, PieceBudgetDegradesIdentically) {
 }
 
 // Cancellation at a structural point — stage boundary or fold position —
-// yields the same partial report on every run. The chaos service faults
+// yields the same partial report on every run. The chaos cancel points
 // fire the token at exactly those points. Each run gets a FRESH token
 // (tokens are one-shot) that outlives full_report (which consults it).
-std::string cancelled_report(const ir::Module& m, vm::ServiceFault fault,
+std::string cancelled_report(const ir::Module& m, vm::CancelPoint fault,
                              u64 seed) {
   support::CancelToken token;
   core::PipelineOptions opts;
-  opts.chaos.service = fault;
+  opts.chaos.cancel_at = fault;
   opts.chaos.seed = seed;
   opts.cancel = &token;
   return report(m, opts);
@@ -150,11 +150,11 @@ std::string cancelled_report(const ir::Module& m, vm::ServiceFault fault,
 
 TEST(ReferenceIdentityCancel, CancelledRunsMatchSerialReference) {
   workloads::Workload wl = workloads::make_rodinia("pathfinder");
-  for (vm::ServiceFault fault :
-       {vm::ServiceFault::kCancelAtControl, vm::ServiceFault::kCancelAtDdg,
-        vm::ServiceFault::kCancelAtFold, vm::ServiceFault::kCancelAtFeedback,
-        vm::ServiceFault::kDeadlineMidFold}) {
-    SCOPED_TRACE(std::string("fault=") + vm::service_fault_name(fault));
+  for (vm::CancelPoint fault :
+       {vm::CancelPoint::kCancelAtControl, vm::CancelPoint::kCancelAtDdg,
+        vm::CancelPoint::kCancelAtFold, vm::CancelPoint::kCancelAtFeedback,
+        vm::CancelPoint::kDeadlineMidFold}) {
+    SCOPED_TRACE(std::string("fault=") + vm::cancel_point_name(fault));
     const std::string reference = cancelled_report(wl.module, fault, 3);
     EXPECT_NE(reference.find("PARTIAL PROFILE"), std::string::npos);
     EXPECT_EQ(reference, cancelled_report(wl.module, fault, 3));
@@ -168,8 +168,8 @@ TEST(ReferenceIdentityCancel, MidFoldDeadlineSeedSweep) {
   for (u64 seed : {u64{0}, u64{1}, u64{2}, u64{3}}) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     EXPECT_EQ(
-        cancelled_report(wl.module, vm::ServiceFault::kDeadlineMidFold, seed),
-        cancelled_report(wl.module, vm::ServiceFault::kDeadlineMidFold, seed));
+        cancelled_report(wl.module, vm::CancelPoint::kDeadlineMidFold, seed),
+        cancelled_report(wl.module, vm::CancelPoint::kDeadlineMidFold, seed));
   }
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -83,34 +85,65 @@ TEST(ObsCounters, StabilityTagFixedOnFirstTouch) {
   EXPECT_EQ(cs.at("b").stability, Stability::kStable);
 }
 
-TEST(ObsSession, ConcurrentSpansAndCountersMerge) {
-  Session s;
-  constexpr int kThreads = 8;
-  constexpr int kSpansPer = 50;
-  std::vector<std::thread> ts;
-  ts.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    ts.emplace_back([&s] {
-      for (int i = 0; i < kSpansPer; ++i) {
-        Span sp = s.span("work");
-        s.add("n");
-      }
-    });
-  }
-  for (auto& t : ts) t.join();
-  EXPECT_EQ(s.merged_spans().size(),
-            static_cast<std::size_t>(kThreads * kSpansPer));
-  EXPECT_EQ(s.counters().at("n").value, kThreads * kSpansPer);
-}
-
-TEST(ObsSession, TlsSurvivesSessionRecycling) {
-  // A fresh Session at a recycled address must not inherit the previous
-  // session's thread registration (the TLS cache is generation-keyed).
+TEST(ObsSession, RepeatedSessionsStartEmpty) {
+  // A fresh Session (often at the previous one's address) records only
+  // its own spans.
   for (int i = 0; i < 4; ++i) {
     Session s;
     { Span sp = s.span("gen"); }
     EXPECT_EQ(s.merged_spans().size(), 1u);
   }
+}
+
+TEST(ObsSession, InterleavedSessionsKeepTheirOwnRecords) {
+  // Two live sessions on one thread: each span and counter lands in the
+  // session it was opened against, never in the other.
+  Session a;
+  Session b;
+  {
+    Span sa = a.span("a:outer");
+    Span sb = b.span("b:outer");
+    a.add("n", 2);
+    b.add("n", 5);
+    Span sa2 = a.span("a:inner");
+  }
+  b.set("only_b", 1);
+  auto as = a.merged_spans();
+  auto bs = b.merged_spans();
+  ASSERT_EQ(as.size(), 2u);
+  ASSERT_EQ(bs.size(), 1u);
+  std::set<std::string> a_names{as[0].name, as[1].name};
+  EXPECT_EQ(a_names, (std::set<std::string>{"a:inner", "a:outer"}));
+  EXPECT_STREQ(bs[0].name, "b:outer");
+  EXPECT_EQ(a.counters().at("n").value, 2);
+  EXPECT_EQ(b.counters().at("n").value, 5);
+  EXPECT_EQ(a.counters().count("only_b"), 0u);
+}
+
+TEST(ObsSession, SessionsOnSeparateThreadsShareNothing) {
+  // Independent runs use independent sessions; a session on another
+  // thread records into its own vector and map only.
+  constexpr int kSpans = 50;
+  Session a;
+  Session b;
+  auto work = [](Session* s, const char* name) {
+    for (int i = 0; i < kSpans; ++i) {
+      Span sp = s->span(name);
+      s->add("n");
+    }
+  };
+  std::thread ta(work, &a, "a");
+  std::thread tb(work, &b, "b");
+  ta.join();
+  tb.join();
+  for (Session* s : {&a, &b}) {
+    auto spans = s->merged_spans();
+    ASSERT_EQ(spans.size(), static_cast<std::size_t>(kSpans));
+    for (const SpanRec& r : spans) EXPECT_STREQ(r.name, spans[0].name);
+    EXPECT_EQ(s->counters().at("n").value, kSpans);
+  }
+  EXPECT_STREQ(a.merged_spans()[0].name, "a");
+  EXPECT_STREQ(b.merged_spans()[0].name, "b");
 }
 
 TEST(ObsSession, StageSpansFilterAndOrder) {
@@ -136,6 +169,26 @@ TEST(ObsExport, ChromeTraceShape) {
   EXPECT_NE(j.find("stage:fold"), std::string::npos);
   EXPECT_NE(j.find("fold.pieces"), std::string::npos);
   EXPECT_NE(j.find("test-proc"), std::string::npos);
+}
+
+TEST(ObsExport, ChromeTraceHasOnePipelineThread) {
+  // A run is serial: every span sits on tid 0, named "pipeline" once.
+  Session s;
+  { Span a = s.span("stage:control"); }
+  { Span b = s.span("stage:ddg"); }
+  std::string j = s.chrome_trace_json();
+  auto count = [&j](const std::string& needle) {
+    std::size_t n = 0;
+    for (std::size_t at = j.find(needle); at != std::string::npos;
+         at = j.find(needle, at + 1))
+      ++n;
+    return n;
+  };
+  EXPECT_EQ(count("\"ph\":\"X\""), 2u);
+  EXPECT_EQ(count("\"ph\":\"X\",\"pid\":1,\"tid\":0,"), 2u);
+  EXPECT_EQ(count("\"tid\":"), count("\"tid\":0,"));
+  EXPECT_EQ(count("\"name\":\"thread_name\""), 1u);
+  EXPECT_EQ(count("\"args\":{\"name\":\"pipeline\"}"), 1u);
 }
 
 TEST(ObsExport, ManifestShape) {
